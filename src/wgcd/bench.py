@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import statistics
 import time
@@ -109,7 +110,7 @@ def _random_cofactor(rng: random.Random, bits: int, d: int) -> int:
         rest = bits - c.bit_length() + 1
         if rest >= 2:
             c *= _random_prime(rng, rest)
-        if c.bit_length() == bits and numtheory.gcd(c, d) == 1:
+        if c.bit_length() == bits and math.gcd(c, d) == 1:
             return c
     raise ValueError(f"no {bits}-bit cofactor coprime to {d} found")
 

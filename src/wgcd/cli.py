@@ -1,6 +1,7 @@
 """Command-line surface: compute, normalize, verify, explain, bench, selftest.
 
-Exit codes: 0 success, 1 verification or selftest failure, 2 invalid input.
+Exit codes: 0 success, 1 verification or selftest failure, 2 invalid input,
+3 a factorization gave up after RHO_BUDGET Pollard rho iterations.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ from .core import (
     wgcd_auto,
     wgcd_bruteforce,
 )
+from .numtheory import FactorBudgetExceeded, rho_budget
 from .selftest import run_selftest
 
 ORACLE_SCAN_LIMIT = 10**7
+# Rho iterations per factorization: a few seconds, enough to split off
+# prime factors of up to about 40 bits, where a cofactor with two larger
+# primes would otherwise run for hours.
+RHO_BUDGET = 1 << 22
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -252,10 +258,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        with rho_budget(RHO_BUDGET):
+            return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FactorBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -40,11 +40,6 @@ class WeightVector:
         return self.q[i]
 
     @property
-    def common_divisor(self) -> int:
-        """gcd of the weights."""
-        return gcd_many(self.q)
-
-    @property
     def common_multiple(self) -> int:
         """lcm of the weights."""
         return lcm_many(self.q)
@@ -103,8 +98,6 @@ TRACE_RULES = (
     "permute",
     "suffix-gcd",
     "pair-remainder",
-    "gcd-prefix",
-    "fold",
     "fastpath-one",
     "fastpath-equal-weights",
 )

@@ -1,18 +1,28 @@
 """Arbitrary-precision integer primitives.
 
-Everything the weighted-gcd strategies stand on: gcd, exact powers, floor
-roots, p-adic valuations, primality testing, and integer factorization.
-All functions are pure and safe to call concurrently.
+Everything the weighted-gcd strategies stand on: gcd folds, floor roots,
+p-adic valuations, primality testing, and integer factorization.
+Factorization runs trial division below 10**4, then perfect-power
+detection, then a primality test, then Pollard rho under an optional
+iteration budget.  All functions are pure and safe to call concurrently;
+a budget set with `rho_budget` is scoped to the calling context.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 TRIAL_DIVISION_LIMIT = 10_000
+# Once trial division is done every remaining prime factor exceeds 10**4,
+# so a cofactor below this square is prime and a k-th power has at least
+# 13*k bits.
+_PRIME_BELOW = TRIAL_DIVISION_LIMIT**2
+_MIN_BITS_PER_POWER = 13
 
 
 def _primes_below(limit: int) -> tuple[int, ...]:
@@ -41,11 +51,6 @@ _WITNESS_TIERS = (
 _PROBABILISTIC_ROUNDS = 40  # error probability below 4**-40 past 2**64
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) = 0 and gcd(a, 0) = |a|."""
-    return math.gcd(a, b)
-
-
 def gcd_many(xs) -> int:
     """Left fold of gcd over a nonempty sequence."""
     xs = list(xs)
@@ -65,15 +70,6 @@ def lcm_many(xs) -> int:
     if not xs:
         raise ValueError("lcm_many needs at least one integer")
     return math.lcm(*xs)
-
-
-def ipow(base: int, exp: int) -> int:
-    """Exact integer power; 0**0 is defined as 1 for fold convenience."""
-    if base < 0:
-        raise ValueError("ipow expects a nonnegative base")
-    if exp < 0:
-        raise ValueError("ipow expects a nonnegative exponent")
-    return base**exp
 
 
 def iroot(x: int, n: int) -> int:
@@ -135,7 +131,9 @@ def _miller_rabin_round(n: int, d: int, s: int, a: int) -> bool:
 
 def is_prime(n: int, seed: int = 0) -> bool:
     """Primality test: deterministic and exact for n < 2**64, Miller-Rabin
-    with 40 witnesses from the seeded generator beyond that."""
+    with 40 witnesses from the seeded generator beyond that.  Witnesses
+    are drawn one at a time, so a composite is usually rejected after the
+    first draw."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -154,8 +152,37 @@ def is_prime(n: int, seed: int = 0) -> bool:
                 break
     else:
         rng = random.Random(seed)
-        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(_PROBABILISTIC_ROUNDS))
+        witnesses = (rng.randrange(2, n - 1) for _ in range(_PROBABILISTIC_ROUNDS))
     return all(_miller_rabin_round(n, d, s, a) for a in witnesses)
+
+
+class FactorBudgetExceeded(ArithmeticError):
+    """Pollard rho spent its iteration budget without finishing a factorization."""
+
+    def __init__(self, budget: int, n: int):
+        super().__init__(
+            f"Pollard rho exceeded its budget of {budget} iterations "
+            f"on a {n.bit_length()}-bit cofactor"
+        )
+        self.budget = budget
+        self.n = n
+
+
+# None: rho runs unbounded, as it does outside every `rho_budget` block.
+_RHO_BUDGET: ContextVar[Optional[int]] = ContextVar("rho_budget", default=None)
+
+
+@contextmanager
+def rho_budget(iterations: int):
+    """Cap the Pollard rho iterations of each `factor` call in the block;
+    a call that would pass the cap raises FactorBudgetExceeded."""
+    if iterations < 0:
+        raise ValueError("rho budget must be nonnegative")
+    token = _RHO_BUDGET.set(iterations)
+    try:
+        yield
+    finally:
+        _RHO_BUDGET.reset(token)
 
 
 @dataclass(frozen=True)
@@ -177,6 +204,13 @@ class Factorization:
             if i > 0 and entries[i - 1][0] >= p:
                 raise ValueError("entries must be strictly ascending by prime")
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Factorization":
+        """Wrap entries `factor` has already proved valid, skipping the checks."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "entries", entries)
+        return f
 
     def value(self) -> int:
         n = 1
@@ -200,46 +234,82 @@ class Factorization:
         return len(self.entries)
 
 
-def _pollard_rho_brent(n: int, rng: random.Random) -> int:
-    """Nontrivial factor of an odd composite n via Brent's cycle variant."""
+def _pollard_rho_brent(
+    n: int, rng: random.Random, budget: Optional[int] = None, spent: int = 0
+) -> tuple[int, int]:
+    """Nontrivial factor of an odd composite n via Brent's cycle variant,
+    and the running iteration count: `spent` plus the iterations run here.
+
+    The budget is checked once per batch of m iterations, before the batch
+    runs; FactorBudgetExceeded is raised when the batch would pass it.
+    """
     if n % 2 == 0:
-        return 2
+        return 2, spent
+    m = 128
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
-        m = 128
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if budget is not None and spent + r > budget:
+                raise FactorBudgetExceeded(budget, n)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            spent += r
             k = 0
             while k < r and g == 1:
+                batch = min(m, r - k)
+                if budget is not None and spent + batch > budget:
+                    raise FactorBudgetExceeded(budget, n)
                 ys = y
-                for _ in range(min(m, r - k)):
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
+                spent += batch
                 g = math.gcd(q, n)
                 k += m
             r <<= 1
         if g == n:
+            # the batch overshot: replay it one step at a time (< m steps)
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
+                spent += 1
         if g != n:
-            return g
+            return g, spent
+
+
+def _perfect_power(v: int) -> tuple[int, int]:
+    """(r, k) with r**k == v for the smallest prime k that has one, else
+    (v, 1).  Only for v whose prime factors all exceed 10**4."""
+    bits = v.bit_length()
+    for k in _SMALL_PRIMES:
+        if k * _MIN_BITS_PER_POWER > bits:
+            break
+        r = iroot(v, k)
+        if r**k == v:
+            return r, k
+    return v, 1
 
 
 def factor(n: int, seed: int = 0) -> Factorization:
     """Prime factorization of n >= 1, deterministic for a given (n, seed).
 
-    Trial division by the precomputed primes below 10**4, then a primality
-    test, then Pollard rho with Brent cycle detection on the cofactors.
+    Trial division by the precomputed primes below 10**4, then, on each
+    remaining cofactor, perfect-power detection, a primality test, and
+    Pollard rho with Brent cycle detection.  When rho splits off a divisor,
+    every copy of it is divided out at once.
+
+    Inside a `rho_budget` block the rho iterations of the whole call are
+    capped, and FactorBudgetExceeded is raised past the cap; outside one
+    rho runs unbounded.
     """
     if n < 1:
         raise ValueError("factor expects n >= 1")
+    budget = _RHO_BUDGET.get()
     counts: dict[int, int] = {}
     m = n
     for p in _SMALL_PRIMES:
@@ -252,18 +322,29 @@ def factor(n: int, seed: int = 0) -> Factorization:
                 m //= p
                 e += 1
             counts[p] = e
-    if m > 1:
-        if m < TRIAL_DIVISION_LIMIT**2 or is_prime(m, seed):
-            counts[m] = counts.get(m, 0) + 1
-        else:
+    rng = None
+    spent = 0
+    pending = [(m, 1)] if m > 1 else []
+    while pending:
+        v, mult = pending.pop()
+        if v < _PRIME_BELOW:
+            counts[v] = counts.get(v, 0) + mult
+            continue
+        root, k = _perfect_power(v)
+        if k > 1:
+            pending.append((root, k * mult))
+            continue
+        if is_prime(v, seed):
+            counts[v] = counts.get(v, 0) + mult
+            continue
+        if rng is None:
             rng = random.Random(seed)
-            pending = [m]
-            while pending:
-                v = pending.pop()
-                if is_prime(v, seed):
-                    counts[v] = counts.get(v, 0) + 1
-                    continue
-                d = _pollard_rho_brent(v, rng)
-                pending.append(d)
-                pending.append(v // d)
-    return Factorization(tuple(sorted(counts.items())))
+        a, spent = _pollard_rho_brent(v, rng, budget, spent)
+        rest, e = v // a, 1
+        while rest % a == 0:
+            rest //= a
+            e += 1
+        pending.append((a, e * mult))
+        if rest > 1:
+            pending.append((rest, mult))
+    return Factorization._trusted(tuple(sorted(counts.items())))

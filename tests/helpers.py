@@ -6,6 +6,27 @@ package internals, so agreement is a real cross-check.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the enclosed block once `seconds` of wall time
+    pass, so a hang fails its test instead of stalling the suite.  Uses
+    SIGALRM, so it only works in the main thread."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after the {seconds} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 def brute_force_gcd(a: int, b: int) -> int:
     a, b = abs(a), abs(b)

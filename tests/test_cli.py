@@ -1,5 +1,7 @@
 import json
 
+from helpers import time_limit
+from wgcd import cli
 from wgcd.cli import main
 from wgcd.selftest import CORPUS
 
@@ -81,6 +83,17 @@ class TestCompute:
             "--strategy", "oracle",
         )
         assert code == 2 and "budget" in err
+
+    def test_rho_budget_exit_code(self, capsys, monkeypatch):
+        # a square of a 2x64-bit semiprime: rho cannot split it in 1000 steps
+        monkeypatch.setattr(cli, "RHO_BUDGET", 1000)
+        n = 9223372036854788173 * 18446744073709551557
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "compute", "--weights", "2", "--values", str(n**2)
+            )
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "budget of 1000 iterations" in err
 
     def test_huge_decimal_values(self, capsys):
         d = 2**130 + 1

@@ -1,8 +1,12 @@
+import math
+
 import pytest
 
-from helpers import naive_wgcd
+from helpers import naive_wgcd, time_limit
+from wgcd.bench import GenSpec, gen_known
 from wgcd.core import (
     STRATEGIES,
+    Counters,
     TRACE_RULES,
     WeightedTuple,
     WeightVector,
@@ -24,6 +28,7 @@ from wgcd.core import (
     wgcd_lcm_power,
     wgcd_single,
 )
+from wgcd.numtheory import FactorBudgetExceeded, rho_budget
 
 WORKED_TRIPLE = WeightedTuple((70352, 5760, 13824), (2, 2, 3))
 
@@ -41,7 +46,6 @@ class TestTypes:
 
     def test_weight_vector_accessors(self):
         w = WeightVector((4, 6, 10))
-        assert w.common_divisor == 2
         assert w.common_multiple == 60
         assert len(w) == 3 and w[1] == 6
 
@@ -277,9 +281,7 @@ class TestAuto:
         result = wgcd_auto(t)
         assert result.d == d
         assert "pair-remainder" in [s.rule for s in result.trace.steps]
-        from wgcd.numtheory import gcd
-
-        assert result.counters.max_factored_bits <= gcd(*t.values).bit_length()
+        assert result.counters.max_factored_bits <= math.gcd(*t.values).bit_length()
 
     def test_fastpath_equal_weights(self):
         result = wgcd_auto(wt((48, 144), (2, 2)))
@@ -334,3 +336,26 @@ class TestNormalizeVerify:
     def test_verify_with_zero_coordinate(self):
         assert verify_wgcd(wt((0, 13824), (2, 3)), 24) == (True, None)
         assert verify_wgcd(wt((0, 13824), (2, 3)), 12) == (False, "maximality")
+
+
+class TestWideKnownAnswer:
+    """Known-answer specs whose gcd is d**2 for a d of up to 64 bits.  Rho
+    splits such a square in about sqrt(p) iterations for d's largest prime
+    p, so without perfect-power detection the 64-bit spec ran for minutes."""
+
+    @pytest.mark.parametrize("d_bits", [32, 48, 64])
+    @pytest.mark.parametrize("strategy", ["auto", "gcd-factor", "full-factor"])
+    def test_known_d(self, d_bits, strategy):
+        t, d = gen_known(GenSpec(1, 3, (2, 3, 5), d_bits, 256, "known-answer"))
+        counters = Counters()
+        with time_limit(10):
+            assert STRATEGIES[strategy](t, counters=counters) == d
+        if strategy == "auto":
+            assert counters.max_factored_bits == (d**2).bit_length()
+
+    def test_hard_128_bit_d_hits_the_budget(self):
+        # d = 7 * 167 * (51-bit prime) * (67-bit prime): rho would need
+        # about 2**25 iterations, so a budget stops it instead
+        t, _ = gen_known(GenSpec(1, 3, (2, 3, 5), 128, 256, "known-answer"))
+        with time_limit(10), rho_budget(20_000), pytest.raises(FactorBudgetExceeded):
+            wgcd_auto(t)

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,7 @@ from wgcd.bench import (
     known_answer_tuple,
 )
 from wgcd.core import wgcd_auto, wgcd_bruteforce, wgcd_full_factorization
-from wgcd.numtheory import gcd, gcd_many
+from wgcd.numtheory import gcd_many
 
 
 def spec(mode, weights, seed=0, d_bits=6, cofactor_bits=6):

@@ -1,24 +1,31 @@
+import math
 import random
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_gcd, naive_root, sieve_flags
+from helpers import brute_force_gcd, naive_root, sieve_flags, time_limit
 from wgcd.numtheory import (
+    FactorBudgetExceeded,
     Factorization,
     factor,
-    gcd,
     gcd_many,
-    ipow,
     iroot,
     is_prime,
+    rho_budget,
     valuation,
 )
 
 
+def gcd(a: int, b: int) -> int:
+    return gcd_many((a, b))
+
+
 class TestGcd:
+    # the pair tests run through gcd_many, the package's own gcd fold
+
     def test_worked_pair(self):
         assert gcd(5760, 13824) == 1152
 
@@ -52,25 +59,6 @@ class TestGcd:
         for d in range(1, min(a, b, 300) + 1):
             if a % d == 0 and b % d == 0:
                 assert g % d == 0
-
-
-class TestIpow:
-    def test_small_powers(self):
-        assert ipow(2, 9) == 512
-        assert ipow(24, 1) == 24
-        assert ipow(0, 0) == 1
-
-    def test_repeated_multiplication(self):
-        expected = 1
-        for _ in range(3):
-            expected *= 5760
-        assert ipow(5760, 3) == expected == 191102976000
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ipow(-2, 3)
-        with pytest.raises(ValueError):
-            ipow(2, -1)
 
 
 class TestIroot:
@@ -248,3 +236,93 @@ class TestFactor:
         for _ in range(50):
             n = rng.getrandbits(50) + 1
             assert dict(factor(n).entries) == sympy.factorint(n)
+
+
+# 40- to 64-bit primes: rho would need about sqrt(p) >= 2**20 iterations
+# per split, so these only finish fast through perfect-power detection.
+big_primes = st.integers(2**39, 2**64 - 2**32).map(sympy.nextprime)
+smooth_cofactors = st.lists(st.sampled_from((2, 3, 5, 7, 97, 9973)), max_size=6).map(math.prod)
+
+
+def expected_entries(*factorizations) -> tuple[tuple[int, int], ...]:
+    counts: dict[int, int] = {}
+    for f in factorizations:
+        for p, e in f.items():
+            counts[p] = counts.get(p, 0) + e
+    return tuple(sorted(counts.items()))
+
+
+class TestLargePrimePowers:
+    # no shrinking: a slow factor would cost the time limit per attempt
+    @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(big_primes, st.integers(2, 12), smooth_cofactors)
+    def test_smooth_times_prime_power(self, p, k, c):
+        with time_limit(10):
+            f = factor(c * p**k)
+        assert f.entries == expected_entries(sympy.factorint(c), {p: k})
+
+    def test_product_of_two_prime_powers(self):
+        # rho must split off the 40-bit prime once; every copy of it goes
+        # at once and the 64-bit cube is left to perfect-power detection
+        p = sympy.nextprime(2**39 + 777)
+        q = sympy.nextprime(2**63 + 999)
+        with time_limit(10):
+            f = factor(12 * p**3 * 5 * q**2)
+        assert f.entries == ((2, 2), (3, 1), (5, 1), (p, 3), (q, 2))
+
+    def test_pinned_squares(self):
+        with time_limit(10):
+            assert factor((3 * 5**2 * 192978014706347711) ** 2).entries == (
+                (3, 2), (5, 4), (192978014706347711, 2),
+            )
+            assert factor((239 * 63649 * 790212994553) ** 2).entries == (
+                (239, 2), (63649, 2), (790212994553, 2),
+            )
+
+    def test_nested_powers(self):
+        # composite exponents peel one prime root at a time: 30 = 2*3*5
+        p = sympy.nextprime(2**45)
+        with time_limit(10):
+            assert factor(p**30).entries == ((p, 30),)
+            assert factor((12 * p**3) ** 4).entries == ((2, 8), (3, 4), (p, 12))
+
+
+class TestRhoBudget:
+    SEMIPRIME = sympy.nextprime(2**63 + 12345) * sympy.prevprime(2**64)
+
+    def test_tiny_budget_raises(self):
+        with time_limit(10), rho_budget(1000):
+            with pytest.raises(FactorBudgetExceeded, match="budget of 1000 ") as exc:
+                factor(self.SEMIPRIME)
+        assert exc.value.budget == 1000 and exc.value.n == self.SEMIPRIME
+
+    def test_budget_spans_the_whole_call(self):
+        # with seed 0 the two rho splits of this 76-bit product take about
+        # 12.4k and 12.7k iterations: 20k covers either alone, not both
+        n = sympy.nextprime(2**24) * sympy.nextprime(2**25) * sympy.nextprime(2**26)
+        with rho_budget(30_000):
+            assert factor(n).value() == n
+        with rho_budget(20_000):
+            with pytest.raises(FactorBudgetExceeded, match="budget of 20000 iterations on a 52-bit"):
+                factor(n)
+
+    def test_within_budget_unchanged(self):
+        n = 10007 * 10009 * 2**70
+        with rho_budget(10_000):
+            f = factor(n)
+        assert f == factor(n)
+        with rho_budget(0):
+            assert factor(13824).entries == ((2, 9), (3, 3))
+
+    def test_budget_is_scoped_to_the_block(self):
+        with rho_budget(0):
+            with rho_budget(10_000):
+                assert factor(10007 * 10009).entries == ((10007, 1), (10009, 1))
+            with pytest.raises(FactorBudgetExceeded):
+                factor(10007 * 10009)
+        assert factor(10007 * 10009).entries == ((10007, 1), (10009, 1))
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError):
+            with rho_budget(-1):
+                pass
