@@ -28,16 +28,27 @@ ORACLE_SCAN_LIMIT = 10**7
 # prime factors of up to about 40 bits, where a cofactor with two larger
 # primes would otherwise run for hours.
 RHO_BUDGET = 1 << 22
+ECHO_LIMIT = 60  # characters of a rejected list quoted back in an error
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
-        raise ValueError(f"malformed {what} list {text!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"malformed {what} list {text!r}") from None
+    if all(parts):
+        try:
+            return [int(p) for p in parts]
+        except ValueError:
+            pass
+    # Python 3.11+ refuses to parse decimals longer than this many digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for i, p in enumerate(parts):
+        digits = p.lstrip("+-")
+        if limit and digits.isdigit() and len(digits) > limit:
+            raise ValueError(
+                f"{what} entry {i} has {len(digits)} digits, over the {limit}-digit"
+                " limit of sys.get_int_max_str_digits()"
+            )
+    echo = text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+    raise ValueError(f"malformed {what} list {echo!r}")
 
 
 def _tuple_from_args(args) -> WeightedTuple:
@@ -190,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--values", required=True, metavar="X0,X1,...",
-            help="comma-separated integers of unbounded size",
+            help="comma-separated integers of up to sys.get_int_max_str_digits() "
+                 "digits (4300 by default)",
         )
         if with_strategy:
             p.add_argument(

@@ -45,7 +45,7 @@ class WeightVector:
         return lcm_many(self.q)
 
     def is_sorted(self) -> bool:
-        return all(a <= b for a, b in zip(self.q, self.q[1:]))
+        return list(self.q) == sorted(self.q)
 
 
 def _as_weights(w) -> WeightVector:
@@ -97,7 +97,6 @@ TRACE_RULES = (
     "abs",
     "permute",
     "suffix-gcd",
-    "pair-remainder",
     "fastpath-one",
     "fastpath-equal-weights",
 )
@@ -211,12 +210,15 @@ def wgcd_gcd_factorization(
     (the weights are >= 1), hence d | g, so g's primes are the only
     candidates; their exponents come from valuations of the coordinates."""
     g = _gcd_all((abs(x) for x in t.values), counters)
+    return _wgcd_given_gcd(g, t.values, t.weights, seed, counters)
+
+
+def _wgcd_given_gcd(g: int, values, weights, seed: int, counters: Optional[Counters]) -> int:
     if g == 1:
         return 1
     d = 1
     for p, _ in _factor(g, seed, counters):
-        e = min(valuation(p, x) // q for x, q in t.pairs() if x)
-        d *= p**e
+        d *= p ** min(valuation(p, x) // q for x, q in zip(values, weights) if x)
     return d
 
 
@@ -398,51 +400,35 @@ def reduce_gcd_prefix(
 def wgcd_auto(
     t: WeightedTuple, seed: int = 0, *, counters: Optional[Counters] = None
 ) -> WgcdResult:
-    """Reduction pipeline: absolute values, weight sort, a remainder step
-    for large pairs, suffix gcds, then fast paths or factoring the single
-    suffix gcd.
+    """Reduction pipeline on plain tuples: absolute values, a stable sort
+    by weight, suffix gcds y_i = gcd(x_i, ..., x_n), then a fast path
+    (y_0 = 1, or equal weights) or factoring y_0 = gcd(x) alone.
 
-    Never factors anything larger than the reduced tuple's gcd, records
-    each rewrite in the trace, and agrees with the definition-level scan.
+    Never factors anything larger than gcd(x), traces each step that
+    changed the tuple and the fast path taken, and agrees with the oracle.
     """
     c = counters if counters is not None else Counters()
     steps: list[TraceStep] = []
-
-    def record(rule: str, cur: WeightedTuple) -> None:
-        steps.append(TraceStep(rule, cur.values, cur.weights.q))
-
-    cur = abs_values(t)
-    if cur.values != t.values:
-        record("abs", cur)
-    permuted, perm = sort_by_weight(cur)
-    if perm != tuple(range(len(t))):
-        cur = permuted
-        record("permute", cur)
-
-    # Euclidean shrink for pairs, when a wgcd-preserving step exists: only
-    # dividing the first coordinate by the second qualifies.
-    if len(cur) == 2 and cur.weights[0] < cur.weights[1]:
-        x0, x1 = cur.values
-        if x1 and x0 >= x1:
-            x0, x1 = reduce_pair_remainder(x0, x1, cur.weights[0], cur.weights[1])
-            cur = WeightedTuple((x0, x1), cur.weights)
-            record("pair-remainder", cur)
-
-    reduced = reduce_suffix_gcd(cur, counters=c)
-    if reduced.values != cur.values:
-        cur = reduced
-        record("suffix-gcd", cur)
-
-    y0 = cur.values[0]
-    equal_weights = len(set(cur.weights.q)) == 1
-    if y0 == 1:
-        record("fastpath-one", cur)
+    xs, qs = tuple(abs(x) for x in t.values), t.weights.q
+    if xs != t.values:
+        steps.append(TraceStep("abs", xs, qs))
+    if not t.weights.is_sorted():
+        qs, xs = zip(*sorted(zip(qs, xs), key=lambda qx: qx[0]))
+        steps.append(TraceStep("permute", xs, qs))
+    ys = list(xs)
+    for i in range(len(ys) - 2, -1, -1):
+        ys[i] = _gcd2(ys[i], ys[i + 1], c)
+    ys = tuple(ys)
+    if ys != xs:
+        steps.append(TraceStep("suffix-gcd", ys, qs))
+    if ys[0] == 1:
+        steps.append(TraceStep("fastpath-one", ys, qs))
         d = 1
-    elif equal_weights:
-        record("fastpath-equal-weights", cur)
-        d = wgcd_single(y0, cur.weights[0], seed, counters=c)
+    elif qs[0] == qs[-1]:
+        steps.append(TraceStep("fastpath-equal-weights", ys, qs))
+        d = wgcd_single(ys[0], qs[0], seed, counters=c)
     else:
-        d = wgcd_gcd_factorization(cur, seed, counters=c)
+        d = _wgcd_given_gcd(ys[0], ys, qs, seed, c)
     return WgcdResult(d, "auto", ReductionTrace(tuple(steps)), c)
 
 
@@ -476,6 +462,21 @@ def weighted_gcd(values, weights, strategy: str = "auto", seed: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # normalization and verification
 
+def _divide_out(pairs, b: int) -> Optional[list[int]]:
+    # x // b**q for each pair, or None when a b**q does not divide its x.
+    # Builds no power for x = 0, nor when b**q >= 2**(q * (bitlen(b) - 1)) > |x|.
+    out = []
+    for x, q in pairs:
+        if x:
+            if q * (b.bit_length() - 1) >= x.bit_length():
+                return None
+            x, rem = divmod(x, b**q)
+            if rem:
+                return None
+        out.append(x)
+    return out
+
+
 def normalize(t: WeightedTuple, seed: int = 0) -> tuple[WeightedTuple, int]:
     """Divide out the weighted gcd: x_i -> x_i / d**q_i, signs preserved.
 
@@ -484,8 +485,7 @@ def normalize(t: WeightedTuple, seed: int = 0) -> tuple[WeightedTuple, int]:
     d = wgcd_auto(t, seed).d
     if d == 1:
         return t, 1
-    values = tuple(x // d**q for x, q in t.pairs())
-    return WeightedTuple(values, t.weights), d
+    return WeightedTuple(tuple(_divide_out(t.pairs(), d)), t.weights), d
 
 
 def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
@@ -497,13 +497,12 @@ def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
     """
     if d < 1:
         raise ValueError("claimed weighted gcd must be >= 1")
-    for x, q in t.pairs():
-        if x % d**q != 0:
-            return VerifyResult(False, "divisibility")
-    residues = [(x // d**q, q) for x, q in t.pairs()]
-    g = gcd_many([r for r, _ in residues])
+    residues = _divide_out(t.pairs(), d)
+    if residues is None:
+        return VerifyResult(False, "divisibility")
+    g = gcd_many(residues)
     if g > 1:
         for p, _ in factor(g, seed):
-            if all(r == 0 or r % p**q == 0 for r, q in residues):
+            if _divide_out(zip(residues, t.weights), p) is not None:
                 return VerifyResult(False, "maximality")
     return VerifyResult(True, None)

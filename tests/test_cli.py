@@ -1,4 +1,5 @@
 import json
+import sys
 
 from helpers import time_limit
 from wgcd import cli
@@ -100,6 +101,22 @@ class TestCompute:
         values = f"{d**2 * 3},{d**3}"
         code, out, _ = run(capsys, "compute", "--weights", "2,3", "--values", values)
         assert (code, out) == (0, f"{d}\n")
+
+    def test_too_many_digits_names_the_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        values = "12," + "7" * (limit + 700)
+        with time_limit(1):
+            code, out, err = run(capsys, "compute", "--weights", "1,1", "--values", values)
+        assert (code, out) == (2, "")
+        assert f"values entry 1 has {limit + 700} digits" in err
+        assert f"{limit}-digit limit" in err
+        assert "malformed" not in err and len(err) < 200
+
+    def test_malformed_list_echo_is_cut(self, capsys):
+        values = "x," + "1," * 1000 + "2"
+        code, _, err = run(capsys, "compute", "--weights", "1", "--values", values)
+        assert code == 2
+        assert "malformed values list 'x,1,1," in err and len(err) < 200
 
 
 class TestNormalize:

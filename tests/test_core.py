@@ -237,11 +237,6 @@ class TestAuto:
                     cur = abs_values(cur)
                 elif step.rule == "permute":
                     cur, _ = sort_by_weight(cur)
-                elif step.rule == "pair-remainder":
-                    x0, x1 = reduce_pair_remainder(
-                        cur.values[0], cur.values[1], cur.weights[0], cur.weights[1]
-                    )
-                    cur = WeightedTuple((x0, x1), cur.weights)
                 elif step.rule == "suffix-gcd":
                     cur = reduce_suffix_gcd(cur)
                 elif step.rule in ("fastpath-one", "fastpath-equal-weights"):
@@ -252,12 +247,38 @@ class TestAuto:
                 assert step.values == cur.values
                 assert step.weights == cur.weights.q
 
-    def test_trace_shows_euclid_step_on_big_first(self):
+    def test_trace_on_big_first_is_suffix_gcd_only(self):
         result = wgcd_auto(wt((70352, 13824), (2, 3)))
         rules = [s.rule for s in result.trace.steps]
-        assert rules == ["pair-remainder", "suffix-gcd"]
-        assert result.trace.steps[0].values == (1232, 13824)
+        assert rules == ["suffix-gcd"]
+        assert result.trace.steps[0].values == (16, 13824)
         assert result.d == 4
+
+    @pytest.mark.parametrize(
+        "values, weights",
+        [
+            ((70352, 5760, 13824), (2, 2, 3)),
+            ((70352, 5760, 13824), (3, 2, 2)),
+            ((-5760, 70352, 13824), (2, 1, 3)),
+            ((0, -48, 0, 144), (4, 2, 2, 1)),
+            ((7, 13), (2, 3)),
+            ((48, 144), (2, 2)),
+        ],
+    )
+    def test_auto_builds_no_tuples(self, monkeypatch, values, weights):
+        t = wt(values, weights)
+        built = []
+        post_init = WeightedTuple.__post_init__
+
+        def counted(obj):
+            built.append(obj)
+            post_init(obj)
+
+        monkeypatch.setattr(WeightedTuple, "__post_init__", counted)
+        assert wgcd_auto(t).d == naive_wgcd(values, weights)
+        assert built == []
+        assert weighted_gcd(values, weights) == naive_wgcd(values, weights)
+        assert len(built) == 1
 
     def test_counters_on_worked_triple(self):
         result = wgcd_auto(WORKED_TRIPLE)
@@ -273,14 +294,13 @@ class TestAuto:
         assert result.counters.factor_calls == 0
 
     def test_big_pair_remainder_path(self):
-        # 160-bit first coordinate against a 50-bit second: the Euclid
-        # step fires and the pipeline still only factors the pair's gcd
+        # 160-bit first coordinate against a 50-bit second: the pipeline
+        # still only factors the pair's gcd
         d = 99991
         cofactor = 2**130 + 1
         t = wt((d**2 * cofactor, d**3), (2, 3))
         result = wgcd_auto(t)
         assert result.d == d
-        assert "pair-remainder" in [s.rule for s in result.trace.steps]
         assert result.counters.max_factored_bits <= math.gcd(*t.values).bit_length()
 
     def test_fastpath_equal_weights(self):
@@ -336,6 +356,27 @@ class TestNormalizeVerify:
     def test_verify_with_zero_coordinate(self):
         assert verify_wgcd(wt((0, 13824), (2, 3)), 24) == (True, None)
         assert verify_wgcd(wt((0, 13824), (2, 3)), 12) == (False, "maximality")
+
+    # 3 ** (10**7) alone takes seconds to build: none of these may build it.
+    def test_zero_coordinate_with_huge_weight(self):
+        t = wt((0, 9), (10**7, 2))
+        with time_limit(1):
+            assert normalize(t) == (wt((0, 1), (10**7, 2)), 3)
+            assert verify_wgcd(t, 3) == (True, None)
+            assert verify_wgcd(t, 1) == (False, "maximality")
+
+    def test_power_larger_than_coordinate_rejected_by_bit_length(self):
+        with time_limit(1):
+            assert verify_wgcd(wt((3**5, 5), (10**7, 1)), 3) == (False, "divisibility")
+            assert verify_wgcd(wt((3 * 2**20, 5), (10**8, 1)), 2) == (
+                False, "divisibility",
+            )
+            # maximality: 3 ** (10**7) cannot divide the residue 6
+            assert verify_wgcd(wt((6, 6), (10**7, 1)), 1) == (True, None)
+        # the bound is exact: 2**20 fits a 21-bit coordinate, 2**21 does not
+        assert verify_wgcd(wt((2**20,), (20,)), 2) == (True, None)
+        assert verify_wgcd(wt((2**20,), (21,)), 2) == (False, "divisibility")
+        assert verify_wgcd(wt((2**21 - 1,), (21,)), 2) == (False, "divisibility")
 
 
 class TestWideKnownAnswer:
