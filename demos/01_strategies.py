@@ -5,7 +5,7 @@ largest d with d**q_i | x_i for every i.  Six independent routes compute
 it; they must always agree.
 """
 
-from wgcd import STRATEGIES, Counters, WeightedTuple, wgcd_auto
+from wgcd import STRATEGIES, WeightedTuple, counting, wgcd_auto
 
 t = WeightedTuple((70352, 5760, 13824), (2, 2, 3))
 print(f"values  {t.values}")
@@ -14,8 +14,8 @@ print()
 
 print(f"{'strategy':<12} {'d':>4}  factor_calls  max_factored_bits")
 for name in sorted(STRATEGIES):
-    counters = Counters()
-    d = STRATEGIES[name](t, counters=counters)
+    with counting() as counters:
+        d = STRATEGIES[name](t)
     print(
         f"{name:<12} {d:>4}  {counters.factor_calls:>12}  "
         f"{counters.max_factored_bits:>17}"

@@ -1,8 +1,9 @@
 """Known-answer tuple generators and the instrumented benchmark harness.
 
 Generators pin ground truth by construction instead of trusting any
-strategy; the harness times strategies against each other and refuses to
-report anything when they disagree.
+strategy; the harness times strategies against each other, counts one
+run of each in its own `counting` block, and refuses to report anything
+when they disagree.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import core, numtheory
-from .core import Counters, WeightedTuple, WeightVector
+from .core import WeightedTuple, WeightVector, counting
 
 MODES = ("known-answer", "random", "adversarial-deficient")
 
@@ -257,7 +258,8 @@ def bench_run(
     seed: int = 0,
 ) -> list[BenchRecord]:
     """One record per spec: median wall time over `repetitions` and the
-    counters of a single canonical run, per strategy.
+    counters of a single canonical run, per strategy.  Inside a caller's
+    `counting` block every run joins the caller's counts instead.
 
     Known-answer specs additionally check every strategy against the
     constructed answer.  Aborts on any disagreement.
@@ -274,8 +276,8 @@ def bench_run(
         answers = set() if expected is None else {expected}
         for name in strategies:
             fn = core.STRATEGIES[name]
-            counters = Counters()
-            d = fn(t, seed, counters=counters)
+            with counting() as counters:
+                d = fn(t, seed)
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter_ns()

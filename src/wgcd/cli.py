@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import bench as bench_mod
 from .core import (
     STRATEGIES,
-    Counters,
     WeightedTuple,
+    counting,
     normalize,
     verify_wgcd,
     wgcd_auto,
@@ -57,31 +58,23 @@ def _tuple_from_args(args) -> WeightedTuple:
     return WeightedTuple(tuple(values), tuple(weights))
 
 
-def _compute_d(t: WeightedTuple, strategy: str, seed: int, counters: Counters) -> int:
+def _compute_d(t: WeightedTuple, strategy: str, seed: int) -> int:
     if strategy == "oracle":
-        return wgcd_bruteforce(t, seed, counters=counters, max_scan=ORACLE_SCAN_LIMIT)
-    return STRATEGIES[strategy](t, seed, counters=counters)
-
-
-def _counters_json(c: Counters) -> dict:
-    return {
-        "factor_calls": c.factor_calls,
-        "max_factored_bits": c.max_factored_bits,
-        "gcd_calls": c.gcd_calls,
-    }
+        return wgcd_bruteforce(t, seed, max_scan=ORACLE_SCAN_LIMIT)
+    return STRATEGIES[strategy](t, seed)
 
 
 def _run_compute(args) -> int:
     t = _tuple_from_args(args)
-    counters = Counters()
-    d = _compute_d(t, args.strategy, args.seed, counters)
+    with counting() as counters:
+        d = _compute_d(t, args.strategy, args.seed)
     if args.json:
         print(
             json.dumps(
                 {
                     "d": str(d),
                     "strategy": args.strategy,
-                    "counters": _counters_json(counters),
+                    "counters": asdict(counters),
                 }
             )
         )
@@ -106,9 +99,12 @@ def _run_normalize(args) -> int:
 
 def _run_verify(args) -> int:
     t = _tuple_from_args(args)
-    if args.claim < 1:
+    claim, *rest = _parse_int_list(args.claim, "claim")
+    if rest:
+        raise ValueError("claim must be a single integer")
+    if claim < 1:
         raise ValueError("claim must be >= 1")
-    result = verify_wgcd(t, args.claim, args.seed)
+    result = verify_wgcd(t, claim, args.seed)
     if args.json:
         print(json.dumps({"ok": result.ok, "reason": result.reason}))
     else:
@@ -133,7 +129,7 @@ def _run_explain(args) -> int:
                         }
                         for step in result.trace.steps
                     ],
-                    "counters": _counters_json(result.counters),
+                    "counters": asdict(result.counters),
                 }
             )
         )
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a claimed weighted gcd")
     tuple_flags(p)
-    p.add_argument("--claim", type=int, required=True, metavar="N")
+    p.add_argument("--claim", required=True, metavar="N")
     p.set_defaults(handler=_run_verify)
 
     p = sub.add_parser("explain", help="show the reduction pipeline")

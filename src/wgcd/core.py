@@ -4,12 +4,15 @@ A weighted tuple assigns a positive integer weight q_i to each coordinate
 x_i; its weighted gcd is the largest d with d**q_i dividing x_i for every
 i.  This module provides that quantity through several independent,
 cross-checkable strategies, the wgcd-preserving tuple rewrites the fast
-strategies are built from, plus normalization and verification.
+strategies are built from, plus normalization and verification.  A
+`with counting() as c:` block counts the gcd and factor calls made
+inside it, and how many bits the largest factored number had.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -80,7 +83,7 @@ class WeightedTuple:
 
 @dataclass
 class Counters:
-    """Instrumentation for one strategy run."""
+    """Instrumentation for one `counting` block."""
 
     factor_calls: int = 0
     max_factored_bits: int = 0
@@ -126,27 +129,52 @@ class VerifyResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # counted kernel access
 
-def _gcd2(a: int, b: int, counters: Optional[Counters]) -> int:
-    if counters is not None:
-        counters.gcd_calls += 1
+# None: nothing is counted, as outside every `counting` block.
+_COUNTERS: ContextVar[Optional[Counters]] = ContextVar("counters", default=None)
+
+
+class counting:
+    """`with counting() as c:` counts the gcd and factor calls made in the
+    block, in this thread or task, into the Counters `c`.  A block inside
+    another joins the outer one and yields its Counters."""
+
+    def __enter__(self) -> Counters:
+        c = _COUNTERS.get()
+        if c is None:
+            c = Counters()
+            self._token = _COUNTERS.set(c)
+        else:
+            self._token = None
+        return c
+
+    def __exit__(self, *exc) -> None:
+        if self._token is not None:
+            _COUNTERS.reset(self._token)
+
+
+def _gcd2(a: int, b: int) -> int:
+    c = _COUNTERS.get()
+    if c is not None:
+        c.gcd_calls += 1
     return math.gcd(a, b)
 
 
-def _gcd_all(xs, counters: Optional[Counters]) -> int:
+def _gcd_all(xs) -> int:
     g = 0
     for x in xs:
-        g = _gcd2(g, x, counters)
+        g = _gcd2(g, x)
         if g == 1:
             break
     return g
 
 
-def _factor(n: int, seed: int, counters: Optional[Counters]):
-    if counters is not None:
-        counters.factor_calls += 1
+def _factor(n: int, seed: int):
+    c = _COUNTERS.get()
+    if c is not None:
+        c.factor_calls += 1
         bits = n.bit_length()
-        if bits > counters.max_factored_bits:
-            counters.max_factored_bits = bits
+        if bits > c.max_factored_bits:
+            c.max_factored_bits = bits
     return factor(n, seed)
 
 
@@ -154,11 +182,7 @@ def _factor(n: int, seed: int, counters: Optional[Counters]):
 # strategies
 
 def wgcd_bruteforce(
-    t: WeightedTuple,
-    seed: int = 0,
-    *,
-    counters: Optional[Counters] = None,
-    max_scan: Optional[int] = None,
+    t: WeightedTuple, seed: int = 0, *, max_scan: Optional[int] = None
 ) -> int:
     """Definition-level oracle: scan d downward from the root bound.
 
@@ -179,14 +203,10 @@ def wgcd_bruteforce(
     return 1
 
 
-def wgcd_full_factorization(
-    t: WeightedTuple, seed: int = 0, *, counters: Optional[Counters] = None
-) -> int:
+def wgcd_full_factorization(t: WeightedTuple, seed: int = 0) -> int:
     """Product formula over the factorization of every nonzero coordinate:
     each prime contributes min over coordinates of floor(valuation/weight)."""
-    factored = [
-        (_factor(abs(x), seed, counters), q) for x, q in t.pairs() if x
-    ]
+    factored = [(_factor(abs(x), seed), q) for x, q in t.pairs() if x]
     first, first_q = factored[0]
     exps = {p: e // first_q for p, e in first if e >= first_q}
     for f, q in factored[1:]:
@@ -203,51 +223,56 @@ def wgcd_full_factorization(
     return d
 
 
-def wgcd_gcd_factorization(
-    t: WeightedTuple, seed: int = 0, *, counters: Optional[Counters] = None
-) -> int:
+def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
     """Factor only g = gcd of the values.  Any valid d divides every x_i
     (the weights are >= 1), hence d | g, so g's primes are the only
     candidates; their exponents come from valuations of the coordinates."""
-    g = _gcd_all((abs(x) for x in t.values), counters)
-    return _wgcd_given_gcd(g, t.values, t.weights, seed, counters)
+    g = _gcd_all(abs(x) for x in t.values)
+    return _wgcd_given_gcd(g, t.values, t.weights, seed)
 
 
-def _wgcd_given_gcd(g: int, values, weights, seed: int, counters: Optional[Counters]) -> int:
+def _wgcd_given_gcd(g: int, values, weights, seed: int) -> int:
     if g == 1:
         return 1
     d = 1
-    for p, _ in _factor(g, seed, counters):
+    for p, _ in _factor(g, seed):
         d *= p ** min(valuation(p, x) // q for x, q in zip(values, weights) if x)
     return d
 
 
-def wgcd_lcm_power(
-    t: WeightedTuple, seed: int = 0, *, counters: Optional[Counters] = None
-) -> int:
+# Largest power |x_i| ** (m / q_i) that lcm-power builds, in bits.  Building
+# the powers, their gcd and factoring G took up to 0.25 s at this size on a
+# 2-vCPU x86-64 host; no tuple in the tests or the selftest needs 6000 bits.
+LCM_POWER_BITS = 1 << 16
+
+
+def wgcd_lcm_power(t: WeightedTuple, seed: int = 0) -> int:
     """With m = lcm of the weights, return the largest d with d**m dividing
     G = gcd over nonzero coordinates of |x_i| ** (m / q_i).
 
     Computed as the product of p ** floor(e_p / m) over G's factorization,
     which provably equals the per-prime min-floor formula; requiring the
     exact equality d**m = G instead would have no solution for tuples such
-    as (8, 4) with weights (2, 3).
+    as (8, 4) with weights (2, 3).  Raises ValueError, before building any
+    power, when bitlen(x_i) * (m / q_i) exceeds LCM_POWER_BITS.
     """
     m = t.weights.common_multiple
-    g_pow = _gcd_all(
-        (abs(x) ** (m // q) for x, q in t.pairs() if x), counters
-    )
+    bits = max(abs(x).bit_length() * (m // q) for x, q in t.pairs() if x)
+    if bits > LCM_POWER_BITS:
+        raise ValueError(
+            f"lcm-power would build a {bits}-bit power, over its"
+            f" {LCM_POWER_BITS}-bit budget"
+        )
+    g_pow = _gcd_all(abs(x) ** (m // q) for x, q in t.pairs() if x)
     if g_pow == 1:
         return 1
     d = 1
-    for p, e in _factor(g_pow, seed, counters):
+    for p, e in _factor(g_pow, seed):
         d *= p ** (e // m)
     return d
 
 
-def wgcd_single(
-    x: int, q: int, seed: int = 0, *, counters: Optional[Counters] = None
-) -> int:
+def wgcd_single(x: int, q: int, seed: int = 0) -> int:
     """Weighted gcd of a single coordinate: product of p ** floor(e/q)
     over the factorization of |x|."""
     if x == 0:
@@ -258,14 +283,12 @@ def wgcd_single(
     if q == 1:
         return a
     d = 1
-    for p, e in _factor(a, seed, counters):
+    for p, e in _factor(a, seed):
         d *= p ** (e // q)
     return d
 
 
-def fold_merge(
-    d_acc: int, x: int, q: int, seed: int = 0, *, counters: Optional[Counters] = None
-) -> int:
+def fold_merge(d_acc: int, x: int, q: int, seed: int = 0) -> int:
     """Weighted gcd of the pair (d_acc, x) under weights (1, q).
 
     Only primes of d_acc survive: each contributes
@@ -280,16 +303,14 @@ def fold_merge(
         return d_acc
     a = abs(x)
     if q == 1:
-        return _gcd2(d_acc, a, counters)
+        return _gcd2(d_acc, a)
     d = 1
-    for p, e in _factor(d_acc, seed, counters):
+    for p, e in _factor(d_acc, seed):
         d *= p ** min(e, valuation(p, a) // q)
     return d
 
 
-def wgcd_fold(
-    t: WeightedTuple, seed: int = 0, *, counters: Optional[Counters] = None
-) -> int:
+def wgcd_fold(t: WeightedTuple, seed: int = 0) -> int:
     """Peel one coordinate at a time: fully factor a single seed coordinate,
     then merge the rest pairwise under weights (1, q_i).
 
@@ -298,13 +319,13 @@ def wgcd_fold(
     """
     nonzero = [(i, abs(x)) for i, x in enumerate(t.values) if x]
     start, x0 = min(nonzero, key=lambda iv: iv[1].bit_length() / t.weights[iv[0]])
-    d = wgcd_single(x0, t.weights[start], seed, counters=counters)
+    d = wgcd_single(x0, t.weights[start], seed)
     for i, (x, q) in enumerate(t.pairs()):
         if i == start:
             continue
         if d == 1:
             break
-        d = fold_merge(d, x, q, seed, counters=counters)
+        d = fold_merge(d, x, q, seed)
     return d
 
 
@@ -368,9 +389,7 @@ def _require_sorted(t: WeightedTuple, what: str) -> None:
         raise ValueError(f"{what} needs nondecreasing weights, got {t.weights.q}")
 
 
-def reduce_suffix_gcd(
-    t: WeightedTuple, *, counters: Optional[Counters] = None
-) -> WeightedTuple:
+def reduce_suffix_gcd(t: WeightedTuple) -> WeightedTuple:
     """Replace each coordinate by the gcd of its suffix: y_n = |x_n| and
     y_i = gcd(|x_i|, y_{i+1}).
 
@@ -380,34 +399,30 @@ def reduce_suffix_gcd(
     _require_sorted(t, "suffix-gcd reduction")
     ys = [abs(x) for x in t.values]
     for i in range(len(ys) - 2, -1, -1):
-        ys[i] = _gcd2(ys[i], ys[i + 1], counters)
+        ys[i] = _gcd2(ys[i], ys[i + 1])
     return WeightedTuple(tuple(ys), t.weights)
 
 
-def reduce_gcd_prefix(
-    t: WeightedTuple, *, counters: Optional[Counters] = None
-) -> WeightedTuple:
+def reduce_gcd_prefix(t: WeightedTuple) -> WeightedTuple:
     """Replace the first coordinate by the gcd of all values (weights
     nondecreasing); the other coordinates become absolute values."""
     _require_sorted(t, "gcd-prefix reduction")
-    g = _gcd_all((abs(x) for x in t.values), counters)
+    g = _gcd_all(abs(x) for x in t.values)
     return WeightedTuple((g,) + tuple(abs(x) for x in t.values[1:]), t.weights)
 
 
 # ---------------------------------------------------------------------------
 # composed pipeline
 
-def wgcd_auto(
-    t: WeightedTuple, seed: int = 0, *, counters: Optional[Counters] = None
-) -> WgcdResult:
+def wgcd_auto(t: WeightedTuple, seed: int = 0) -> WgcdResult:
     """Reduction pipeline on plain tuples: absolute values, a stable sort
     by weight, suffix gcds y_i = gcd(x_i, ..., x_n), then a fast path
     (y_0 = 1, or equal weights) or factoring y_0 = gcd(x) alone.
 
     Never factors anything larger than gcd(x), traces each step that
     changed the tuple and the fast path taken, and agrees with the oracle.
+    Counts in its own `counting` block, or in the caller's when inside one.
     """
-    c = counters if counters is not None else Counters()
     steps: list[TraceStep] = []
     xs, qs = tuple(abs(x) for x in t.values), t.weights.q
     if xs != t.values:
@@ -415,25 +430,26 @@ def wgcd_auto(
     if not t.weights.is_sorted():
         qs, xs = zip(*sorted(zip(qs, xs), key=lambda qx: qx[0]))
         steps.append(TraceStep("permute", xs, qs))
-    ys = list(xs)
-    for i in range(len(ys) - 2, -1, -1):
-        ys[i] = _gcd2(ys[i], ys[i + 1], c)
-    ys = tuple(ys)
-    if ys != xs:
-        steps.append(TraceStep("suffix-gcd", ys, qs))
-    if ys[0] == 1:
-        steps.append(TraceStep("fastpath-one", ys, qs))
-        d = 1
-    elif qs[0] == qs[-1]:
-        steps.append(TraceStep("fastpath-equal-weights", ys, qs))
-        d = wgcd_single(ys[0], qs[0], seed, counters=c)
-    else:
-        d = _wgcd_given_gcd(ys[0], ys, qs, seed, c)
+    with counting() as c:
+        ys = list(xs)
+        for i in range(len(ys) - 2, -1, -1):
+            ys[i] = _gcd2(ys[i], ys[i + 1])
+        ys = tuple(ys)
+        if ys != xs:
+            steps.append(TraceStep("suffix-gcd", ys, qs))
+        if ys[0] == 1:
+            steps.append(TraceStep("fastpath-one", ys, qs))
+            d = 1
+        elif qs[0] == qs[-1]:
+            steps.append(TraceStep("fastpath-equal-weights", ys, qs))
+            d = wgcd_single(ys[0], qs[0], seed)
+        else:
+            d = _wgcd_given_gcd(ys[0], ys, qs, seed)
     return WgcdResult(d, "auto", ReductionTrace(tuple(steps)), c)
 
 
-def _auto_d(t: WeightedTuple, seed: int = 0, *, counters: Optional[Counters] = None) -> int:
-    return wgcd_auto(t, seed, counters=counters).d
+def _auto_d(t: WeightedTuple, seed: int = 0) -> int:
+    return wgcd_auto(t, seed).d
 
 
 STRATEGIES = {

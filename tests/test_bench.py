@@ -54,6 +54,32 @@ class TestBenchRun:
         assert by_name["full-factor"].max_factored_bits >= 128
         assert by_name["auto"].max_factored_bits < by_name["full-factor"].max_factored_bits
 
+    def test_golden_counters(self):
+        # the counters are exact and seeded: a change here is a change in
+        # what a strategy computes, factors or gcds
+        specs = [small_specs()[i] for i in (0, 2, 3)]
+        # strategy -> (d, factor_calls, max_factored_bits, gcd_calls)
+        golden = [
+            {"auto": (36, 1, 11, 1), "gcd-factor": (36, 1, 11, 2),
+             "full-factor": (36, 2, 21, 0), "lcm-power": (36, 1, 32, 2),
+             "fold": (36, 2, 11, 0)},
+            {"auto": (1, 0, 0, 1), "gcd-factor": (1, 0, 0, 2),
+             "full-factor": (1, 2, 8, 0), "lcm-power": (1, 0, 0, 2),
+             "fold": (1, 1, 7, 0)},
+            {"auto": (19, 1, 49, 1), "gcd-factor": (19, 1, 49, 2),
+             "full-factor": (19, 2, 53, 0), "lcm-power": (19, 1, 105, 2),
+             "fold": (19, 2, 53, 0)},
+        ]
+        records = bench_run(specs, repetitions=2)
+        assert [r.spec.mode for r in records] == [
+            "known-answer", "random", "adversarial-deficient",
+        ]
+        for record, expected in zip(records, golden):
+            assert {
+                r.strategy: (r.d, r.factor_calls, r.max_factored_bits, r.gcd_calls)
+                for r in record.results
+            } == expected
+
     def test_adversarial_instrumentation_monotonicity(self):
         # deficient noise inflates the gcd yet the auto strategy still
         # factors strictly less than the full-factorization baseline
@@ -69,7 +95,7 @@ class TestBenchRun:
 
     def test_disagreement_aborts(self, monkeypatch):
         lying = dict(bench_mod.core.STRATEGIES)
-        lying["fold"] = lambda t, seed=0, counters=None: 1_000_003
+        lying["fold"] = lambda t, seed=0: 1_000_003
         monkeypatch.setattr(bench_mod.core, "STRATEGIES", lying)
         with pytest.raises(StrategyDisagreement) as exc:
             bench_run(small_specs()[:1], strategies=("auto", "fold"), repetitions=1)

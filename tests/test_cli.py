@@ -104,13 +104,17 @@ class TestCompute:
 
     def test_too_many_digits_names_the_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
-        values = "12," + "7" * (limit + 700)
-        with time_limit(1):
-            code, out, err = run(capsys, "compute", "--weights", "1,1", "--values", values)
-        assert (code, out) == (2, "")
-        assert f"values entry 1 has {limit + 700} digits" in err
-        assert f"{limit}-digit limit" in err
-        assert "malformed" not in err and len(err) < 200
+        long = "7" * (limit + 700)
+        for argv, entry in (
+            (("compute", "--weights", "1,1", "--values", "12," + long), "values entry 1"),
+            (("verify", "--weights", "1", "--values", "12", "--claim", long), "claim entry 0"),
+        ):
+            with time_limit(1):
+                code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert f"{entry} has {limit + 700} digits" in err
+            assert f"{limit}-digit limit" in err
+            assert "malformed" not in err and len(err) < 200
 
     def test_malformed_list_echo_is_cut(self, capsys):
         values = "x," + "1," * 1000 + "2"

@@ -1,8 +1,12 @@
+import inspect
 import math
+import sys
+import threading
 
 import pytest
 
 from helpers import naive_wgcd, time_limit
+from wgcd import core
 from wgcd.bench import GenSpec, gen_known
 from wgcd.core import (
     STRATEGIES,
@@ -11,6 +15,7 @@ from wgcd.core import (
     WeightedTuple,
     WeightVector,
     abs_values,
+    counting,
     fold_merge,
     normalize,
     reduce_gcd_prefix,
@@ -109,6 +114,24 @@ class TestLcmPower:
 
     def test_singleton(self):
         assert wgcd_lcm_power(wt((13824,), (3,))) == wgcd_single(13824, 3) == 24
+
+    def test_power_over_budget_rejected_before_building(self):
+        # lcm(1009, 1013, 1019) / 1009 is about 10**6: 20-bit values would
+        # become powers of about 2 * 10**7 bits
+        values, weights = (2**19 + 5, 2**19 + 7, 2**19 + 9), (1009, 1013, 1019)
+        with time_limit(1), pytest.raises(ValueError) as exc:
+            weighted_gcd(values, weights, strategy="lcm-power")
+        assert "lcm-power" in str(exc.value)
+        assert f"{core.LCM_POWER_BITS}-bit budget" in str(exc.value)
+        assert weighted_gcd(values, weights) == 1
+
+    def test_power_at_budget_still_computed(self):
+        # weights (1, 2): m = 2, so a coordinate of LCM_POWER_BITS / 2 bits
+        # is at the budget and one bit more is over it
+        bits = core.LCM_POWER_BITS // 2
+        assert wgcd_lcm_power(wt((2 ** (bits - 1), 8), (1, 2))) == 2
+        with pytest.raises(ValueError, match="lcm-power"):
+            wgcd_lcm_power(wt((2**bits, 8), (1, 2)))
 
 
 class TestSingleAndFold:
@@ -283,9 +306,9 @@ class TestAuto:
     def test_counters_on_worked_triple(self):
         result = wgcd_auto(WORKED_TRIPLE)
         assert result.d == 4
-        assert result.counters.factor_calls == 1
-        assert result.counters.max_factored_bits == (16).bit_length()
-        assert result.counters.gcd_calls >= 2
+        assert result.counters == Counters(
+            factor_calls=1, max_factored_bits=(16).bit_length(), gcd_calls=2
+        )
 
     def test_fastpath_one(self):
         result = wgcd_auto(wt((7, 13), (2, 3)))
@@ -323,6 +346,101 @@ class TestAuto:
         assert weighted_gcd([5760, 13824], [2, 3], strategy="fold") == 24
         with pytest.raises(ValueError):
             weighted_gcd((1, 2), (1, 1), strategy="nope")
+
+
+# (factor_calls, max_factored_bits, gcd_calls) of each strategy on the
+# worked triple
+WORKED_COUNTS = {
+    "auto": (1, 5, 2),
+    "oracle": (0, 0, 0),
+    "full-factor": (3, 17, 0),
+    "gcd-factor": (1, 5, 3),
+    "lcm-power": (1, 13, 3),
+    "fold": (3, 14, 0),
+}
+
+
+def counts(c: Counters) -> tuple[int, int, int]:
+    return (c.factor_calls, c.max_factored_bits, c.gcd_calls)
+
+
+class TestCounting:
+    @pytest.mark.parametrize("strategy", sorted(WORKED_COUNTS))
+    def test_exact_counts_on_worked_triple(self, strategy):
+        with counting() as c:
+            assert STRATEGIES[strategy](WORKED_TRIPLE, 0) == 4
+        assert counts(c) == WORKED_COUNTS[strategy]
+
+    def test_nested_block_joins_the_outer(self):
+        with counting() as outer:
+            wgcd_gcd_factorization(WORKED_TRIPLE)
+            with counting() as inner:
+                assert inner is outer
+                result = wgcd_auto(WORKED_TRIPLE)
+            wgcd_lcm_power(WORKED_TRIPLE)
+        assert result.counters is outer
+        assert counts(outer) == (3, 13, 8)
+
+    def test_strategies_run_outside_any_block(self):
+        for fn in STRATEGIES.values():
+            assert fn(WORKED_TRIPLE, 0) == 4
+        with counting() as c:
+            pass
+        assert counts(c) == (0, 0, 0)
+
+    def test_block_left_by_budget_error_is_closed(self):
+        t, _ = gen_known(GenSpec(1, 3, (2, 3, 5), 128, 256, "known-answer"))
+        with pytest.raises(FactorBudgetExceeded):
+            with rho_budget(20000), counting() as c:
+                wgcd_auto(t)
+        assert c.factor_calls == 1
+        with counting() as fresh:
+            wgcd_auto(WORKED_TRIPLE)
+        assert fresh is not c
+        assert counts(fresh) == WORKED_COUNTS["auto"]
+
+    def test_threads_keep_separate_counts(self):
+        # more threads than cores, switching often, every block open at once:
+        # a probe shared between threads would mix or lose counts
+        names = ("fold", "gcd-factor", "lcm-power", "auto")
+        all_inside = threading.Barrier(len(names), timeout=10)
+        seen = {}
+
+        def run(name, reps):
+            with counting() as c:
+                all_inside.wait()
+                for _ in range(reps):
+                    STRATEGIES[name](WORKED_TRIPLE, 0)
+                all_inside.wait()
+            seen[name] = (c, reps)
+
+        threads = [
+            threading.Thread(target=run, args=(name, 50 * (i + 1)))
+            for i, name in enumerate(names)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for name in names:
+            c, reps = seen[name]
+            calls, bits, gcds = WORKED_COUNTS[name]
+            assert counts(c) == (calls * reps, bits, gcds * reps), name
+
+    def test_no_function_takes_counters(self):
+        functions = [
+            fn for _, fn in inspect.getmembers(core, inspect.isfunction)
+            if fn.__module__ == core.__name__
+        ]
+        assert len(functions) > 15
+        for fn in functions:
+            assert "counters" not in inspect.signature(fn).parameters, fn.__name__
 
 
 class TestNormalizeVerify:
@@ -388,9 +506,8 @@ class TestWideKnownAnswer:
     @pytest.mark.parametrize("strategy", ["auto", "gcd-factor", "full-factor"])
     def test_known_d(self, d_bits, strategy):
         t, d = gen_known(GenSpec(1, 3, (2, 3, 5), d_bits, 256, "known-answer"))
-        counters = Counters()
-        with time_limit(10):
-            assert STRATEGIES[strategy](t, counters=counters) == d
+        with time_limit(10), counting() as counters:
+            assert STRATEGIES[strategy](t) == d
         if strategy == "auto":
             assert counters.max_factored_bits == (d**2).bit_length()
 
