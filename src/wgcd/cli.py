@@ -32,7 +32,9 @@ RHO_BUDGET = 1 << 22
 ECHO_LIMIT = 60  # characters of a rejected list quoted back in an error
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_int_list(text: str, what: str, single: bool = False) -> list[int]:
+    """Comma-separated decimals; `single` names the input as one integer
+    rather than a list when it is rejected."""
     parts = [p.strip() for p in text.split(",")]
     if all(parts):
         try:
@@ -49,7 +51,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
                 " limit of sys.get_int_max_str_digits()"
             )
     echo = text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
-    raise ValueError(f"malformed {what} list {echo!r}")
+    noun = "" if single else " list"
+    raise ValueError(f"malformed {what}{noun} {echo!r}")
 
 
 def _tuple_from_args(args) -> WeightedTuple:
@@ -99,7 +102,7 @@ def _run_normalize(args) -> int:
 
 def _run_verify(args) -> int:
     t = _tuple_from_args(args)
-    claim, *rest = _parse_int_list(args.claim, "claim")
+    claim, *rest = _parse_int_list(args.claim, "claim", single=True)
     if rest:
         raise ValueError("claim must be a single integer")
     if claim < 1:

@@ -2,16 +2,18 @@
 
 Everything the weighted-gcd strategies stand on: gcd folds, floor roots,
 p-adic valuations, primality testing, and integer factorization.
-Factorization runs trial division below 10**4, then perfect-power
-detection, then a primality test, then Pollard rho under an optional
-iteration budget.  All functions are pure and safe to call concurrently;
-a budget set with `rho_budget` is scoped to the calling context.
+Factorization runs trial division below 10**4, as one gcd per decade of
+primes against the product of that decade, then perfect-power detection,
+then a primality test, then Pollard rho under an optional iteration
+budget.  All functions are pure and safe to call concurrently; a budget
+set with `rho_budget` is scoped to the calling context.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -35,6 +37,17 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _primes_below(TRIAL_DIVISION_LIMIT)
+# Trial division takes one gcd per decade of primes, against the product
+# of that decade.  A small cofactor stops after the first decade or two,
+# so a 16-bit number never pays for a gcd with the whole 14,277-bit
+# primorial.
+_TRIAL_RANGES = tuple(
+    (primes, math.prod(primes))
+    for primes in (
+        _SMALL_PRIMES[bisect_left(_SMALL_PRIMES, lo) : bisect_left(_SMALL_PRIMES, hi)]
+        for lo, hi in ((2, 10), (10, 100), (100, 1000), (1000, TRIAL_DIVISION_LIMIT))
+    )
+)
 
 # Deterministic Miller-Rabin witness sets, tiered by magnitude.  Each set is
 # exact for every n below its bound; the last tier covers all n < 2**64.
@@ -298,10 +311,13 @@ def _perfect_power(v: int) -> tuple[int, int]:
 def factor(n: int, seed: int = 0) -> Factorization:
     """Prime factorization of n >= 1, deterministic for a given (n, seed).
 
-    Trial division by the precomputed primes below 10**4, then, on each
-    remaining cofactor, perfect-power detection, a primality test, and
-    Pollard rho with Brent cycle detection.  When rho splits off a divisor,
-    every copy of it is divided out at once.
+    Trial division by the primes below 10**4 takes one gcd per decade of
+    them against the decade's product and divides out only the primes of
+    that gcd; it stops at the first decade whose smallest prime squared
+    exceeds the cofactor.  Then, on each remaining cofactor, perfect-power
+    detection, a primality test, and Pollard rho with Brent cycle
+    detection.  When rho splits off a divisor, every copy of it is divided
+    out at once.
 
     Inside a `rho_budget` block the rho iterations of the whole call are
     capped, and FactorBudgetExceeded is raised past the cap; outside one
@@ -312,16 +328,28 @@ def factor(n: int, seed: int = 0) -> Factorization:
     budget = _RHO_BUDGET.get()
     counts: dict[int, int] = {}
     m = n
-    for p in _SMALL_PRIMES:
-        if p * p > m:
+    for primes, product in _TRIAL_RANGES:
+        if primes[0] * primes[0] > m:
             break
-        if m % p == 0:
+        # g is the product of the primes of this decade that divide m; once
+        # those below p are divided out of it, g < p*p makes g itself prime
+        g = math.gcd(m, product)
+        if g == 1:
+            continue
+        for p in primes:
+            if p * p > g:
+                p = g
+            elif g % p:
+                continue
+            g //= p
             e = 1
             m //= p
             while m % p == 0:
                 m //= p
                 e += 1
             counts[p] = e
+            if g == 1:
+                break
     rng = None
     spent = 0
     pending = [(m, 1)] if m > 1 else []

@@ -69,3 +69,36 @@ def sieve_flags(limit: int) -> bytearray:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
         p += 1
     return flags
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] is the smallest prime dividing n, for 2 <= n <= limit."""
+    spf = list(range(limit + 1))
+    p = 2
+    while p * p <= limit:
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+        p += 1
+    return spf
+
+
+_SCAN_LIMIT = 10_000
+_SCAN_PRIMES = [p for p, flag in enumerate(sieve_flags(_SCAN_LIMIT - 1)) if flag]
+
+
+def trial_division_scan(n: int) -> tuple[dict[int, int], int]:
+    """Reference trial division, one `m % p` per prime below 10**4, as
+    `factor` once ran it: the exponents of the primes it divides out and
+    the cofactor left, which has no prime factor below its stopping prime
+    and is 1 or prime when it stopped at p*p > m."""
+    counts: dict[int, int] = {}
+    m = n
+    for p in _SCAN_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
+    return counts, m

@@ -122,6 +122,11 @@ class TestCompute:
         assert code == 2
         assert "malformed values list 'x,1,1," in err and len(err) < 200
 
+    def test_malformed_claim_is_one_integer(self, capsys):
+        code, out, err = run(capsys, "verify", "--weights", "1", "--values", "12", "--claim", "abc")
+        assert (code, out) == (2, "")
+        assert "malformed claim 'abc'" in err and "list" not in err
+
 
 class TestNormalize:
     def test_plain_format(self, capsys):

@@ -6,7 +6,14 @@ import sympy
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_gcd, naive_root, sieve_flags, time_limit
+from helpers import (
+    brute_force_gcd,
+    naive_root,
+    sieve_flags,
+    smallest_prime_factors,
+    time_limit,
+    trial_division_scan,
+)
 from wgcd.numtheory import (
     FactorBudgetExceeded,
     Factorization,
@@ -236,6 +243,91 @@ class TestFactor:
         for _ in range(50):
             n = rng.getrandbits(50) + 1
             assert dict(factor(n).entries) == sympy.factorint(n)
+
+
+def factor_or_budget(factorize, n: int, budget: int):
+    """What `factorize(n)` gives inside `rho_budget(budget)`: its entries, or
+    the cofactor on which rho ran out of iterations."""
+    with rho_budget(budget):
+        try:
+            return factorize(n)
+        except FactorBudgetExceeded as exc:
+            return ("budget", exc.n)
+
+
+class TestTrialDivision:
+    # the prime on each side of every decade edge, 7|11 up to 9973|10007
+    EDGE_PRIMES = (7, 11, 97, 101, 997, 1009, 9973)
+
+    def test_exhaustive_below_10_to_5(self):
+        limit = 10**5
+        spf = smallest_prime_factors(limit)
+        for n in range(1, limit + 1):
+            counts: dict[int, int] = {}
+            m = n
+            while m > 1:
+                counts[spf[m]] = counts.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert factor(n).entries == tuple(sorted(counts.items())), n
+
+    def test_structured_corpus_against_sympy(self):
+        rng = random.Random(10)
+        corpus = [p**k for p in self.EDGE_PRIMES for k in (1, 2, 3)]
+        corpus += [
+            9973**2,  # just under the 10**8 bound past which a cofactor needs a test
+            1009 * 1013,
+            9973 * 10007,
+            10007 * 9973**3,
+            math.prod(sympy.primerange(2, 10**4)),
+            2**200,
+        ]
+        for p in self.EDGE_PRIMES:
+            for bits in (40, 52, 64):
+                q = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+                corpus += [p * q, p**3 * q**2]
+        for n in corpus:
+            with time_limit(10):
+                f = factor(n)
+            assert dict(f.entries) == sympy.factorint(n), n
+            # what `_trusted` accepted passes the checked constructor too
+            assert Factorization(f.entries) == f
+
+    def test_same_result_as_the_per_prime_scan(self):
+        # the scan's exponents below 10**4 plus the factorization of the
+        # cofactor it leaves are what factor gave before trial division
+        # took one gcd per decade.  A zero rho budget keeps random 200-bit
+        # numbers cheap and pins the cofactor handed to rho; the gcd
+        # shapes of the prime-powers benchmark run rho to the end
+        rng = random.Random(11)
+        random_numbers = [
+            rng.getrandbits(bits) | 1 << (bits - 1)
+            for bits in (rng.randint(1, 200) for _ in range(2400))
+        ]
+        prime_power_gcds = []
+        for _ in range(150):
+            p = sympy.nextprime(rng.getrandbits(22) | 1 << 19)
+            noise = [sympy.nextprime(rng.getrandbits(24) | 1 << 15) for _ in range(2)]
+            prime_power_gcds += [
+                p**6,
+                p ** rng.randint(7, 24),
+                p**6 * rng.randint(2, 2**12),
+                p**2 * noise[0] * noise[1] ** 2,  # an adversarial-deficient gcd
+            ]
+
+        def reference(n):
+            counts, cofactor = trial_division_scan(n)
+            for p, e in factor(cofactor):
+                counts[p] = counts.get(p, 0) + e
+            return tuple(sorted(counts.items()))
+
+        def entries(n):
+            return factor(n).entries
+
+        for corpus, budget in ((random_numbers, 0), (prime_power_gcds, 1 << 16)):
+            for n in corpus:
+                assert factor_or_budget(entries, n, budget) == factor_or_budget(
+                    reference, n, budget
+                ), n
 
 
 # 40- to 64-bit primes: rho would need about sqrt(p) >= 2**20 iterations
