@@ -1,8 +1,9 @@
 """Every wgcd characterization as a strategy, cross-checked on one tuple.
 
 The weighted gcd of (x_0, ..., x_n) under weights (q_0, ..., q_n) is the
-largest d with d**q_i | x_i for every i.  Six independent routes compute
-it; they must always agree.
+largest d with d**q_i | x_i for every i.  Five independent routes compute
+it, plus the default `auto`, which is `gcd-factor`; they must always
+agree.
 """
 
 from wgcd import STRATEGIES, WeightedTuple, counting, wgcd_auto
@@ -22,7 +23,7 @@ for name in sorted(STRATEGIES):
     )
 
 print()
-print("The auto pipeline only ever factors the reduced tuple's gcd:")
+print("auto factors gcd(x) alone; the paper's reduction, traced, ends in it:")
 result = wgcd_auto(t)
 for step in result.trace.steps:
     print(f"  {step.rule}: {step.values}")

@@ -1,8 +1,9 @@
-"""The tuple rewrites that make the fast path fast.
+"""The paper's tuple rewrites, which `wgcd explain` traces.
 
-Each reduction preserves the weighted gcd while shrinking the numbers
-that eventually need factoring.  This walks the five-coordinate example
-end to end, then shows normalization and verification.
+Each reduction preserves the weighted gcd; together they build a divisor
+chain ending in gcd(x), the one number the default route factors.  This
+walks the five-coordinate example end to end, then shows normalization
+and verification.
 """
 
 from wgcd import (

@@ -1,9 +1,9 @@
-"""Quantifying the speed-up: reduce first, factor later.
+"""Quantifying the speed-up: take the gcd first, factor later.
 
 Known-answer tuples hide a 16-bit answer behind 96-bit cofactors.  The
-naive route factors every raw coordinate; the reduction pipeline only
-factors the suffix gcd.  The harness times both and cross-checks answers
-against the constructed ground truth.
+naive route factors every raw coordinate; `auto` only factors gcd(x).
+The harness times both and cross-checks answers against the constructed
+ground truth.
 """
 
 import json
@@ -22,7 +22,7 @@ specs = [
     for seed in range(8)
 ]
 
-records = bench_run(specs, strategies=("auto", "gcd-factor", "fold", "full-factor"),
+records = bench_run(specs, strategies=("auto", "fold", "full-factor"),
                     repetitions=3)
 
 print(f"{'seed':>4}  {'strategy':<12} {'median us':>10}  {'max factored bits':>18}")

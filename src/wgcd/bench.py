@@ -68,14 +68,33 @@ class GenSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "GenSpec":
+    def from_json_dict(cls, obj) -> "GenSpec":
+        """Inverse of to_json_dict.  Raises ValueError naming the field
+        that is missing or of the wrong JSON type."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"spec must be a JSON object, got {type(obj).__name__}")
+
+        def field(name, ok, what):
+            if name not in obj:
+                raise ValueError(f"spec field {name!r} is missing")
+            value = obj[name]
+            if not ok(value):
+                raise ValueError(f"spec field {name!r} must be {what}, got {value!r:.60}")
+            return value
+
+        def is_int(value):
+            return type(value) is int  # not float, and not bool (JSON true)
+
+        def is_int_list(value):
+            return type(value) is list and all(map(is_int, value))
+
         return cls(
-            seed=int(obj["seed"]),
-            n_plus_1=int(obj["n"]),
-            weights=WeightVector(tuple(int(q) for q in obj["weights"])),
-            d_bits=int(obj["d_bits"]),
-            cofactor_bits=int(obj["cofactor_bits"]),
-            mode=str(obj["mode"]),
+            seed=field("seed", is_int, "an integer"),
+            n_plus_1=field("n", is_int, "an integer"),
+            weights=tuple(field("weights", is_int_list, "a list of integers")),
+            d_bits=field("d_bits", is_int, "an integer"),
+            cofactor_bits=field("cofactor_bits", is_int, "an integer"),
+            mode=field("mode", lambda v: type(v) is str, "a string"),
         )
 
 
@@ -266,8 +285,10 @@ def bench_run(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if not strategies:
+        raise ValueError("no strategy given")
     unknown = [s for s in strategies if s not in core.STRATEGIES]
-    if unknown or not strategies:
+    if unknown:
         raise ValueError(f"unknown strategies {unknown}")
     records = []
     for spec in specs:

@@ -170,7 +170,12 @@ def _run_bench(args) -> int:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError("spec file must hold a JSON array of generator specs")
-    specs = [bench_mod.GenSpec.from_json_dict(obj) for obj in raw]
+    specs = []
+    for i, obj in enumerate(raw):
+        try:
+            specs.append(bench_mod.GenSpec.from_json_dict(obj))
+        except ValueError as exc:
+            raise ValueError(f"entry {i} of {args.spec}: {exc}") from None
     try:
         records = bench_mod.bench_run(specs, repetitions=args.reps, seed=args.seed)
     except bench_mod.StrategyDisagreement as exc:
@@ -223,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", required=True, metavar="N")
     p.set_defaults(handler=_run_verify)
 
-    p = sub.add_parser("explain", help="show the reduction pipeline")
+    p = sub.add_parser("explain", help="trace the paper's reduction behind auto")
     tuple_flags(p)
     p.set_defaults(handler=_run_explain)
 

@@ -3,15 +3,17 @@
 A weighted tuple assigns a positive integer weight q_i to each coordinate
 x_i; its weighted gcd is the largest d with d**q_i dividing x_i for every
 i.  This module provides that quantity through several independent,
-cross-checkable strategies, the wgcd-preserving tuple rewrites the fast
-strategies are built from, plus normalization and verification.  A
-`with counting() as c:` block counts the gcd and factor calls made
-inside it, and how many bits the largest factored number had.
+cross-checkable strategies, plus normalization and verification.  The
+paper's wgcd-preserving tuple rewrites only explain the default route:
+`wgcd_auto` replays them as a trace.  A `with counting() as c:` block
+counts the gcd and factor calls made inside it, and how many bits the
+largest factored number had.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -26,10 +28,10 @@ class WeightVector:
     q: tuple[int, ...]
 
     def __post_init__(self):
-        q = tuple(int(w) for w in self.q)
+        q = tuple(map(operator.index, self.q))
         if not q:
             raise ValueError("weight vector must not be empty")
-        if any(w < 1 for w in q):
+        if min(q) < 1:
             raise ValueError(f"weights must be positive, got {q}")
         object.__setattr__(self, "q", q)
 
@@ -63,7 +65,7 @@ class WeightedTuple:
     weights: WeightVector
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        values = tuple(map(operator.index, self.values))
         weights = _as_weights(self.weights)
         if len(values) != len(weights):
             raise ValueError(
@@ -160,11 +162,12 @@ def _gcd2(a: int, b: int) -> int:
 
 
 def _gcd_all(xs) -> int:
-    g = 0
-    for x in xs:
-        g = _gcd2(g, x)
+    it = iter(xs)
+    g = abs(next(it))
+    for x in it:
         if g == 1:
             break
+        g = _gcd2(g, x)
     return g
 
 
@@ -224,16 +227,17 @@ def wgcd_full_factorization(t: WeightedTuple, seed: int = 0) -> int:
 
 
 def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
-    """Factor only g = gcd of the values.  Any valid d divides every x_i
-    (the weights are >= 1), hence d | g, so g's primes are the only
-    candidates; their exponents come from valuations of the coordinates."""
-    g = _gcd_all(abs(x) for x in t.values)
-    return _wgcd_given_gcd(g, t.values, t.weights, seed)
-
-
-def _wgcd_given_gcd(g: int, values, weights, seed: int) -> int:
+    """Factor only g = gcd of the values; this is the `auto` strategy.
+    Any valid d divides every x_i (the weights are >= 1), hence d | g, so
+    g's primes are the only candidates; their exponents come from
+    valuations of the coordinates.  Shortcuts: g = 1 gives 1, and equal
+    weights q give wgcd_single(g, q)."""
+    values, weights = t.values, t.weights.q
+    g = _gcd_all(values)
     if g == 1:
         return 1
+    if weights.count(weights[0]) == len(weights):
+        return wgcd_single(g, weights[0], seed)
     d = 1
     for p, _ in _factor(g, seed):
         d *= p ** min(valuation(p, x) // q for x, q in zip(values, weights) if x)
@@ -399,7 +403,7 @@ def reduce_suffix_gcd(t: WeightedTuple) -> WeightedTuple:
     _require_sorted(t, "suffix-gcd reduction")
     ys = [abs(x) for x in t.values]
     for i in range(len(ys) - 2, -1, -1):
-        ys[i] = _gcd2(ys[i], ys[i + 1])
+        ys[i] = math.gcd(ys[i], ys[i + 1])
     return WeightedTuple(tuple(ys), t.weights)
 
 
@@ -407,53 +411,46 @@ def reduce_gcd_prefix(t: WeightedTuple) -> WeightedTuple:
     """Replace the first coordinate by the gcd of all values (weights
     nondecreasing); the other coordinates become absolute values."""
     _require_sorted(t, "gcd-prefix reduction")
-    g = _gcd_all(abs(x) for x in t.values)
+    g = math.gcd(*t.values)
     return WeightedTuple((g,) + tuple(abs(x) for x in t.values[1:]), t.weights)
 
 
 # ---------------------------------------------------------------------------
-# composed pipeline
+# the auto route, explained
+
+def _step(rule: str, t: WeightedTuple) -> TraceStep:
+    return TraceStep(rule, t.values, t.weights.q)
+
 
 def wgcd_auto(t: WeightedTuple, seed: int = 0) -> WgcdResult:
-    """Reduction pipeline on plain tuples: absolute values, a stable sort
-    by weight, suffix gcds y_i = gcd(x_i, ..., x_n), then a fast path
-    (y_0 = 1, or equal weights) or factoring y_0 = gcd(x) alone.
-
-    Never factors anything larger than gcd(x), traces each step that
-    changed the tuple and the fast path taken, and agrees with the oracle.
-    Counts in its own `counting` block, or in the caller's when inside one.
+    """`auto` with the paper's reduction traced: absolute values, a stable
+    sort by weight, then suffix gcds y_i = gcd(x_i, ..., x_n), a chain
+    ending in y_0 = gcd(x), the one number `auto` factors.  The trace
+    lists each step that changed the tuple, then the fast path taken.
+    d and the counters come from `auto` itself, counted in this call's own
+    `counting` block or the caller's; building the trace counts nothing.
     """
     steps: list[TraceStep] = []
-    xs, qs = tuple(abs(x) for x in t.values), t.weights.q
-    if xs != t.values:
-        steps.append(TraceStep("abs", xs, qs))
-    if not t.weights.is_sorted():
-        qs, xs = zip(*sorted(zip(qs, xs), key=lambda qx: qx[0]))
-        steps.append(TraceStep("permute", xs, qs))
+    cur = abs_values(t)
+    if cur.values != t.values:
+        steps.append(_step("abs", cur))
+    if not cur.weights.is_sorted():
+        cur, _ = sort_by_weight(cur)
+        steps.append(_step("permute", cur))
+    chain = reduce_suffix_gcd(cur)
+    if chain.values != cur.values:
+        steps.append(_step("suffix-gcd", chain))
+    if chain.values[0] == 1:
+        steps.append(_step("fastpath-one", chain))
+    elif chain.weights[0] == chain.weights[-1]:
+        steps.append(_step("fastpath-equal-weights", chain))
     with counting() as c:
-        ys = list(xs)
-        for i in range(len(ys) - 2, -1, -1):
-            ys[i] = _gcd2(ys[i], ys[i + 1])
-        ys = tuple(ys)
-        if ys != xs:
-            steps.append(TraceStep("suffix-gcd", ys, qs))
-        if ys[0] == 1:
-            steps.append(TraceStep("fastpath-one", ys, qs))
-            d = 1
-        elif qs[0] == qs[-1]:
-            steps.append(TraceStep("fastpath-equal-weights", ys, qs))
-            d = wgcd_single(ys[0], qs[0], seed)
-        else:
-            d = _wgcd_given_gcd(ys[0], ys, qs, seed)
+        d = wgcd_gcd_factorization(t, seed)
     return WgcdResult(d, "auto", ReductionTrace(tuple(steps)), c)
 
 
-def _auto_d(t: WeightedTuple, seed: int = 0) -> int:
-    return wgcd_auto(t, seed).d
-
-
 STRATEGIES = {
-    "auto": _auto_d,
+    "auto": wgcd_gcd_factorization,
     "oracle": wgcd_bruteforce,
     "full-factor": wgcd_full_factorization,
     "gcd-factor": wgcd_gcd_factorization,
@@ -498,7 +495,7 @@ def normalize(t: WeightedTuple, seed: int = 0) -> tuple[WeightedTuple, int]:
 
     Returns the normalized tuple (whose weighted gcd is 1) and d.
     """
-    d = wgcd_auto(t, seed).d
+    d = wgcd_gcd_factorization(t, seed)
     if d == 1:
         return t, 1
     return WeightedTuple(tuple(_divide_out(t.pairs(), d)), t.weights), d

@@ -43,6 +43,10 @@ class TestBenchRun:
         with pytest.raises(ValueError):
             bench_run(small_specs(), strategies=("auto", "nope"))
 
+    def test_empty_strategy_list_named(self):
+        with pytest.raises(ValueError, match="no strategy given"):
+            bench_run(small_specs(), strategies=())
+
     def test_counter_contrast_on_wide_cofactors(self):
         # the full strategy must chew the raw coordinates; auto only the gcd
         spec = GenSpec(7, 2, (2, 3), 16, 128, "known-answer")
@@ -60,14 +64,14 @@ class TestBenchRun:
         specs = [small_specs()[i] for i in (0, 2, 3)]
         # strategy -> (d, factor_calls, max_factored_bits, gcd_calls)
         golden = [
-            {"auto": (36, 1, 11, 1), "gcd-factor": (36, 1, 11, 2),
-             "full-factor": (36, 2, 21, 0), "lcm-power": (36, 1, 32, 2),
+            {"auto": (36, 1, 11, 1), "gcd-factor": (36, 1, 11, 1),
+             "full-factor": (36, 2, 21, 0), "lcm-power": (36, 1, 32, 1),
              "fold": (36, 2, 11, 0)},
-            {"auto": (1, 0, 0, 1), "gcd-factor": (1, 0, 0, 2),
-             "full-factor": (1, 2, 8, 0), "lcm-power": (1, 0, 0, 2),
+            {"auto": (1, 0, 0, 1), "gcd-factor": (1, 0, 0, 1),
+             "full-factor": (1, 2, 8, 0), "lcm-power": (1, 0, 0, 1),
              "fold": (1, 1, 7, 0)},
-            {"auto": (19, 1, 49, 1), "gcd-factor": (19, 1, 49, 2),
-             "full-factor": (19, 2, 53, 0), "lcm-power": (19, 1, 105, 2),
+            {"auto": (19, 1, 49, 1), "gcd-factor": (19, 1, 49, 1),
+             "full-factor": (19, 2, 53, 0), "lcm-power": (19, 1, 105, 1),
              "fold": (19, 2, 53, 0)},
         ]
         records = bench_run(specs, repetitions=2)
@@ -100,6 +104,35 @@ class TestBenchRun:
         with pytest.raises(StrategyDisagreement) as exc:
             bench_run(small_specs()[:1], strategies=("auto", "fold"), repetitions=1)
         assert not exc.value.record.agreement
+
+
+VALID_SPEC = {"seed": 1, "n": 2, "weights": [2, 3], "d_bits": 6,
+              "cofactor_bits": 5, "mode": "known-answer"}
+
+
+class TestSpecParsing:
+    def test_round_trip(self):
+        spec = GenSpec.from_json_dict(VALID_SPEC)
+        assert spec == small_specs()[0]
+        assert spec.to_json_dict() == VALID_SPEC
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"seed": 1}, "field 'n' is missing"),
+            (5, "must be a JSON object"),
+            ([VALID_SPEC], "must be a JSON object"),
+            (dict(VALID_SPEC, weights="23"), "field 'weights' must be a list of integers"),
+            (dict(VALID_SPEC, weights=[2, 3.0]), "field 'weights' must be a list of integers"),
+            (dict(VALID_SPEC, seed=1.9), "field 'seed' must be an integer"),
+            (dict(VALID_SPEC, seed=True), "field 'seed' must be an integer"),
+            (dict(VALID_SPEC, n="2"), "field 'n' must be an integer"),
+            (dict(VALID_SPEC, mode=None), "field 'mode' must be a string"),
+        ],
+    )
+    def test_malformed_spec_names_the_field(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            GenSpec.from_json_dict(obj)
 
 
 class TestReport:

@@ -1,6 +1,8 @@
 import json
 import sys
 
+import pytest
+
 from helpers import time_limit
 from wgcd import cli
 from wgcd.cli import main
@@ -269,6 +271,23 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--spec", str(path))
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            ([{"seed": 1}], "'n' is missing"),
+            ([5], "must be a JSON object"),
+            ([{"seed": 1, "n": 2, "weights": "23", "d_bits": 6,
+               "cofactor_bits": 5, "mode": "random"}], "'weights'"),
+            ([{"seed": 1.9, "n": 2, "weights": [2, 3], "d_bits": 6,
+               "cofactor_bits": 5, "mode": "random"}], "'seed'"),
+        ],
+    )
+    def test_malformed_spec_entry_is_invalid_input(self, capsys, tmp_path, specs, message):
+        code, out, err = run(capsys, "bench", "--spec", self.spec_file(tmp_path, specs))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "entry 0 of" in err and message in err
+
     def test_disagreement_exits_one(self, capsys, tmp_path, monkeypatch):
         from wgcd import bench as bench_mod
         from wgcd.bench import StrategyDisagreement, StrategyRun, BenchRecord
@@ -291,6 +310,18 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestExplainComputeAgreement:
+    def test_same_record_on_corpus(self, capsys):
+        for case in CORPUS:
+            base = ["--weights", ",".join(map(str, case.weights)),
+                    "--values", ",".join(map(str, case.values)), "--json"]
+            _, computed, _ = run(capsys, "compute", *base)
+            _, explained, _ = run(capsys, "explain", *base)
+            computed, explained = json.loads(computed), json.loads(explained)
+            assert computed["d"] == explained["d"] == str(case.expected)
+            assert computed["counters"] == explained["counters"], case
 
 
 class TestPlainJsonAgreement:

@@ -4,6 +4,7 @@ import sys
 import threading
 
 import pytest
+import sympy
 
 from helpers import naive_wgcd, time_limit
 from wgcd import core
@@ -59,6 +60,19 @@ class TestTypes:
             wt((1, 2), (1, 2, 3))
         with pytest.raises(ValueError):
             wt((0, 0), (2, 3))
+
+    @pytest.mark.parametrize(
+        "values, weights",
+        [
+            ((2.5, 5), (1, 1)),
+            ((12.9, 18), (1, 1)),
+            ((8, 8), (1.9, 1)),
+            (("12", "18"), (1, 1)),
+        ],
+    )
+    def test_non_integers_rejected(self, values, weights):
+        with pytest.raises(TypeError):
+            weighted_gcd(values, weights)
 
     def test_zero_coordinates_allowed(self):
         assert wt((0, 13824), (2, 3)).values == (0, 13824)
@@ -298,7 +312,7 @@ class TestAuto:
             post_init(obj)
 
         monkeypatch.setattr(WeightedTuple, "__post_init__", counted)
-        assert wgcd_auto(t).d == naive_wgcd(values, weights)
+        assert STRATEGIES["auto"](t, 0) == naive_wgcd(values, weights)
         assert built == []
         assert weighted_gcd(values, weights) == naive_wgcd(values, weights)
         assert len(built) == 1
@@ -331,6 +345,18 @@ class TestAuto:
         assert result.d == 4
         assert result.trace.steps[-1].rule == "fastpath-equal-weights"
 
+    def test_auto_is_gcd_factor(self):
+        assert STRATEGIES["auto"] is STRATEGIES["gcd-factor"]
+
+    def test_equal_weights_semiprime_gcd_is_not_factored(self):
+        # a 130-bit semiprime gcd that rho would need about 2**32
+        # iterations to split: equal weights make it the answer as it is
+        n = sympy.nextprime(2**64) * sympy.nextprime(2**65)
+        for strategy in ("auto", "gcd-factor"):
+            with time_limit(1), rho_budget(0), counting() as c:
+                assert weighted_gcd((n, 3 * n), (1, 1), strategy=strategy) == n
+            assert c.factor_calls == 0
+
     def test_strategy_registry(self):
         assert sorted(STRATEGIES) == [
             "auto",
@@ -354,8 +380,8 @@ WORKED_COUNTS = {
     "auto": (1, 5, 2),
     "oracle": (0, 0, 0),
     "full-factor": (3, 17, 0),
-    "gcd-factor": (1, 5, 3),
-    "lcm-power": (1, 13, 3),
+    "gcd-factor": (1, 5, 2),
+    "lcm-power": (1, 13, 2),
     "fold": (3, 14, 0),
 }
 
@@ -379,7 +405,7 @@ class TestCounting:
                 result = wgcd_auto(WORKED_TRIPLE)
             wgcd_lcm_power(WORKED_TRIPLE)
         assert result.counters is outer
-        assert counts(outer) == (3, 13, 8)
+        assert counts(outer) == (3, 13, 6)
 
     def test_strategies_run_outside_any_block(self):
         for fn in STRATEGIES.values():
