@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 import statistics
 import time
@@ -144,7 +145,7 @@ def known_answer_tuple(d: int, weights, cofactors) -> WeightedTuple:
     the result above d.
     """
     w = weights if isinstance(weights, WeightVector) else WeightVector(tuple(weights))
-    cofactors = tuple(int(c) for c in cofactors)
+    cofactors = tuple(map(operator.index, cofactors))
     if d < 1:
         raise ValueError("d must be >= 1")
     if len(cofactors) != len(w):

@@ -229,9 +229,16 @@ def wgcd_full_factorization(t: WeightedTuple, seed: int = 0) -> int:
 def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
     """Factor only g = gcd of the values; this is the `auto` strategy.
     Any valid d divides every x_i (the weights are >= 1), hence d | g, so
-    g's primes are the only candidates; their exponents come from
-    valuations of the coordinates.  Shortcuts: g = 1 gives 1, and equal
-    weights q give wgcd_single(g, q)."""
+    g's primes are the only candidates.  Shortcuts: g = 1 gives 1, and
+    equal weights q give wgcd_single(g, q).
+
+    The exponent of each prime p of g is min over nonzero x_i of
+    floor(valuation(p, x_i) / q_i), found with a running bound m that
+    starts at p's exponent in g.  A coordinate costs one `x_i % p**(q_i m)`;
+    only a nonzero remainder takes a valuation, which lowers m, and the
+    scan stops at m = 0.  As in `_divide_out`, a power with
+    q_i m (bitlen(p) - 1) >= bitlen(x_i) cannot divide and is not built.
+    """
     values, weights = t.values, t.weights.q
     g = _gcd_all(values)
     if g == 1:
@@ -239,8 +246,14 @@ def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
     if weights.count(weights[0]) == len(weights):
         return wgcd_single(g, weights[0], seed)
     d = 1
-    for p, _ in _factor(g, seed):
-        d *= p ** min(valuation(p, x) // q for x, q in zip(values, weights) if x)
+    for p, m in _factor(g, seed):
+        lg = p.bit_length() - 1  # p**k >= 2**(k * lg)
+        for x, q in zip(values, weights):
+            if x and (q * m * lg >= x.bit_length() or x % p ** (q * m)):
+                m = valuation(p, x) // q
+                if not m:
+                    break
+        d *= p**m
     return d
 
 
@@ -508,6 +521,7 @@ def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
     gcd of the normalized values still divides every normalized coordinate
     with its full weight.
     """
+    d = operator.index(d)
     if d < 1:
         raise ValueError("claimed weighted gcd must be >= 1")
     residues = _divide_out(t.pairs(), d)

@@ -114,21 +114,67 @@ def iroot(x: int, n: int) -> int:
     return r
 
 
-def valuation(p: int, x: int) -> int:
-    """Largest e with p**e dividing x.  Rejects x = 0 (the valuation would
-    be infinite; callers must special-case zeros)."""
-    if p < 2:
-        raise ValueError("valuation needs p >= 2")
-    if x == 0:
-        raise ValueError("valuation of zero is infinite")
-    x = abs(x)
+# Copies of p that `_strip` divides out one at a time before it switches
+# to dividing by p**2, p**4, ...  Below about 16 copies of a small p the
+# single divisions are cheaper; on a big x the squaring wins sooner.
+_SINGLE_COPIES = 8
+
+
+def _strip(x: int, p: int) -> tuple[int, int]:
+    """(x // p**e, e) for the largest e with p**e dividing x, for x > 0 and
+    p >= 2.
+
+    The first _SINGLE_COPIES copies go one `x % p` at a time.  Past them it
+    divides by p**2, p**4, ... while they divide, then steps back down the
+    same powers, so e copies cost O(log e) big divisions rather than e.
+    """
     if p == 2:
-        return (x & -x).bit_length() - 1
+        e = (x & -x).bit_length() - 1
+        return x >> e, e
     e = 0
     while x % p == 0:
         x //= p
         e += 1
-    return e
+        if e == _SINGLE_COPIES:
+            break
+    else:
+        return x, e
+    powers = [p * p]
+    while True:
+        y, r = divmod(x, powers[-1])
+        if r:
+            break
+        x = y
+        e += 1 << len(powers)
+        powers.append(powers[-1] ** 2)
+    # p**(2**len(powers)) does not divide x: what is left of e has one
+    # binary digit per smaller power, p**(2**k) for k = len - 1 down to 1
+    for k in range(len(powers) - 1, 0, -1):
+        y, r = divmod(x, powers[k - 1])
+        if not r:
+            x = y
+            e += 1 << k
+    if x % p == 0:
+        x //= p
+        e += 1
+    return x, e
+
+
+def valuation(p: int, x: int) -> int:
+    """Largest e with p**e dividing x.  Rejects x = 0 (the valuation would
+    be infinite; callers must special-case zeros).
+
+    Strips copies of p with `_strip`: one division each for the first
+    few, then repeated squaring, so a valuation of e takes O(log e) big
+    divisions and `valuation(3, 3**(10**5) * 7)` stays in milliseconds.
+    """
+    if p < 2:
+        raise ValueError("valuation needs p >= 2")
+    if x == 0:
+        raise ValueError("valuation of zero is infinite")
+    if x % p:
+        return 0
+    return _strip(abs(x), p)[1]
 
 
 def _miller_rabin_round(n: int, d: int, s: int, a: int) -> bool:
@@ -316,8 +362,10 @@ def factor(n: int, seed: int = 0) -> Factorization:
     that gcd; it stops at the first decade whose smallest prime squared
     exceeds the cofactor.  Then, on each remaining cofactor, perfect-power
     detection, a primality test, and Pollard rho with Brent cycle
-    detection.  When rho splits off a divisor, every copy of it is divided
-    out at once.
+    detection.  Every copy of a prime found by trial division, and of a
+    divisor rho splits off, is stripped at once by `_strip`, which
+    divides by repeated squares past the first few copies, so
+    `factor(3**(10**5))` takes milliseconds rather than seconds.
 
     Inside a `rho_budget` block the rho iterations of the whole call are
     capped, and FactorBudgetExceeded is raised past the cap; outside one
@@ -342,12 +390,8 @@ def factor(n: int, seed: int = 0) -> Factorization:
             elif g % p:
                 continue
             g //= p
-            e = 1
-            m //= p
-            while m % p == 0:
-                m //= p
-                e += 1
-            counts[p] = e
+            m, e = _strip(m // p, p)
+            counts[p] = e + 1
             if g == 1:
                 break
     rng = None
@@ -368,11 +412,8 @@ def factor(n: int, seed: int = 0) -> Factorization:
         if rng is None:
             rng = random.Random(seed)
         a, spent = _pollard_rho_brent(v, rng, budget, spent)
-        rest, e = v // a, 1
-        while rest % a == 0:
-            rest //= a
-            e += 1
-        pending.append((a, e * mult))
+        rest, e = _strip(v // a, a)
+        pending.append((a, (e + 1) * mult))
         if rest > 1:
             pending.append((rest, mult))
     return Factorization._trusted(tuple(sorted(counts.items())))

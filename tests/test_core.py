@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 import sys
 import threading
 
@@ -115,6 +116,64 @@ class TestGcdFactorization:
 
     def test_remainder_reduced_pair(self):
         assert wgcd_gcd_factorization(wt((2304, 13824), (2, 3))) == 24
+
+    @staticmethod
+    def reference(values, weights):
+        # min over nonzero coordinates of floor(valuation / weight), per prime of g
+        g = math.gcd(*values)
+        d = 1
+        for p in sympy.factorint(g):
+            d *= p ** min(
+                sympy.multiplicity(p, x) // q for x, q in zip(values, weights) if x
+            )
+        return d
+
+    def test_matches_the_per_coordinate_minimum(self):
+        rng = random.Random(7)
+        primes = (2, 3, 5, 7, 11, 65537)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            weights = [rng.randint(1, 6) for _ in range(n)]
+            base = math.prod(p ** rng.randint(0, 4) for p in rng.sample(primes, 3))
+            values = []
+            for q in weights:
+                x = base**q * math.prod(p ** rng.randint(0, 3) for p in primes[:4])
+                if rng.random() < 0.3:  # break the exponent of one prime
+                    x //= math.gcd(x, rng.choice(primes) ** rng.randint(1, 3))
+                values.append(-x if rng.getrandbits(1) else x)
+            if n > 1 and rng.random() < 0.2:
+                values[rng.randrange(n)] = 0
+            t = wt(values, weights)
+            assert wgcd_gcd_factorization(t) == self.reference(values, weights), t
+
+    def test_late_coordinate_sets_the_cap(self):
+        # g = 2**12 * 3**6 starts the bounds at 12 and 6; only the last
+        # coordinate, of weight 5, lowers them, to 2 and 1
+        values = (2**12 * 3**6, -(2**40) * 3**18 * 5, 0, 2**12 * 3**9)
+        weights = (1, 3, 7, 5)
+        assert wgcd_gcd_factorization(wt(values, weights)) == 2**2 * 3
+        assert self.reference(values, weights) == 2**2 * 3
+
+    def test_bit_length_guard_edge(self):
+        # after the first coordinate m = 1, so the second needs 2**40:
+        # q*m*(bitlen(2) - 1) = 40 < bitlen(x) = 41 builds it, and it
+        # divides 2**40 but not 3 * 2**39; at bitlen(x) = 40 the guard
+        # answers without building it
+        assert wgcd_gcd_factorization(wt((2**20, 2**40), (20, 40))) == 2
+        assert wgcd_gcd_factorization(wt((2**20, 3 * 2**39), (20, 40))) == 1
+        assert wgcd_gcd_factorization(wt((2**20, 2**39), (20, 40))) == 1
+        assert wgcd_gcd_factorization(wt((2**20, -(2**39)), (20, 39))) == 2
+
+    def test_huge_weight_on_a_nonzero_coordinate_builds_no_power(self):
+        # 3 ** (10**7) alone takes seconds to build
+        with time_limit(1):
+            assert wgcd_gcd_factorization(wt((9, 3), (1, 10**7))) == 1
+            assert wgcd_gcd_factorization(wt((9, 3**50), (2, 10**7))) == 1
+
+    @pytest.mark.parametrize("strategy", ["auto", "fold"])
+    def test_huge_coordinates_are_fast(self, strategy):
+        with time_limit(1):
+            assert weighted_gcd((3**30000, 3**30001), (1, 2), strategy) == 3**15000
 
 
 class TestLcmPower:
@@ -496,6 +555,12 @@ class TestNormalizeVerify:
         assert verify_wgcd(WORKED_TRIPLE, 8) == (False, "divisibility")
         with pytest.raises(ValueError):
             verify_wgcd(WORKED_TRIPLE, 0)
+
+    def test_verify_rejects_non_integer_claims(self):
+        t = wt((8, 16), (1, 2))
+        for claim in (2.0, "2", None):
+            with pytest.raises(TypeError):
+                verify_wgcd(t, claim)
 
     def test_verify_with_zero_coordinate(self):
         assert verify_wgcd(wt((0, 13824), (2, 3)), 24) == (True, None)

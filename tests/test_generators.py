@@ -56,6 +56,13 @@ class TestKnownAnswer:
         with pytest.raises(ValueError):
             known_answer_tuple(6, (2, 3), (0, 1))  # zero frees a coordinate
 
+    def test_non_integer_cofactors_rejected(self):
+        # int() would truncate 1.7 to a unit cofactor and return (2, 12)
+        with pytest.raises(TypeError):
+            known_answer_tuple(2, (1, 2), (1.7, 3))
+        with pytest.raises(TypeError):
+            known_answer_tuple(2, (1, 2), ("1", 3))
+
     def test_deterministic(self):
         s = spec("known-answer", (2, 3), seed=42)
         assert gen_known(s) == gen_known(s)

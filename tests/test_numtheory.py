@@ -15,12 +15,14 @@ from helpers import (
     trial_division_scan,
 )
 from wgcd.numtheory import (
+    _SINGLE_COPIES,
     FactorBudgetExceeded,
     Factorization,
     factor,
     gcd_many,
     iroot,
     is_prime,
+    _strip,
     rho_budget,
     valuation,
 )
@@ -125,6 +127,25 @@ class TestValuation:
             valuation(2, 0)
         with pytest.raises(ValueError):
             valuation(1, 12)
+
+    @pytest.mark.parametrize("p", [3, 65537, 18446744073709551557])
+    def test_strip_matches_the_per_copy_loop(self, p):
+        # e runs well past the switch from single copies to squaring
+        assert 0 < _SINGLE_COPIES < 70
+        for e in range(71):
+            for c in (1, 2, p - 1, p + 1, 7 * (p + 2)):
+                rest, count = p**e * c, 0
+                while rest % p == 0:
+                    rest //= p
+                    count += 1
+                assert _strip(p**e * c, p) == (rest, count)
+                assert valuation(p, -(p**e) * c) == count
+
+    def test_huge_valuation_is_fast(self):
+        x = 3 ** (10**5) * 7
+        with time_limit(1):
+            assert valuation(3, x) == 10**5
+            assert valuation(2, x << 70_000) == 70_000
 
 
 class TestIsPrime:
@@ -377,6 +398,14 @@ class TestLargePrimePowers:
         with time_limit(10):
             assert factor(p**30).entries == ((p, 30),)
             assert factor((12 * p**3) ** 4).entries == ((2, 8), (3, 4), (p, 12))
+
+
+    def test_huge_prime_power_is_fast(self):
+        # trial division strips the 10**5 copies of 3 by repeated squaring
+        n = 3 ** (10**5)
+        with time_limit(1):
+            assert factor(n).entries == ((3, 10**5),)
+            assert factor(n * 5**300 * 7).entries == ((3, 10**5), (5, 300), (7, 1))
 
 
 class TestRhoBudget:
