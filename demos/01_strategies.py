@@ -23,7 +23,8 @@ for name in sorted(STRATEGIES):
     )
 
 print()
-print("auto factors gcd(x) alone; the paper's reduction, traced, ends in it:")
+print("auto factors at most gcd(x), here nothing: iroot(gcd(x), 2) = 4 already")
+print("divides with every weight.  The paper's reduction, traced, ends in gcd(x):")
 result = wgcd_auto(t)
 for step in result.trace.steps:
     print(f"  {step.rule}: {step.values}")

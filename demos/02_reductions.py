@@ -1,7 +1,7 @@
 """The paper's tuple rewrites, which `wgcd explain` traces.
 
 Each reduction preserves the weighted gcd; together they build a divisor
-chain ending in gcd(x), the one number the default route factors.  This
+chain ending in gcd(x), the most the default route ever factors.  This
 walks the five-coordinate example end to end, then shows normalization
 and verification.
 """

@@ -1,7 +1,8 @@
 """Quantifying the speed-up: take the gcd first, factor later.
 
 Known-answer tuples hide a 16-bit answer behind 96-bit cofactors.  The
-naive route factors every raw coordinate; `auto` only factors gcd(x).
+naive route factors every raw coordinate; `auto` factors at most gcd(x),
+and nothing when its root candidate answers.
 The harness times both and cross-checks answers against the constructed
 ground truth.
 """

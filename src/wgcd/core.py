@@ -4,6 +4,10 @@ A weighted tuple assigns a positive integer weight q_i to each coordinate
 x_i; its weighted gcd is the largest d with d**q_i dividing x_i for every
 i.  This module provides that quantity through several independent,
 cross-checkable strategies, plus normalization and verification.  The
+default route, `auto`, factors at most g = gcd(x): it first tries the
+root candidate iroot(g, min q), which often answers with nothing
+factored, and splits a big g into coprime pieces before factoring.
+`verify_wgcd` runs the same route on the residues x_i / d**q_i.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  A `with counting() as c:` block
 counts the gcd and factor calls made inside it, and how many bits the
@@ -16,9 +20,10 @@ import math
 import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional
 
-from .numtheory import factor, gcd_many, iroot, lcm_many, valuation
+from .numtheory import _PRIME_BELOW, coprime_base, factor, iroot, lcm_many, valuation
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,7 @@ TRACE_RULES = (
     "permute",
     "suffix-gcd",
     "fastpath-one",
+    "fastpath-root",
     "fastpath-equal-weights",
 )
 
@@ -162,6 +168,8 @@ def _gcd2(a: int, b: int) -> int:
 
 
 def _gcd_all(xs) -> int:
+    if _COUNTERS.get() is None:
+        return math.gcd(*xs)
     it = iter(xs)
     g = abs(next(it))
     for x in it:
@@ -227,30 +235,60 @@ def wgcd_full_factorization(t: WeightedTuple, seed: int = 0) -> int:
 
 
 def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
-    """Factor only g = gcd of the values; this is the `auto` strategy.
+    """Factor at most g = gcd of the values; this is the `auto` strategy.
     Any valid d divides every x_i (the weights are >= 1), hence d | g, so
-    g's primes are the only candidates.  Shortcuts: g = 1 gives 1, and
-    equal weights q give wgcd_single(g, q).
+    g's primes are the only candidates.
+
+    Shortcuts, in order: g = 1 gives 1; the root candidate
+    r = iroot(g, q), for q the least weight of a nonzero x_i, is the
+    answer when every r**q_i | x_i (d**q | g bounds d <= r), and nothing
+    is factored; equal weights q give wgcd_single(g, q).  Otherwise g's
+    primes come from `factor(g)` when g < 10**8, where trial division
+    finishes it, and else from factoring each piece of the coprime base
+    of g and the gcd(x_i / g, g).  The pieces divide g and keep apart
+    primes whose exponents differ across the coordinates, so such primes
+    need no Pollard rho to be told apart.
 
     The exponent of each prime p of g is min over nonzero x_i of
     floor(valuation(p, x_i) / q_i), found with a running bound m that
     starts at p's exponent in g.  A coordinate costs one `x_i % p**(q_i m)`;
-    only a nonzero remainder takes a valuation, which lowers m, and the
+    only a nonzero remainder lowers m, by a valuation unless m = 1, and the
     scan stops at m = 0.  As in `_divide_out`, a power with
-    q_i m (bitlen(p) - 1) >= bitlen(x_i) cannot divide and is not built.
+    q_i m (bitlen(p) - 1) >= bitlen(x_i) cannot divide and is not built;
+    the root candidate's test goes through `_divide_out` itself.
     """
-    values, weights = t.values, t.weights.q
+    return _wgcd_route(t.values, t.weights.q, seed)
+
+
+def _root_candidate(values, weights, g: int) -> Optional[int]:
+    # r = iroot(g, q) for the least weight q of a nonzero x_i, when every
+    # r**q_i | x_i, else None.  d**q | g bounds d <= r, so a hit is exact.
+    r = iroot(g, min(compress(weights, values)))
+    return r if _divide_out(zip(values, weights), r) is not None else None
+
+
+def _wgcd_route(values, weights, seed: int) -> int:
+    # wgcd_gcd_factorization on plain tuples (values not all zero, weights
+    # >= 1), which verify_wgcd runs on its residues without a WeightedTuple
     g = _gcd_all(values)
     if g == 1:
         return 1
+    r = _root_candidate(values, weights, g)
+    if r is not None:
+        return r
     if weights.count(weights[0]) == len(weights):
         return wgcd_single(g, weights[0], seed)
+    if g < _PRIME_BELOW:
+        primes = _factor(g, seed)
+    else:
+        pieces = coprime_base([g, *(_gcd2(x // g, g) for x in values if x)])
+        primes = [(p, valuation(p, g)) for b in pieces for p, _ in _factor(b, seed)]
     d = 1
-    for p, m in _factor(g, seed):
+    for p, m in primes:
         lg = p.bit_length() - 1  # p**k >= 2**(k * lg)
         for x, q in zip(values, weights):
             if x and (q * m * lg >= x.bit_length() or x % p ** (q * m)):
-                m = valuation(p, x) // q
+                m = valuation(p, x) // q if m > 1 else 0
                 if not m:
                     break
         d *= p**m
@@ -438,8 +476,10 @@ def _step(rule: str, t: WeightedTuple) -> TraceStep:
 def wgcd_auto(t: WeightedTuple, seed: int = 0) -> WgcdResult:
     """`auto` with the paper's reduction traced: absolute values, a stable
     sort by weight, then suffix gcds y_i = gcd(x_i, ..., x_n), a chain
-    ending in y_0 = gcd(x), the one number `auto` factors.  The trace
-    lists each step that changed the tuple, then the fast path taken.
+    ending in y_0 = gcd(x), the most `auto` factors.  The trace lists each
+    step that changed the tuple, then the fast path taken, if any:
+    fastpath-one (y_0 = 1), fastpath-root (the root candidate is the
+    answer, so nothing is factored) or fastpath-equal-weights.
     d and the counters come from `auto` itself, counted in this call's own
     `counting` block or the caller's; building the trace counts nothing.
     """
@@ -455,6 +495,8 @@ def wgcd_auto(t: WeightedTuple, seed: int = 0) -> WgcdResult:
         steps.append(_step("suffix-gcd", chain))
     if chain.values[0] == 1:
         steps.append(_step("fastpath-one", chain))
+    elif _root_candidate(t.values, t.weights.q, chain.values[0]) is not None:
+        steps.append(_step("fastpath-root", chain))
     elif chain.weights[0] == chain.weights[-1]:
         steps.append(_step("fastpath-equal-weights", chain))
     with counting() as c:
@@ -517,19 +559,16 @@ def normalize(t: WeightedTuple, seed: int = 0) -> tuple[WeightedTuple, int]:
 def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
     """Check that d is the weighted gcd of t.
 
-    Divisibility: d**q_i | x_i for every i.  Maximality: no prime of the
-    gcd of the normalized values still divides every normalized coordinate
-    with its full weight.
+    Divisibility: d**q_i | x_i for every i.  Maximality: once that holds,
+    wgcd(x) = d * wgcd(x_i / d**q_i), so d is the weighted gcd exactly when
+    the `auto` route returns 1 on the residues x_i / d**q_i.
     """
     d = operator.index(d)
     if d < 1:
         raise ValueError("claimed weighted gcd must be >= 1")
-    residues = _divide_out(t.pairs(), d)
+    residues = t.values if d == 1 else _divide_out(t.pairs(), d)
     if residues is None:
         return VerifyResult(False, "divisibility")
-    g = gcd_many(residues)
-    if g > 1:
-        for p, _ in factor(g, seed):
-            if _divide_out(zip(residues, t.weights), p) is not None:
-                return VerifyResult(False, "maximality")
+    if _wgcd_route(residues, t.weights.q, seed) > 1:
+        return VerifyResult(False, "maximality")
     return VerifyResult(True, None)

@@ -1,7 +1,8 @@
 """Arbitrary-precision integer primitives.
 
 Everything the weighted-gcd strategies stand on: gcd folds, floor roots,
-p-adic valuations, primality testing, and integer factorization.
+p-adic valuations, factor refinement into a coprime base, primality
+testing, and integer factorization.
 Factorization runs trial division below 10**4, as one gcd per decade of
 primes against the product of that decade, then perfect-power detection,
 then a primality test, then Pollard rho under an optional iteration
@@ -12,6 +13,7 @@ set with `rho_budget` is scoped to the calling context.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -88,8 +90,9 @@ def lcm_many(xs) -> int:
 def iroot(x: int, n: int) -> int:
     """Floor of the n-th root: the r with r**n <= x < (r+1)**n.
 
-    Newton iteration seeded from the bit length; the seed always
-    overestimates, so the iteration decreases monotonically onto the root.
+    `math.isqrt` for n = 2; otherwise Newton iteration seeded from the bit
+    length, which always overestimates, so the iteration decreases
+    monotonically onto the root.
     """
     if n < 1:
         raise ValueError("root order must be positive")
@@ -99,6 +102,8 @@ def iroot(x: int, n: int) -> int:
         return 0
     if n == 1:
         return x
+    if n == 2:
+        return math.isqrt(x)
     if n >= x.bit_length():
         return 1
     r = 1 << -(-x.bit_length() // n)
@@ -175,6 +180,32 @@ def valuation(p: int, x: int) -> int:
     if x % p:
         return 0
     return _strip(abs(x), p)[1]
+
+
+def coprime_base(xs) -> list[int]:
+    """Factor refinement: pairwise coprime integers > 1 such that every
+    x > 1 in xs is a product of powers of them.
+
+    The naive refinement of Bach, Driscoll & Shallit ("Factor
+    refinement", 1993): while two pieces a, b share g = gcd(a, b) > 1,
+    replace them by g and by what is left of a and of b once `_strip`
+    has divided out every copy of g.  Each replacement divides the
+    product of all pieces by at least g, so the loop ends, and a power
+    p**e against p takes O(log e) divisions, not e.
+    """
+    base: list[int] = []
+    todo = [x for x in xs if x > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += (v for v in (g, _strip(a, g)[0], _strip(b, g)[0]) if v > 1)
+                break
+        else:
+            base.append(a)
+    return base
 
 
 def _miller_rabin_round(n: int, d: int, s: int, a: int) -> bool:
@@ -254,7 +285,9 @@ class Factorization:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        entries = tuple((int(p), int(e)) for p, e in self.entries)
+        entries = tuple(
+            (operator.index(p), operator.index(e)) for p, e in self.entries
+        )
         for i, (p, e) in enumerate(entries):
             if p < 2 or not is_prime(p):
                 raise ValueError(f"factor {p} is not a prime")

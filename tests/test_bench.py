@@ -62,15 +62,17 @@ class TestBenchRun:
         # the counters are exact and seeded: a change here is a change in
         # what a strategy computes, factors or gcds
         specs = [small_specs()[i] for i in (0, 2, 3)]
-        # strategy -> (d, factor_calls, max_factored_bits, gcd_calls)
+        # strategy -> (d, factor_calls, max_factored_bits, gcd_calls); auto's
+        # root candidate answers the known-answer spec unfactored, and the
+        # adversarial gcd splits into two coprime pieces before factoring
         golden = [
-            {"auto": (36, 1, 11, 1), "gcd-factor": (36, 1, 11, 1),
+            {"auto": (36, 0, 0, 1), "gcd-factor": (36, 0, 0, 1),
              "full-factor": (36, 2, 21, 0), "lcm-power": (36, 1, 32, 1),
              "fold": (36, 2, 11, 0)},
             {"auto": (1, 0, 0, 1), "gcd-factor": (1, 0, 0, 1),
              "full-factor": (1, 2, 8, 0), "lcm-power": (1, 0, 0, 1),
              "fold": (1, 1, 7, 0)},
-            {"auto": (19, 1, 49, 1), "gcd-factor": (19, 1, 49, 1),
+            {"auto": (19, 2, 40, 3), "gcd-factor": (19, 2, 40, 3),
              "full-factor": (19, 2, 53, 0), "lcm-power": (19, 1, 105, 1),
              "fold": (19, 2, 53, 0)},
         ]

@@ -88,12 +88,14 @@ class TestCompute:
         assert code == 2 and "budget" in err
 
     def test_rho_budget_exit_code(self, capsys, monkeypatch):
-        # a square of a 2x64-bit semiprime: rho cannot split it in 1000 steps
+        # gcd n, a 2x64-bit semiprime that neither the root candidate nor
+        # the coprime split answers: rho cannot split it in 1000 steps
         monkeypatch.setattr(cli, "RHO_BUDGET", 1000)
         n = 9223372036854788173 * 18446744073709551557
+        values = f"{n * 35},{n * 143},{n * 17}"
         with time_limit(10):
             code, out, err = run(
-                capsys, "compute", "--weights", "2", "--values", str(n**2)
+                capsys, "compute", "--weights", "1,2,3", "--values", values
             )
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "budget of 1000 iterations" in err
@@ -196,6 +198,15 @@ class TestExplain:
         lines = out.splitlines()
         assert lines[0] == "d=4 strategy=auto"
         assert "  suffix-gcd: values=16,1152,13824 weights=2,2,3" in lines
+
+    def test_root_hit_is_named(self, capsys):
+        # gcd 16 and iroot(16, 2) = 4 divides with every weight: no factoring
+        code, out, _ = run(capsys, "explain", "--weights", "2,2,3",
+                           "--values", "70352,5760,13824", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["steps"][-1]["rule"] == "fastpath-root"
+        assert payload["counters"]["factor_calls"] == 0
 
     def test_json_steps_parse(self, capsys):
         # sorting the weights carries the values along: this is the

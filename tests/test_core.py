@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import random
@@ -9,7 +10,7 @@ import sympy
 
 from helpers import naive_wgcd, time_limit
 from wgcd import core
-from wgcd.bench import GenSpec, gen_known
+from wgcd.bench import MODES, GenSpec, gen_known, generate
 from wgcd.core import (
     STRATEGIES,
     Counters,
@@ -35,9 +36,17 @@ from wgcd.core import (
     wgcd_lcm_power,
     wgcd_single,
 )
-from wgcd.numtheory import FactorBudgetExceeded, rho_budget
+from wgcd.numtheory import FactorBudgetExceeded, factor, rho_budget
 
 WORKED_TRIPLE = WeightedTuple((70352, 5760, 13824), (2, 2, 3))
+
+# gcd N, a 128-bit semiprime that rho needs about 2**32 iterations to split.
+# The root candidate misses (N**2 does not divide N * 143) and no coordinate
+# separates N's two primes, so `auto` must factor N whole.
+SEMIPRIME_128 = sympy.nextprime(2**63) * sympy.nextprime(2**64)
+UNSPLIT_TUPLE = WeightedTuple(
+    (SEMIPRIME_128 * 35, SEMIPRIME_128 * 143, SEMIPRIME_128 * 17), (1, 2, 3)
+)
 
 
 def wt(values, weights):
@@ -174,6 +183,146 @@ class TestGcdFactorization:
     def test_huge_coordinates_are_fast(self, strategy):
         with time_limit(1):
             assert weighted_gcd((3**30000, 3**30001), (1, 2), strategy) == 3**15000
+
+
+@functools.cache
+def seeded_corpus() -> list[WeightedTuple]:
+    """Known-answer, random and adversarial-deficient tuples with unsorted
+    weights, random signs and some zero coordinates.  The random ones
+    carry a shared factor of primes above 10**4, so their gcd needs more
+    than trial division and the coprime split runs."""
+    rng = random.Random(5)
+    corpus = []
+    for i in range(240):
+        mode = MODES[i % 3]
+        n = rng.randint(2, 5)
+        weights = tuple(rng.randint(1, 6) for _ in range(n))
+        spec = GenSpec(
+            rng.getrandbits(32), n, weights, rng.randint(6, 30),
+            rng.randint(8, 40), mode,
+        )
+        values = list(generate(spec)[0].values)
+        if mode == "random":
+            shared = [sympy.randprime(2**14, 2**20) for _ in range(rng.randint(2, 3))]
+            for j, q in enumerate(weights):
+                values[j] *= math.prod(r ** rng.randint(1, q + 1) for r in shared)
+        values = [-x if rng.getrandbits(1) else x for x in values]
+        if rng.random() < 0.25:
+            values[rng.randrange(n)] = 0
+        if any(values):
+            corpus.append(wt(values, weights))
+    return corpus
+
+
+def loop_verdict(t: WeightedTuple, d: int) -> tuple:
+    # verify_wgcd's verdict as a per-prime loop: divisibility of every
+    # d**q_i, then whether some prime of the residues' gcd still divides
+    # every residue with its full weight
+    residues = []
+    for x, q in t.pairs():
+        if x % d**q:
+            return (False, "divisibility")
+        residues.append(x // d**q)
+    for p in sympy.primefactors(math.gcd(*residues)):
+        if all(r % p**q == 0 for r, q in zip(residues, t.weights)):
+            return (False, "maximality")
+    return (True, None)
+
+
+class TestRootAndSplit:
+    """The `auto` route answers with the root candidate when it can, and
+    on a miss factors the coprime pieces of a big gcd, not the gcd."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """(g, pieces) of every coprime split the route makes."""
+        seen, split = [], core.coprime_base
+
+        def spy(xs):
+            pieces = split(xs)
+            seen.append((xs[0], pieces))
+            return pieces
+
+        monkeypatch.setattr(core, "coprime_base", spy)
+        return seen
+
+    def test_route_matches_full_factor_and_sympy(self, monkeypatch, splits):
+        hits, root_candidate = [], core._root_candidate
+
+        def spy_root(values, weights, g):
+            r = root_candidate(values, weights, g)
+            hits.append(r is not None)
+            return r
+
+        monkeypatch.setattr(core, "_root_candidate", spy_root)
+        for t in seeded_corpus():
+            d = wgcd_gcd_factorization(t)
+            assert d == wgcd_full_factorization(t), t
+            assert d == TestGcdFactorization.reference(t.values, t.weights.q), t
+        # every path ran: root hits, root misses, and the split
+        assert any(hits) and not all(hits)
+        assert len(splits) > 20
+
+    def test_split_pieces_are_coprime_and_cover_the_gcd(self, splits):
+        for t in seeded_corpus():
+            wgcd_gcd_factorization(t)
+        assert len(splits) > 20
+        for g, pieces in splits:
+            assert g >= 10**8  # below it trial division finishes factor(g)
+            for i, a in enumerate(pieces):
+                assert g % a == 0
+                assert all(math.gcd(a, b) == 1 for b in pieces[i + 1 :])
+            primes = {p for b in pieces for p in sympy.primefactors(b)}
+            assert primes == set(sympy.primefactors(g))
+
+    def test_split_bound_starts_at_the_exponent_in_g(self):
+        # g = p**4 against x_1 / g = p refines to the one piece p, whose
+        # own exponent 1 would cap the answer at p
+        p = 10007
+        for strategy in ("auto", "full-factor"):
+            assert weighted_gcd((p**4, -(p**5)), (1, 2), strategy) == p**2
+
+    def test_verify_matches_the_per_prime_loop(self):
+        rng = random.Random(9)
+        for t in seeded_corpus():
+            d = wgcd_full_factorization(t)
+            p = rng.choice(sympy.primefactors(math.gcd(*t.values)) or [2])
+            claims = {d, d * p, d * 2, d + 1}
+            claims.update(d // q for q in sympy.primefactors(d))
+            for claim in claims:
+                assert tuple(verify_wgcd(t, claim)) == loop_verdict(t, claim), (
+                    t, claim,
+                )
+
+    def test_split_reaches_no_rho(self):
+        # g = p**2 * r1 * r2 is 143 bits and not a square, so the root
+        # misses; the coordinates put p, r1 and r2 in separate pieces, each
+        # prime, so rho never runs where factor(g) would need it
+        p, r1, r2 = (sympy.nextprime(2**k) for k in (30, 40, 41))
+        values = (0, p**2 * r1 * r2, -(p**3) * r1**2 * r2, p**3 * r1 * r2**3)
+        t = wt(values, (10**7, 2, 3, 3))
+        with time_limit(1), rho_budget(0):
+            with counting() as c:
+                assert weighted_gcd(values, t.weights) == p
+            assert c.factor_calls == 3 and c.max_factored_bits == 42
+            normalized, d = normalize(t)
+            assert d == p and normalized.values[1] == r1 * r2
+            assert verify_wgcd(t, p) == (True, None)
+            assert verify_wgcd(t, 1) == (False, "maximality")
+        with rho_budget(0), pytest.raises(FactorBudgetExceeded):
+            factor(math.gcd(*values))  # g whole does need rho
+
+    @pytest.mark.parametrize("zero_weight", [10**7, 1])
+    def test_root_hit_past_a_zero_coordinate(self, zero_weight):
+        # the root takes the least weight of a nonzero coordinate, 2, so
+        # iroot(81, 2) = 9 hits; a zero never builds 9 ** (10**7)
+        t = wt((0, 3**4 * 7, 3**6), (zero_weight, 2, 3))
+        with time_limit(1), counting() as c:
+            assert weighted_gcd(t.values, t.weights) == 9
+            assert normalize(t) == (wt((0, 7, 1), t.weights), 9)
+            assert verify_wgcd(t, 9) == (True, None)
+            assert verify_wgcd(t, 3) == (False, "maximality")
+        assert c.factor_calls == 0
 
 
 class TestLcmPower:
@@ -335,7 +484,7 @@ class TestAuto:
                     cur, _ = sort_by_weight(cur)
                 elif step.rule == "suffix-gcd":
                     cur = reduce_suffix_gcd(cur)
-                elif step.rule in ("fastpath-one", "fastpath-equal-weights"):
+                elif step.rule.startswith("fastpath-"):
                     pass
                 else:
                     pytest.fail(f"unexpected rule {step.rule}")
@@ -346,7 +495,7 @@ class TestAuto:
     def test_trace_on_big_first_is_suffix_gcd_only(self):
         result = wgcd_auto(wt((70352, 13824), (2, 3)))
         rules = [s.rule for s in result.trace.steps]
-        assert rules == ["suffix-gcd"]
+        assert rules == ["suffix-gcd", "fastpath-root"]
         assert result.trace.steps[0].values == (16, 13824)
         assert result.d == 4
 
@@ -377,10 +526,11 @@ class TestAuto:
         assert len(built) == 1
 
     def test_counters_on_worked_triple(self):
+        # gcd 16, root candidate iroot(16, 2) = 4: nothing is factored
         result = wgcd_auto(WORKED_TRIPLE)
         assert result.d == 4
         assert result.counters == Counters(
-            factor_calls=1, max_factored_bits=(16).bit_length(), gcd_calls=2
+            factor_calls=0, max_factored_bits=0, gcd_calls=2
         )
 
     def test_fastpath_one(self):
@@ -436,10 +586,10 @@ class TestAuto:
 # (factor_calls, max_factored_bits, gcd_calls) of each strategy on the
 # worked triple
 WORKED_COUNTS = {
-    "auto": (1, 5, 2),
+    "auto": (0, 0, 2),
     "oracle": (0, 0, 0),
     "full-factor": (3, 17, 0),
-    "gcd-factor": (1, 5, 2),
+    "gcd-factor": (0, 0, 2),
     "lcm-power": (1, 13, 2),
     "fold": (3, 14, 0),
 }
@@ -464,7 +614,7 @@ class TestCounting:
                 result = wgcd_auto(WORKED_TRIPLE)
             wgcd_lcm_power(WORKED_TRIPLE)
         assert result.counters is outer
-        assert counts(outer) == (3, 13, 6)
+        assert counts(outer) == (1, 13, 6)
 
     def test_strategies_run_outside_any_block(self):
         for fn in STRATEGIES.values():
@@ -474,10 +624,9 @@ class TestCounting:
         assert counts(c) == (0, 0, 0)
 
     def test_block_left_by_budget_error_is_closed(self):
-        t, _ = gen_known(GenSpec(1, 3, (2, 3, 5), 128, 256, "known-answer"))
         with pytest.raises(FactorBudgetExceeded):
             with rho_budget(20000), counting() as c:
-                wgcd_auto(t)
+                wgcd_auto(UNSPLIT_TUPLE)
         assert c.factor_calls == 1
         with counting() as fresh:
             wgcd_auto(WORKED_TRIPLE)
@@ -600,11 +749,12 @@ class TestWideKnownAnswer:
         with time_limit(10), counting() as counters:
             assert STRATEGIES[strategy](t) == d
         if strategy == "auto":
-            assert counters.max_factored_bits == (d**2).bit_length()
+            # the gcd is d**2, and its root candidate d is the answer
+            assert counters.factor_calls == 0
 
     def test_hard_128_bit_d_hits_the_budget(self):
-        # d = 7 * 167 * (51-bit prime) * (67-bit prime): rho would need
-        # about 2**25 iterations, so a budget stops it instead
-        t, _ = gen_known(GenSpec(1, 3, (2, 3, 5), 128, 256, "known-answer"))
+        # a 128-bit gcd that neither the root candidate nor the coprime
+        # split answers: rho would need about 2**32 iterations, so a budget
+        # stops it instead
         with time_limit(10), rho_budget(20_000), pytest.raises(FactorBudgetExceeded):
-            wgcd_auto(t)
+            wgcd_auto(UNSPLIT_TUPLE)

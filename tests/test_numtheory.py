@@ -18,6 +18,7 @@ from wgcd.numtheory import (
     _SINGLE_COPIES,
     FactorBudgetExceeded,
     Factorization,
+    coprime_base,
     factor,
     gcd_many,
     iroot,
@@ -99,6 +100,13 @@ class TestIroot:
         assert iroot(2**2000, 5) == 2**400
         assert iroot(2**2000 - 1, 5) == 2**400 - 1
         assert iroot(10**100, 100) == 10
+
+    def test_square_root_is_isqrt(self):
+        rng = random.Random(8)
+        for bits in (2, 63, 126, 127, 4000):
+            x = rng.getrandbits(bits)
+            assert iroot(x, 2) == math.isqrt(x)
+            assert iroot(x * x, 2) == x
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -204,6 +212,56 @@ class TestFactorization:
             Factorization(((1, 2),))
         with pytest.raises(ValueError):
             Factorization(((4, 1),))  # composite entry
+
+    @pytest.mark.parametrize(
+        "entries", [((2.7, 1.9),), ((2, 1.0),), (("3", 1),), ((2, 1), (3.0, 2))]
+    )
+    def test_non_integers_rejected(self, entries):
+        with pytest.raises(TypeError):
+            Factorization(entries)
+
+
+class TestCoprimeBase:
+    @staticmethod
+    def check(xs, base):
+        assert all(b > 1 for b in base)
+        for i, a in enumerate(base):
+            for b in base[i + 1 :]:
+                assert math.gcd(a, b) == 1, (a, b)
+        for x in xs:
+            if x > 1:  # a product of powers of the pieces
+                for b in base:
+                    while x % b == 0:
+                        x //= b
+                assert x == 1
+        primes = {p for x in xs if x > 1 for p in sympy.primefactors(x)}
+        assert {p for b in base for p in sympy.primefactors(b)} == primes
+
+    def test_examples(self):
+        assert coprime_base([]) == []
+        assert coprime_base([1, 1]) == []
+        assert coprime_base([6, 6]) == [6]
+        assert sorted(coprime_base([12, 18])) == [2, 3]
+        assert sorted(coprime_base([2**4 * 3**2 * 5, 2 * 3 * 7])) == [2, 3, 5, 7]
+        assert sorted(coprime_base([35, 7**5 * 5**5])) == [35]
+
+    def test_random_sets(self):
+        rng = random.Random(11)
+        primes = (2, 3, 5, 7, 10007, 65537, 2**31 - 1, sympy.nextprime(2**64))
+        for _ in range(300):
+            xs = [
+                math.prod(p ** rng.randint(0, 4) for p in rng.sample(primes, 4))
+                for _ in range(rng.randint(1, 6))
+            ]
+            self.check(xs, coprime_base(xs))
+
+    def test_powers_are_fast(self):
+        with time_limit(1):
+            assert coprime_base([3 ** (10**5), 3]) == [3]
+            # a piece need not be prime: 2**(10**4) stays whole
+            assert sorted(coprime_base([6 ** (10**4) * 5, 3 * 5])) == [
+                3, 5, 2 ** (10**4),
+            ]
 
 
 class TestFactor:

@@ -64,6 +64,8 @@ def test_permutation_invariance(t, rnd):
 @given(tuples())
 def test_normalize_idempotent_and_verified(t):
     normalized, d = normalize(t)
+    # verify_wgcd runs the auto route too, so full-factor is the oracle here
+    assert d == STRATEGIES["full-factor"](t)
     assert wgcd_auto(normalized).d == 1
     assert normalize(normalized) == (normalized, 1)
     assert verify_wgcd(t, d).ok
