@@ -10,7 +10,7 @@ from wgcd import STRATEGIES, WeightedTuple, counting, wgcd_auto
 
 t = WeightedTuple((70352, 5760, 13824), (2, 2, 3))
 print(f"values  {t.values}")
-print(f"weights {t.weights.q}")
+print(f"weights {t.weights}")
 print()
 
 print(f"{'strategy':<12} {'d':>4}  factor_calls  max_factored_bits")

@@ -17,10 +17,10 @@ from wgcd import (
 )
 
 t = WeightedTuple((123456, 243226, 5789534, 234566, 4322166), (7, 5, 3, 2, 9))
-print(f"start   values={t.values} weights={t.weights.q}")
+print(f"start   values={t.values} weights={t.weights}")
 
 sorted_t, perm = sort_by_weight(t)
-print(f"sorted  values={sorted_t.values} weights={sorted_t.weights.q} perm={perm}")
+print(f"sorted  values={sorted_t.values} weights={sorted_t.weights} perm={perm}")
 
 chained = reduce_suffix_gcd(sorted_t)
 print(f"suffix  values={chained.values}   (a divisor chain: y0 | y1 | ... | yn)")
@@ -30,7 +30,7 @@ print()
 
 pair = WeightedTuple((5760, 13824), (2, 3))
 normalized, d = normalize(pair)
-print(f"normalize{pair.values} under {pair.weights.q}: "
+print(f"normalize{pair.values} under {pair.weights}: "
       f"values={normalized.values}, d={d}")
 print(f"  5760 = {d}**2 * {normalized.values[0]},  13824 = {d}**3 * {normalized.values[1]}")
 print(f"  the normalized tuple has wgcd {weighted_gcd(normalized.values, (2, 3))}")

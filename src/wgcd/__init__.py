@@ -3,8 +3,9 @@
 The weighted gcd of (x_0, ..., x_n) under positive weights (q_0, ..., q_n)
 is the largest integer d with d**q_i dividing x_i for every coordinate.
 This package computes it through several cross-checkable strategies,
-exposes the paper's wgcd-preserving tuple reductions that `wgcd_auto`
-traces to explain the default route, counts the gcd and factor calls of
+exposes the paper's three wgcd-preserving tuple reductions (absolute
+values, a sort by weight, suffix gcds) that `wgcd_auto` traces to
+explain the default route, counts the gcd and factor calls of
 any strategy inside a `counting()` block, and ships known-answer
 generators plus an instrumented benchmark harness.
 """
@@ -29,15 +30,11 @@ from .core import (
     TraceStep,
     VerifyResult,
     WeightedTuple,
-    WeightVector,
     WgcdResult,
     abs_values,
     counting,
     fold_merge,
     normalize,
-    reduce_gcd_prefix,
-    reduce_pair_gcd,
-    reduce_pair_remainder,
     reduce_suffix_gcd,
     sort_by_weight,
     verify_wgcd,
@@ -77,7 +74,6 @@ __all__ = [
     "StrategyRun",
     "TraceStep",
     "VerifyResult",
-    "WeightVector",
     "WeightedTuple",
     "WgcdResult",
     "abs_values",
@@ -95,9 +91,6 @@ __all__ = [
     "known_answer_tuple",
     "normalize",
     "parse_report",
-    "reduce_gcd_prefix",
-    "reduce_pair_gcd",
-    "reduce_pair_remainder",
     "reduce_suffix_gcd",
     "rho_budget",
     "run_selftest",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import core, numtheory
-from .core import WeightedTuple, WeightVector, counting
+from .core import WeightedTuple, _positive_weights, counting
 
 MODES = ("known-answer", "random", "adversarial-deficient")
 
@@ -37,17 +37,13 @@ class GenSpec:
 
     seed: int
     n_plus_1: int
-    weights: WeightVector
+    weights: tuple[int, ...]
     d_bits: int
     cofactor_bits: int
     mode: str
 
     def __post_init__(self):
-        weights = (
-            self.weights
-            if isinstance(self.weights, WeightVector)
-            else WeightVector(tuple(self.weights))
-        )
+        weights = _positive_weights(self.weights)
         object.__setattr__(self, "weights", weights)
         if self.n_plus_1 != len(weights):
             raise ValueError(
@@ -62,7 +58,7 @@ class GenSpec:
         return {
             "seed": self.seed,
             "n": self.n_plus_1,
-            "weights": list(self.weights.q),
+            "weights": list(self.weights),
             "d_bits": self.d_bits,
             "cofactor_bits": self.cofactor_bits,
             "mode": self.mode,
@@ -144,7 +140,7 @@ def known_answer_tuple(d: int, weights, cofactors) -> WeightedTuple:
     nothing, so extra structure in the remaining cofactors cannot raise
     the result above d.
     """
-    w = weights if isinstance(weights, WeightVector) else WeightVector(tuple(weights))
+    w = _positive_weights(weights)
     cofactors = tuple(map(operator.index, cofactors))
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -197,7 +193,7 @@ def gen_adversarial(spec: GenSpec) -> WeightedTuple:
             f"gen_adversarial expects adversarial-deficient mode, got {spec.mode!r}"
         )
     rng = random.Random(spec.seed)
-    weights = spec.weights.q
+    weights = spec.weights
     p = _random_prime(rng, max(spec.d_bits, 2))
     values = [p**q for q in weights]
     deficient_at = [i for i, q in enumerate(weights) if q >= 2]
@@ -431,9 +427,7 @@ def parse_report(blob: bytes, format: str = "json") -> list[BenchRecord]:
             spec = GenSpec(
                 seed=int(vals["seed"]),
                 n_plus_1=int(vals["n"]),
-                weights=WeightVector(
-                    tuple(int(q) for q in vals["weights"].split("|"))
-                ),
+                weights=tuple(int(q) for q in vals["weights"].split("|")),
                 d_bits=int(vals["d_bits"]),
                 cofactor_bits=int(vals["cofactor_bits"]),
                 mode=vals["mode"],

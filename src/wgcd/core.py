@@ -1,12 +1,14 @@
 """Weighted-gcd domain model.
 
 A weighted tuple assigns a positive integer weight q_i to each coordinate
-x_i; its weighted gcd is the largest d with d**q_i dividing x_i for every
-i.  This module provides that quantity through several independent,
-cross-checkable strategies, plus normalization and verification.  The
-default route, `auto`, factors at most g = gcd(x): it first tries the
-root candidate iroot(g, min q), which often answers with nothing
-factored, and splits a big g into coprime pieces before factoring.
+x_i; `WeightedTuple` holds both as tuples of ints.  Its weighted gcd is
+the largest d with d**q_i dividing x_i for every i.  This module
+provides that quantity through several independent, cross-checkable
+strategies, plus normalization and verification.  The default route,
+`auto`, factors at most g = gcd(x), the same way for every weight
+vector: it first tries the root candidate iroot(g, min q), which often
+answers with nothing factored, and splits a big g into coprime pieces
+before factoring.
 `verify_wgcd` runs the same route on the residues x_i / d**q_i.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  A `with counting() as c:` block
@@ -23,55 +25,30 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Optional
 
-from .numtheory import _PRIME_BELOW, coprime_base, factor, iroot, lcm_many, valuation
+from .numtheory import _PRIME_BELOW, coprime_base, factor, iroot, valuation
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Ordered positive integer weights q_0..q_n."""
-
-    q: tuple[int, ...]
-
-    def __post_init__(self):
-        q = tuple(map(operator.index, self.q))
-        if not q:
-            raise ValueError("weight vector must not be empty")
-        if min(q) < 1:
-            raise ValueError(f"weights must be positive, got {q}")
-        object.__setattr__(self, "q", q)
-
-    def __len__(self) -> int:
-        return len(self.q)
-
-    def __iter__(self):
-        return iter(self.q)
-
-    def __getitem__(self, i: int) -> int:
-        return self.q[i]
-
-    @property
-    def common_multiple(self) -> int:
-        """lcm of the weights."""
-        return lcm_many(self.q)
-
-    def is_sorted(self) -> bool:
-        return list(self.q) == sorted(self.q)
-
-
-def _as_weights(w) -> WeightVector:
-    return w if isinstance(w, WeightVector) else WeightVector(tuple(w))
+def _positive_weights(weights) -> tuple[int, ...]:
+    # the weights as a tuple of ints, at least one, each >= 1
+    q = tuple(map(operator.index, weights))
+    if not q:
+        raise ValueError("weight vector must not be empty")
+    if min(q) < 1:
+        raise ValueError(f"weights must be positive, got {q}")
+    return q
 
 
 @dataclass(frozen=True)
 class WeightedTuple:
-    """Integers x_0..x_n paired coordinate-wise with weights; not all zero."""
+    """Integers x_0..x_n paired coordinate-wise with positive integer
+    weights q_0..q_n; not all values zero."""
 
     values: tuple[int, ...]
-    weights: WeightVector
+    weights: tuple[int, ...]
 
     def __post_init__(self):
         values = tuple(map(operator.index, self.values))
-        weights = _as_weights(self.weights)
+        weights = _positive_weights(self.weights)
         if len(values) != len(weights):
             raise ValueError(
                 f"{len(values)} values but {len(weights)} weights"
@@ -109,7 +86,6 @@ TRACE_RULES = (
     "suffix-gcd",
     "fastpath-one",
     "fastpath-root",
-    "fastpath-equal-weights",
 )
 
 
@@ -239,32 +215,27 @@ def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
     Any valid d divides every x_i (the weights are >= 1), hence d | g, so
     g's primes are the only candidates.
 
-    Shortcuts, in order: g = 1 gives 1; the root candidate
-    r = iroot(g, q), for q the least weight of a nonzero x_i, is the
-    answer when every r**q_i | x_i (d**q | g bounds d <= r), and nothing
-    is factored; equal weights q give wgcd_single(g, q).  Otherwise g's
-    primes come from `factor(g)` when g < 10**8, where trial division
-    finishes it, and else from factoring each piece of the coprime base
-    of g and the gcd(x_i / g, g).  The pieces divide g and keep apart
-    primes whose exponents differ across the coordinates, so such primes
-    need no Pollard rho to be told apart.
+    Let q be the least weight of a nonzero x_i; d**q | g bounds d by the
+    root candidate r = iroot(g, q).  So g = 1 gives 1, and r is the answer
+    when every r**q_i | x_i, with nothing factored.  Otherwise g's primes
+    come from `factor(g)` when g < 10**8, where trial division finishes
+    it, and else from factoring each piece of the coprime base of g and
+    the gcd(x_i / g, g).  The pieces divide g and keep apart primes whose
+    exponents differ across the coordinates, so such primes need no
+    Pollard rho to be told apart.
 
     The exponent of each prime p of g is min over nonzero x_i of
     floor(valuation(p, x_i) / q_i), found with a running bound m that
-    starts at p's exponent in g.  A coordinate costs one `x_i % p**(q_i m)`;
-    only a nonzero remainder lowers m, by a valuation unless m = 1, and the
-    scan stops at m = 0.  As in `_divide_out`, a power with
+    starts at floor(e / q) for p's exponent e in g: some x_i has
+    valuation e and q_i >= q.  A prime with m = 0 is skipped.  A
+    coordinate costs one `x_i % p**(q_i m)`; only a nonzero remainder
+    lowers m, by a valuation unless m = 1, and the scan stops at m = 0.
+    Under equal weights the bound is already the answer, so every
+    coordinate passes.  As in `_divide_out`, a power with
     q_i m (bitlen(p) - 1) >= bitlen(x_i) cannot divide and is not built;
     the root candidate's test goes through `_divide_out` itself.
     """
-    return _wgcd_route(t.values, t.weights.q, seed)
-
-
-def _root_candidate(values, weights, g: int) -> Optional[int]:
-    # r = iroot(g, q) for the least weight q of a nonzero x_i, when every
-    # r**q_i | x_i, else None.  d**q | g bounds d <= r, so a hit is exact.
-    r = iroot(g, min(compress(weights, values)))
-    return r if _divide_out(zip(values, weights), r) is not None else None
+    return _wgcd_route(t.values, t.weights, seed)
 
 
 def _wgcd_route(values, weights, seed: int) -> int:
@@ -273,18 +244,20 @@ def _wgcd_route(values, weights, seed: int) -> int:
     g = _gcd_all(values)
     if g == 1:
         return 1
-    r = _root_candidate(values, weights, g)
-    if r is not None:
+    q_min = min(compress(weights, values))
+    r = iroot(g, q_min)
+    if _divide_out(zip(values, weights), r) is not None:
         return r
-    if weights.count(weights[0]) == len(weights):
-        return wgcd_single(g, weights[0], seed)
     if g < _PRIME_BELOW:
         primes = _factor(g, seed)
     else:
         pieces = coprime_base([g, *(_gcd2(x // g, g) for x in values if x)])
         primes = [(p, valuation(p, g)) for b in pieces for p, _ in _factor(b, seed)]
     d = 1
-    for p, m in primes:
+    for p, e in primes:
+        m = e // q_min
+        if not m:
+            continue
         lg = p.bit_length() - 1  # p**k >= 2**(k * lg)
         for x, q in zip(values, weights):
             if x and (q * m * lg >= x.bit_length() or x % p ** (q * m)):
@@ -311,7 +284,7 @@ def wgcd_lcm_power(t: WeightedTuple, seed: int = 0) -> int:
     as (8, 4) with weights (2, 3).  Raises ValueError, before building any
     power, when bitlen(x_i) * (m / q_i) exceeds LCM_POWER_BITS.
     """
-    m = t.weights.common_multiple
+    m = math.lcm(*t.weights)
     bits = max(abs(x).bit_length() * (m // q) for x, q in t.pairs() if x)
     if bits > LCM_POWER_BITS:
         raise ValueError(
@@ -401,47 +374,9 @@ def sort_by_weight(t: WeightedTuple) -> tuple[WeightedTuple, tuple[int, ...]]:
     """
     perm = tuple(sorted(range(len(t)), key=lambda i: (t.weights[i], i)))
     permuted = WeightedTuple(
-        tuple(t.values[i] for i in perm),
-        WeightVector(tuple(t.weights[i] for i in perm)),
+        tuple(t.values[i] for i in perm), tuple(t.weights[i] for i in perm)
     )
     return permuted, perm
-
-
-def reduce_pair_remainder(x0: int, x1: int, q0: int, q1: int) -> tuple[int, int]:
-    """Euclidean step on a pair with q0 < q1: divide the first coordinate
-    by the second and keep the remainder.
-
-    Returns (x0 mod x1, x1) when x0 > x1 and (0, x1) when they are equal;
-    both preserve the weighted gcd.  When x1 > x0 the pair is returned
-    unchanged: reducing x1 mod x0 instead, as one might hope, can grow the
-    weighted gcd (e.g. (5, 12) with weights (1, 2) maps to (2, 12), whose
-    wgcd is 2 instead of 1), so no remainder step is available there.
-    A zero first coordinate signals callers to fall back to the single-
-    coordinate wgcd of x1.
-    """
-    if q0 >= q1:
-        raise ValueError("remainder reduction needs q0 < q1")
-    if x0 <= 0 or x1 <= 0:
-        raise ValueError("remainder reduction needs positive coordinates")
-    if x0 > x1:
-        return (x0 % x1, x1)
-    if x0 == x1:
-        return (0, x1)
-    return (x0, x1)
-
-
-def reduce_pair_gcd(x0: int, x1: int, q0: int, q1: int) -> tuple[int, int]:
-    """Replace the first coordinate of a q0 < q1 pair by gcd(|x0|, |x1|)."""
-    if q0 >= q1:
-        raise ValueError("gcd pair reduction needs q0 < q1")
-    if x0 == 0 and x1 == 0:
-        raise ValueError("gcd pair reduction needs a nonzero coordinate")
-    return (math.gcd(x0, x1), x1)
-
-
-def _require_sorted(t: WeightedTuple, what: str) -> None:
-    if not t.weights.is_sorted():
-        raise ValueError(f"{what} needs nondecreasing weights, got {t.weights.q}")
 
 
 def reduce_suffix_gcd(t: WeightedTuple) -> WeightedTuple:
@@ -451,26 +386,21 @@ def reduce_suffix_gcd(t: WeightedTuple) -> WeightedTuple:
     Needs nondecreasing weights.  The output is a divisor chain
     (y_i | y_{i+1}, hence y_0 <= ... <= y_n) with the same weighted gcd.
     """
-    _require_sorted(t, "suffix-gcd reduction")
+    if list(t.weights) != sorted(t.weights):
+        raise ValueError(
+            f"suffix-gcd reduction needs nondecreasing weights, got {t.weights}"
+        )
     ys = [abs(x) for x in t.values]
     for i in range(len(ys) - 2, -1, -1):
         ys[i] = math.gcd(ys[i], ys[i + 1])
     return WeightedTuple(tuple(ys), t.weights)
 
 
-def reduce_gcd_prefix(t: WeightedTuple) -> WeightedTuple:
-    """Replace the first coordinate by the gcd of all values (weights
-    nondecreasing); the other coordinates become absolute values."""
-    _require_sorted(t, "gcd-prefix reduction")
-    g = math.gcd(*t.values)
-    return WeightedTuple((g,) + tuple(abs(x) for x in t.values[1:]), t.weights)
-
-
 # ---------------------------------------------------------------------------
 # the auto route, explained
 
 def _step(rule: str, t: WeightedTuple) -> TraceStep:
-    return TraceStep(rule, t.values, t.weights.q)
+    return TraceStep(rule, t.values, t.weights)
 
 
 def wgcd_auto(t: WeightedTuple, seed: int = 0) -> WgcdResult:
@@ -478,29 +408,29 @@ def wgcd_auto(t: WeightedTuple, seed: int = 0) -> WgcdResult:
     sort by weight, then suffix gcds y_i = gcd(x_i, ..., x_n), a chain
     ending in y_0 = gcd(x), the most `auto` factors.  The trace lists each
     step that changed the tuple, then the fast path taken, if any:
-    fastpath-one (y_0 = 1), fastpath-root (the root candidate is the
-    answer, so nothing is factored) or fastpath-equal-weights.
-    d and the counters come from `auto` itself, counted in this call's own
-    `counting` block or the caller's; building the trace counts nothing.
+    fastpath-one (y_0 = 1) or fastpath-root (d is the root candidate
+    iroot(y_0, q) for the least weight q of a nonzero x_i, so nothing is
+    factored).  d and the counters come from `auto` itself, counted in
+    this call's own `counting` block or the caller's; building the trace
+    counts nothing.
     """
     steps: list[TraceStep] = []
     cur = abs_values(t)
     if cur.values != t.values:
         steps.append(_step("abs", cur))
-    if not cur.weights.is_sorted():
+    if list(cur.weights) != sorted(cur.weights):
         cur, _ = sort_by_weight(cur)
         steps.append(_step("permute", cur))
     chain = reduce_suffix_gcd(cur)
     if chain.values != cur.values:
         steps.append(_step("suffix-gcd", chain))
-    if chain.values[0] == 1:
-        steps.append(_step("fastpath-one", chain))
-    elif _root_candidate(t.values, t.weights.q, chain.values[0]) is not None:
-        steps.append(_step("fastpath-root", chain))
-    elif chain.weights[0] == chain.weights[-1]:
-        steps.append(_step("fastpath-equal-weights", chain))
     with counting() as c:
         d = wgcd_gcd_factorization(t, seed)
+    g = chain.values[0]
+    if g == 1:
+        steps.append(_step("fastpath-one", chain))
+    elif d == iroot(g, min(compress(t.weights, t.values))):
+        steps.append(_step("fastpath-root", chain))
     return WgcdResult(d, "auto", ReductionTrace(tuple(steps)), c)
 
 
@@ -517,7 +447,7 @@ STRATEGIES = {
 def weighted_gcd(values, weights, strategy: str = "auto", seed: int = 0) -> int:
     """Convenience entry point: the weighted gcd of `values` under
     `weights` using the named strategy."""
-    t = WeightedTuple(tuple(values), _as_weights(weights))
+    t = WeightedTuple(tuple(values), weights)
     try:
         fn = STRATEGIES[strategy]
     except KeyError:
@@ -569,6 +499,6 @@ def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
     residues = t.values if d == 1 else _divide_out(t.pairs(), d)
     if residues is None:
         return VerifyResult(False, "divisibility")
-    if _wgcd_route(residues, t.weights.q, seed) > 1:
+    if _wgcd_route(residues, t.weights, seed) > 1:
         return VerifyResult(False, "maximality")
     return VerifyResult(True, None)

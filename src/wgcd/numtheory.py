@@ -79,14 +79,6 @@ def gcd_many(xs) -> int:
     return g
 
 
-def lcm_many(xs) -> int:
-    """Least common multiple of a nonempty sequence of positive integers."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("lcm_many needs at least one integer")
-    return math.lcm(*xs)
-
-
 def iroot(x: int, n: int) -> int:
     """Floor of the n-th root: the r with r**n <= x < (r+1)**n.
 

@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 from helpers import naive_wgcd, time_limit
+import wgcd
 from wgcd import core
 from wgcd.bench import MODES, GenSpec, gen_known, generate
 from wgcd.core import (
@@ -16,14 +17,10 @@ from wgcd.core import (
     Counters,
     TRACE_RULES,
     WeightedTuple,
-    WeightVector,
     abs_values,
     counting,
     fold_merge,
     normalize,
-    reduce_gcd_prefix,
-    reduce_pair_gcd,
-    reduce_pair_remainder,
     reduce_suffix_gcd,
     sort_by_weight,
     verify_wgcd,
@@ -55,15 +52,19 @@ def wt(values, weights):
 
 class TestTypes:
     def test_weight_vector_validation(self):
-        with pytest.raises(ValueError):
-            WeightVector(())
-        with pytest.raises(ValueError):
-            WeightVector((2, 0, 3))
+        # the weights of a WeightedTuple: at least one, each >= 1
+        with pytest.raises(ValueError, match="empty"):
+            wt((), ())
+        with pytest.raises(ValueError, match="positive"):
+            wt((1, 2, 3), (2, 0, 3))
+        with pytest.raises(ValueError, match="positive"):
+            wt((1,), (-1,))
 
     def test_weight_vector_accessors(self):
-        w = WeightVector((4, 6, 10))
-        assert w.common_multiple == 60
-        assert len(w) == 3 and w[1] == 6
+        t = wt([8, 16, 32], [4, 6, 10])
+        assert t.weights == (4, 6, 10) and type(t.weights) is tuple
+        assert len(t.weights) == 3 and t.weights[1] == 6
+        assert list(t.pairs()) == [(8, 4), (16, 6), (32, 10)]
 
     def test_weighted_tuple_validation(self):
         with pytest.raises(ValueError):
@@ -246,19 +247,15 @@ class TestRootAndSplit:
         monkeypatch.setattr(core, "coprime_base", spy)
         return seen
 
-    def test_route_matches_full_factor_and_sympy(self, monkeypatch, splits):
-        hits, root_candidate = [], core._root_candidate
-
-        def spy_root(values, weights, g):
-            r = root_candidate(values, weights, g)
-            hits.append(r is not None)
-            return r
-
-        monkeypatch.setattr(core, "_root_candidate", spy_root)
+    def test_route_matches_full_factor_and_sympy(self, splits):
+        hits = []  # whether the root answered, for each gcd > 1
         for t in seeded_corpus():
-            d = wgcd_gcd_factorization(t)
+            with counting() as c:
+                d = wgcd_gcd_factorization(t)
+            if math.gcd(*t.values) > 1:
+                hits.append(c.factor_calls == 0)
             assert d == wgcd_full_factorization(t), t
-            assert d == TestGcdFactorization.reference(t.values, t.weights.q), t
+            assert d == TestGcdFactorization.reference(t.values, t.weights), t
         # every path ran: root hits, root misses, and the split
         assert any(hits) and not all(hits)
         assert len(splits) > 20
@@ -311,6 +308,22 @@ class TestRootAndSplit:
             assert verify_wgcd(t, 1) == (False, "maximality")
         with rho_budget(0), pytest.raises(FactorBudgetExceeded):
             factor(math.gcd(*values))  # g whole does need rho
+
+    def test_equal_weights_split_reaches_no_rho(self):
+        # the same 143-bit g = p**2 * r1 * r2 under equal weights: the
+        # bound floor(2 / 2) = 1 answers p, and the pieces p**2, r1 and r2
+        # need no rho
+        p, r1, r2 = (sympy.nextprime(2**k) for k in (30, 40, 41))
+        g = p**2 * r1 * r2
+        t = wt((g * r1, g * r2, g), (2, 2, 2))
+        with time_limit(1), rho_budget(0):
+            with counting() as c:
+                assert weighted_gcd(t.values, t.weights) == p
+            assert c.max_factored_bits <= 61
+            normalized, d = normalize(t)
+            assert d == p and normalized.values == (r1**2 * r2, r1 * r2**2, r1 * r2)
+            assert verify_wgcd(t, p) == (True, None)
+            assert verify_wgcd(t, 1) == (False, "maximality")
 
     @pytest.mark.parametrize("zero_weight", [10**7, 1])
     def test_root_hit_past_a_zero_coordinate(self, zero_weight):
@@ -382,7 +395,7 @@ class TestReductions:
     def test_sort_by_weight_final_example(self):
         t = wt((123456, 243226, 5789534, 234566, 4322166), (7, 5, 3, 2, 9))
         sorted_t, perm = sort_by_weight(t)
-        assert sorted_t.weights.q == (2, 3, 5, 7, 9)
+        assert sorted_t.weights == (2, 3, 5, 7, 9)
         assert sorted_t.values == (234566, 5789534, 243226, 123456, 4322166)
         assert perm == (3, 2, 1, 0, 4)
 
@@ -404,39 +417,37 @@ class TestReductions:
         assert a.values == (5760, 13824)
         assert naive_wgcd(t.values, (2, 3)) == naive_wgcd(a.values, (2, 3)) == 24
 
+    # The paper's pair lemmas on worked examples, each rewrite written out:
+    # on a pair with q0 < q1, the remainder x0 mod x1 when x0 >= x1 and the
+    # gcd(x0, x1) in the first coordinate leave the weighted gcd unchanged.
     def test_pair_remainder_first_larger(self):
-        assert reduce_pair_remainder(70352, 13824, 2, 3) == (1232, 13824)
-        assert naive_wgcd((1232, 13824), (2, 3)) == 4
+        assert 70352 % 13824 == 1232
+        assert weighted_gcd((70352, 13824), (2, 3)) == 4
+        assert weighted_gcd((1232, 13824), (2, 3)) == 4
 
     def test_pair_remainder_equal(self):
-        assert reduce_pair_remainder(144, 144, 2, 3) == (0, 144)
+        # 144 mod 144 = 0, and a zero coordinate is unconstrained
+        assert weighted_gcd((144, 144), (2, 3)) == weighted_gcd((0, 144), (2, 3)) == 2
 
     def test_pair_remainder_second_larger_is_identity(self):
         # Reducing the larger second coordinate mod the first can grow the
-        # weighted gcd, e.g. (5, 12) under (1, 2) would become (2, 12):
-        assert naive_wgcd((5, 12), (1, 2)) == 1
-        assert naive_wgcd((2, 12), (1, 2)) == 2
-        # so no remainder step applies and the pair passes through.
-        assert reduce_pair_remainder(5, 12, 1, 2) == (5, 12)
-        assert reduce_pair_remainder(5760, 13824, 2, 3) == (5760, 13824)
-
-    def test_pair_remainder_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            reduce_pair_remainder(10, 20, 3, 3)
-        with pytest.raises(ValueError):
-            reduce_pair_remainder(-10, 20, 2, 3)
-        with pytest.raises(ValueError):
-            reduce_pair_remainder(10, 0, 2, 3)
+        # weighted gcd, e.g. (5, 12) under (1, 2) would become (2, 12),
+        # so no remainder step applies there.
+        assert naive_wgcd((5, 12), (1, 2)) == weighted_gcd((5, 12), (1, 2)) == 1
+        assert naive_wgcd((2, 12), (1, 2)) == weighted_gcd((2, 12), (1, 2)) == 2
 
     def test_pair_gcd(self):
-        assert reduce_pair_gcd(5760, 13824, 2, 3) == (1152, 13824)
-        assert reduce_pair_gcd(1, 999, 2, 3) == (1, 999)
-        for p in (2, 3, 5):
-            assert reduce_pair_gcd(p**2, p**3, 2, 3) == (p**2, p**3)
-        with pytest.raises(ValueError):
-            reduce_pair_gcd(5, 6, 3, 2)
-        with pytest.raises(ValueError):
-            reduce_pair_gcd(0, 0, 2, 3)
+        assert math.gcd(5760, 13824) == 1152
+        assert weighted_gcd((5760, 13824), (2, 3)) == 24
+        assert weighted_gcd((1152, 13824), (2, 3)) == 24
+        for p in (2, 3, 5):  # gcd(p**2, p**3) = p**2 rewrites nothing
+            assert weighted_gcd((p**2, p**3), (2, 3)) == p
+
+    def test_gcd_prefix(self):
+        # the gcd of all values in the first coordinate (weights sorted)
+        assert math.gcd(*WORKED_TRIPLE.values) == 16
+        assert weighted_gcd((16, 5760, 13824), (2, 2, 3)) == 4
+        assert weighted_gcd(WORKED_TRIPLE.values, WORKED_TRIPLE.weights) == 4
 
     def test_suffix_gcd_worked_examples(self):
         assert reduce_suffix_gcd(WORKED_TRIPLE).values == (16, 1152, 13824)
@@ -447,15 +458,6 @@ class TestReductions:
     def test_suffix_gcd_rejects_unsorted(self):
         with pytest.raises(ValueError):
             reduce_suffix_gcd(wt((1, 2), (3, 2)))
-
-    def test_gcd_prefix(self):
-        assert reduce_gcd_prefix(WORKED_TRIPLE).values == (16, 5760, 13824)
-        already = wt((16, 5760, 13824), (2, 2, 3))
-        assert reduce_gcd_prefix(already).values == (16, 5760, 13824)
-        pair = wt((5760, 13824), (2, 3))
-        assert reduce_gcd_prefix(pair).values == reduce_pair_gcd(5760, 13824, 2, 3)
-        with pytest.raises(ValueError):
-            reduce_gcd_prefix(wt((1, 2), (3, 2)))
 
 
 class TestAuto:
@@ -490,7 +492,7 @@ class TestAuto:
                     pytest.fail(f"unexpected rule {step.rule}")
                 assert step.rule in TRACE_RULES
                 assert step.values == cur.values
-                assert step.weights == cur.weights.q
+                assert step.weights == cur.weights
 
     def test_trace_on_big_first_is_suffix_gcd_only(self):
         result = wgcd_auto(wt((70352, 13824), (2, 3)))
@@ -550,9 +552,11 @@ class TestAuto:
         assert result.counters.max_factored_bits <= math.gcd(*t.values).bit_length()
 
     def test_fastpath_equal_weights(self):
+        # the root iroot(48, 2) = 6 misses: equal weights take the
+        # factoring route like any others, and no fast path is named
         result = wgcd_auto(wt((48, 144), (2, 2)))
         assert result.d == 4
-        assert result.trace.steps[-1].rule == "fastpath-equal-weights"
+        assert not any(s.rule.startswith("fastpath-") for s in result.trace.steps)
 
     def test_auto_is_gcd_factor(self):
         assert STRATEGIES["auto"] is STRATEGIES["gcd-factor"]
@@ -758,3 +762,12 @@ class TestWideKnownAnswer:
         # stops it instead
         with time_limit(10), rho_budget(20_000), pytest.raises(FactorBudgetExceeded):
             wgcd_auto(UNSPLIT_TUPLE)
+
+
+def test_all_lists_every_public_name():
+    # a removed name must leave __all__, and a new one must join it
+    public = {
+        name for name, value in vars(wgcd).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(wgcd.__all__) == sorted(public)

@@ -34,7 +34,7 @@ def tuples(draw, max_len=4, max_abs=400, max_weight=4):
 @settings(max_examples=250, deadline=None)
 @given(tuples())
 def test_strategies_agree_with_definition(t):
-    expected = naive_wgcd(t.values, t.weights.q)
+    expected = naive_wgcd(t.values, t.weights)
     for name, fn in STRATEGIES.items():
         assert fn(t) == expected, name
 
