@@ -58,6 +58,16 @@ class WeightedTuple:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def _trusted(
+        cls, values: tuple[int, ...], weights: tuple[int, ...]
+    ) -> "WeightedTuple":
+        """Wrap ints and weights already proved valid, skipping the checks."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "values", values)
+        object.__setattr__(t, "weights", weights)
+        return t
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -233,21 +243,25 @@ def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
     Under equal weights the bound is already the answer, so every
     coordinate passes.  As in `_divide_out`, a power with
     q_i m (bitlen(p) - 1) >= bitlen(x_i) cannot divide and is not built;
-    the root candidate's test goes through `_divide_out` itself.
+    the root candidate's test is `_divide_out` itself, whose quotients
+    `normalize` keeps on a hit.
     """
-    return _wgcd_route(t.values, t.weights, seed)
+    return _wgcd_route(t.values, t.weights, seed)[0]
 
 
-def _wgcd_route(values, weights, seed: int) -> int:
+def _wgcd_route(values, weights, seed: int) -> tuple[int, Optional[list[int]]]:
     # wgcd_gcd_factorization on plain tuples (values not all zero, weights
-    # >= 1), which verify_wgcd runs on its residues without a WeightedTuple
+    # >= 1), which verify_wgcd runs on its residues without a WeightedTuple.
+    # Returns (d, ys): ys are the quotients x_i // d**q_i when the root
+    # candidate answered, and None for g = 1 or when d was factored.
     g = _gcd_all(values)
     if g == 1:
-        return 1
+        return 1, None
     q_min = min(compress(weights, values))
     r = iroot(g, q_min)
-    if _divide_out(zip(values, weights), r) is not None:
-        return r
+    ys = _divide_out(zip(values, weights), r)
+    if ys is not None:
+        return r, ys
     if g < _PRIME_BELOW:
         primes = _factor(g, seed)
     else:
@@ -265,7 +279,7 @@ def _wgcd_route(values, weights, seed: int) -> int:
                 if not m:
                     break
         d *= p**m
-    return d
+    return d, None
 
 
 # Largest power |x_i| ** (m / q_i) that lcm-power builds, in bits.  Building
@@ -478,12 +492,17 @@ def _divide_out(pairs, b: int) -> Optional[list[int]]:
 def normalize(t: WeightedTuple, seed: int = 0) -> tuple[WeightedTuple, int]:
     """Divide out the weighted gcd: x_i -> x_i / d**q_i, signs preserved.
 
-    Returns the normalized tuple (whose weighted gcd is 1) and d.
+    Returns the normalized tuple (whose weighted gcd is 1) and d.  The
+    `auto` route divides each x_i once: when its root candidate answers,
+    the quotients its test computed are the output; on a miss, d is
+    factored and then divided out.
     """
-    d = wgcd_gcd_factorization(t, seed)
+    d, ys = _wgcd_route(t.values, t.weights, seed)
     if d == 1:
         return t, 1
-    return WeightedTuple(tuple(_divide_out(t.pairs(), d)), t.weights), d
+    if ys is None:
+        ys = _divide_out(t.pairs(), d)
+    return WeightedTuple._trusted(tuple(ys), t.weights), d
 
 
 def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
@@ -499,6 +518,6 @@ def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
     residues = t.values if d == 1 else _divide_out(t.pairs(), d)
     if residues is None:
         return VerifyResult(False, "divisibility")
-    if _wgcd_route(residues, t.weights, seed) > 1:
+    if _wgcd_route(residues, t.weights, seed)[0] > 1:
         return VerifyResult(False, "maximality")
     return VerifyResult(True, None)

@@ -1,4 +1,4 @@
-"""Independent oracles shared by the test suite.
+"""Independent oracles and inputs shared by the test suite.
 
 Everything here is written from the definitions, without touching the
 package internals, so agreement is a real cross-check.
@@ -8,6 +8,18 @@ from __future__ import annotations
 
 import signal
 from contextlib import contextmanager
+
+import sympy
+
+# p, r1, r2 are the next primes after 2**30, 2**40 and 2**41.  The gcd
+# p**2 * r1 * r2 of SPLIT_VALUES is 143 bits and not a square, so the root
+# candidate iroot(gcd, 2) misses; the coordinates put p, r1 and r2 in
+# separate coprime pieces, each prime.  Under SPLIT_WEIGHTS the weighted
+# gcd is p.
+SPLIT_PRIMES = p, r1, r2 = tuple(sympy.nextprime(2**k) for k in (30, 40, 41))
+SPLIT_VALUES = (0, p**2 * r1 * r2, -(p**3) * r1**2 * r2, p**3 * r1 * r2**3)
+SPLIT_WEIGHTS = (10**7, 2, 3, 3)
+del p, r1, r2
 
 
 @contextmanager

@@ -8,7 +8,7 @@ import threading
 import pytest
 import sympy
 
-from helpers import naive_wgcd, time_limit
+from helpers import SPLIT_PRIMES, SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd, time_limit
 import wgcd
 from wgcd import core
 from wgcd.bench import MODES, GenSpec, gen_known, generate
@@ -292,12 +292,12 @@ class TestRootAndSplit:
                 )
 
     def test_split_reaches_no_rho(self):
-        # g = p**2 * r1 * r2 is 143 bits and not a square, so the root
-        # misses; the coordinates put p, r1 and r2 in separate pieces, each
-        # prime, so rho never runs where factor(g) would need it
-        p, r1, r2 = (sympy.nextprime(2**k) for k in (30, 40, 41))
-        values = (0, p**2 * r1 * r2, -(p**3) * r1**2 * r2, p**3 * r1 * r2**3)
-        t = wt(values, (10**7, 2, 3, 3))
+        # the root misses the 143-bit g = p**2 * r1 * r2, and the coprime
+        # pieces are p, r1 and r2, so rho never runs where factor(g) would
+        # need it
+        p, r1, r2 = SPLIT_PRIMES
+        values = SPLIT_VALUES
+        t = wt(values, SPLIT_WEIGHTS)
         with time_limit(1), rho_budget(0):
             with counting() as c:
                 assert weighted_gcd(values, t.weights) == p
@@ -313,7 +313,7 @@ class TestRootAndSplit:
         # the same 143-bit g = p**2 * r1 * r2 under equal weights: the
         # bound floor(2 / 2) = 1 answers p, and the pieces p**2, r1 and r2
         # need no rho
-        p, r1, r2 = (sympy.nextprime(2**k) for k in (30, 40, 41))
+        p, r1, r2 = SPLIT_PRIMES
         g = p**2 * r1 * r2
         t = wt((g * r1, g * r2, g), (2, 2, 2))
         with time_limit(1), rho_budget(0):
@@ -682,6 +682,29 @@ class TestCounting:
 
 
 class TestNormalizeVerify:
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        """The base of every `_divide_out` call made, in order."""
+        bases, divide_out = [], core._divide_out
+
+        def spy(pairs, b):
+            bases.append(b)
+            return divide_out(pairs, b)
+
+        monkeypatch.setattr(core, "_divide_out", spy)
+        return bases
+
+    def test_root_hit_divides_once(self, divisions):
+        # the root candidate 4 answers, and its test's quotients are the output
+        assert normalize(WORKED_TRIPLE) == (wt((4397, 360, 216), (2, 2, 3)), 4)
+        assert divisions == [4]
+
+    def test_root_miss_divides_after_factoring(self, divisions):
+        # the failed root test, then the one division by d = p
+        p = SPLIT_PRIMES[0]
+        _, d = normalize(wt(SPLIT_VALUES, SPLIT_WEIGHTS))
+        assert d == p and len(divisions) == 2 and divisions[1] == p
+
     def test_normalize_worked_pair(self):
         normalized, d = normalize(wt((5760, 13824), (2, 3)))
         assert d == 24

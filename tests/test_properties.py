@@ -1,11 +1,13 @@
 """Cross-strategy and reduction-law property tests on randomized tuples."""
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_wgcd
+from helpers import SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd
 from wgcd.core import (
     STRATEGIES,
     WeightedTuple,
@@ -69,6 +71,31 @@ def test_normalize_idempotent_and_verified(t):
     assert wgcd_auto(normalized).d == 1
     assert normalize(normalized) == (normalized, 1)
     assert verify_wgcd(t, d).ok
+
+
+def assert_normalized_like_validated(t):
+    # normalize builds its output unchecked; it must equal the checked build
+    normalized, d = normalize(t)
+    expected = tuple(x // d**q if x else 0 for x, q in t.pairs())
+    validated = WeightedTuple(expected, t.weights)
+    assert normalized == validated
+    assert hash(normalized) == hash(validated)
+    assert all(type(y) is int for y in normalized.values)
+    for x, y, q in zip(t.values, normalized.values, t.weights):
+        assert (x == y * d**q) if x else y == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        normalized.values = expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuples())
+def test_normalize_output_equals_a_validated_tuple(t):
+    assert_normalized_like_validated(t)
+
+
+def test_normalize_output_equals_a_validated_tuple_on_a_root_miss():
+    # d is factored here, so the output comes from a second division
+    assert_normalized_like_validated(WeightedTuple(SPLIT_VALUES, SPLIT_WEIGHTS))
 
 
 @settings(max_examples=200, deadline=None)
