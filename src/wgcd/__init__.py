@@ -21,7 +21,6 @@ from .bench import (
     gen_known,
     gen_random,
     known_answer_tuple,
-    parse_report,
 )
 from .core import (
     STRATEGIES,
@@ -90,7 +89,6 @@ __all__ = [
     "is_prime",
     "known_answer_tuple",
     "normalize",
-    "parse_report",
     "reduce_suffix_gcd",
     "rho_budget",
     "run_selftest",

@@ -25,8 +25,9 @@ from .core import WeightedTuple, _positive_weights, counting
 MODES = ("known-answer", "random", "adversarial-deficient")
 
 # The oracle is excluded by default: its scan bound is astronomical on
-# benchmark-scale inputs.  Pass it explicitly for small specs.
-DEFAULT_STRATEGIES = ("auto", "gcd-factor", "full-factor", "lcm-power", "fold")
+# benchmark-scale inputs; pass it explicitly for small specs.  "gcd-factor"
+# is "auto" under another name.
+DEFAULT_STRATEGIES = ("auto", "full-factor", "lcm-power", "fold")
 
 _COFACTOR_PRIME_BITS = (18, 28)  # keeps the slow strategies desk-scale
 
@@ -384,72 +385,4 @@ def bench_report(records: Sequence[BenchRecord], format: str = "json") -> bytes:
                     )
                 )
         return out.getvalue().encode()
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def parse_report(blob: bytes, format: str = "json") -> list[BenchRecord]:
-    """Inverse of bench_report, for round-tripping and downstream tools."""
-    if format == "json":
-        records = []
-        for obj in json.loads(blob.decode()):
-            runs = tuple(
-                StrategyRun(
-                    strategy=r["strategy"],
-                    ns_median=int(r["ns_median"]),
-                    factor_calls=int(r["factor_calls"]),
-                    max_factored_bits=int(r["max_factored_bits"]),
-                    gcd_calls=int(r["gcd_calls"]),
-                    d=int(r["d"]),
-                )
-                for r in obj["results"]
-            )
-            records.append(
-                BenchRecord(
-                    GenSpec.from_json_dict(obj["spec"]), runs, bool(obj["agreement"])
-                )
-            )
-        return records
-    if format == "csv":
-        rows = list(csv.reader(io.StringIO(blob.decode())))
-        if not rows or tuple(rows[0]) != _CSV_FIELDS:
-            raise ValueError("missing or unexpected csv header")
-        records = []
-        current: Optional[tuple[GenSpec, bool, list[StrategyRun]]] = None
-
-        def flush():
-            if current is not None:
-                records.append(
-                    BenchRecord(current[0], tuple(current[2]), current[1])
-                )
-
-        for row in rows[1:]:
-            vals = dict(zip(_CSV_FIELDS, row))
-            spec = GenSpec(
-                seed=int(vals["seed"]),
-                n_plus_1=int(vals["n"]),
-                weights=tuple(int(q) for q in vals["weights"].split("|")),
-                d_bits=int(vals["d_bits"]),
-                cofactor_bits=int(vals["cofactor_bits"]),
-                mode=vals["mode"],
-            )
-            run = StrategyRun(
-                strategy=vals["strategy"],
-                ns_median=int(vals["ns_median"]),
-                factor_calls=int(vals["factor_calls"]),
-                max_factored_bits=int(vals["max_factored_bits"]),
-                gcd_calls=int(vals["gcd_calls"]),
-                d=int(vals["d"]),
-            )
-            # rows of one record are contiguous; a repeated strategy name
-            # or a new spec starts the next record (specs may repeat)
-            if (
-                current is None
-                or current[0] != spec
-                or any(r.strategy == run.strategy for r in current[2])
-            ):
-                flush()
-                current = (spec, vals["agreement"] == "true", [])
-            current[2].append(run)
-        flush()
-        return records
     raise ValueError(f"unknown report format {format!r}")

@@ -1,7 +1,7 @@
 """Command-line surface: compute, normalize, verify, explain, bench, selftest.
 
 Exit codes: 0 success, 1 verification or selftest failure, 2 invalid input,
-3 a factorization gave up after RHO_BUDGET Pollard rho iterations.
+3 a factorization gave up after numtheory.RHO_BUDGET Pollard rho iterations.
 """
 
 from __future__ import annotations
@@ -19,16 +19,10 @@ from .core import (
     normalize,
     verify_wgcd,
     wgcd_auto,
-    wgcd_bruteforce,
 )
-from .numtheory import FactorBudgetExceeded, rho_budget
+from .numtheory import FactorBudgetExceeded
 from .selftest import run_selftest
 
-ORACLE_SCAN_LIMIT = 10**7
-# Rho iterations per factorization: a few seconds, enough to split off
-# prime factors of up to about 40 bits, where a cofactor with two larger
-# primes would otherwise run for hours.
-RHO_BUDGET = 1 << 22
 ECHO_LIMIT = 60  # characters of a rejected list quoted back in an error
 
 
@@ -61,16 +55,10 @@ def _tuple_from_args(args) -> WeightedTuple:
     return WeightedTuple(tuple(values), tuple(weights))
 
 
-def _compute_d(t: WeightedTuple, strategy: str, seed: int) -> int:
-    if strategy == "oracle":
-        return wgcd_bruteforce(t, seed, max_scan=ORACLE_SCAN_LIMIT)
-    return STRATEGIES[strategy](t, seed)
-
-
 def _run_compute(args) -> int:
     t = _tuple_from_args(args)
     with counting() as counters:
-        d = _compute_d(t, args.strategy, args.seed)
+        d = STRATEGIES[args.strategy](t, args.seed)
     if args.json:
         print(
             json.dumps(
@@ -274,8 +262,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with rho_budget(RHO_BUDGET):
-            return args.handler(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

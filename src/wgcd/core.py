@@ -77,7 +77,9 @@ class WeightedTuple:
 
 @dataclass
 class Counters:
-    """Instrumentation for one `counting` block."""
+    """Instrumentation for one `counting` block: the calls of `factor`,
+    the bit length of the largest number factored, and the calls of
+    `math.gcd`, where a gcd of many values counts once."""
 
     factor_calls: int = 0
     max_factored_bits: int = 0
@@ -146,23 +148,11 @@ class counting:
             _COUNTERS.reset(self._token)
 
 
-def _gcd2(a: int, b: int) -> int:
+def _gcd(xs) -> int:
     c = _COUNTERS.get()
     if c is not None:
         c.gcd_calls += 1
-    return math.gcd(a, b)
-
-
-def _gcd_all(xs) -> int:
-    if _COUNTERS.get() is None:
-        return math.gcd(*xs)
-    it = iter(xs)
-    g = abs(next(it))
-    for x in it:
-        if g == 1:
-            break
-        g = _gcd2(g, x)
-    return g
+    return math.gcd(*xs)
 
 
 def _factor(n: int, seed: int):
@@ -178,14 +168,18 @@ def _factor(n: int, seed: int):
 # ---------------------------------------------------------------------------
 # strategies
 
+ORACLE_SCAN_LIMIT = 10**7
+
+
 def wgcd_bruteforce(
-    t: WeightedTuple, seed: int = 0, *, max_scan: Optional[int] = None
+    t: WeightedTuple, seed: int = 0, *, max_scan: Optional[int] = ORACLE_SCAN_LIMIT
 ) -> int:
     """Definition-level oracle: scan d downward from the root bound.
 
     The bound is min over nonzero coordinates of floor(|x_i| ** (1/q_i));
     zero coordinates impose no constraint.  `max_scan` caps the number of
-    candidates examined and raises ValueError beyond it.
+    candidates examined, ORACLE_SCAN_LIMIT by default, and raises
+    ValueError naming it when the bound is past it; None lifts the cap.
     """
     del seed  # uniform strategy signature; the scan needs no randomness
     upper = min(iroot(abs(x), q) for x, q in t.pairs() if x)
@@ -254,7 +248,7 @@ def _wgcd_route(values, weights, seed: int) -> tuple[int, Optional[list[int]]]:
     # >= 1), which verify_wgcd runs on its residues without a WeightedTuple.
     # Returns (d, ys): ys are the quotients x_i // d**q_i when the root
     # candidate answered, and None for g = 1 or when d was factored.
-    g = _gcd_all(values)
+    g = _gcd(values)
     if g == 1:
         return 1, None
     q_min = min(compress(weights, values))
@@ -265,7 +259,7 @@ def _wgcd_route(values, weights, seed: int) -> tuple[int, Optional[list[int]]]:
     if g < _PRIME_BELOW:
         primes = _factor(g, seed)
     else:
-        pieces = coprime_base([g, *(_gcd2(x // g, g) for x in values if x)])
+        pieces = coprime_base([g, *(_gcd((x // g, g)) for x in values if x)])
         primes = [(p, valuation(p, g)) for b in pieces for p, _ in _factor(b, seed)]
     d = 1
     for p, e in primes:
@@ -305,7 +299,7 @@ def wgcd_lcm_power(t: WeightedTuple, seed: int = 0) -> int:
             f"lcm-power would build a {bits}-bit power, over its"
             f" {LCM_POWER_BITS}-bit budget"
         )
-    g_pow = _gcd_all(abs(x) ** (m // q) for x, q in t.pairs() if x)
+    g_pow = _gcd([abs(x) ** (m // q) for x, q in t.pairs() if x])
     if g_pow == 1:
         return 1
     d = 1
@@ -345,7 +339,7 @@ def fold_merge(d_acc: int, x: int, q: int, seed: int = 0) -> int:
         return d_acc
     a = abs(x)
     if q == 1:
-        return _gcd2(d_acc, a)
+        return _gcd((d_acc, a))
     d = 1
     for p, e in _factor(d_acc, seed):
         d *= p ** min(e, valuation(p, a) // q)

@@ -5,9 +5,9 @@ p-adic valuations, factor refinement into a coprime base, primality
 testing, and integer factorization.
 Factorization runs trial division below 10**4, as one gcd per decade of
 primes against the product of that decade, then perfect-power detection,
-then a primality test, then Pollard rho under an optional iteration
-budget.  All functions are pure and safe to call concurrently; a budget
-set with `rho_budget` is scoped to the calling context.
+then a primality test, then Pollard rho capped at RHO_BUDGET iterations.
+All functions are pure and safe to call concurrently; a cap set with
+`rho_budget` replaces RHO_BUDGET in the calling context only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 TRIAL_DIVISION_LIMIT = 10_000
 # Once trial division is done every remaining prime factor exceeds 10**4,
@@ -250,14 +250,20 @@ class FactorBudgetExceeded(ArithmeticError):
         self.n = n
 
 
-# None: rho runs unbounded, as it does outside every `rho_budget` block.
-_RHO_BUDGET: ContextVar[Optional[int]] = ContextVar("rho_budget", default=None)
+# Rho iterations per factorization: a few seconds, enough to split off
+# prime factors of up to about 40 bits, where a cofactor with two larger
+# primes would otherwise run for hours.
+RHO_BUDGET = 1 << 22
+
+# Unset outside every `rho_budget` block, where `factor` uses RHO_BUDGET.
+_RHO_BUDGET: ContextVar[int] = ContextVar("rho_budget")
 
 
 @contextmanager
 def rho_budget(iterations: int):
-    """Cap the Pollard rho iterations of each `factor` call in the block;
-    a call that would pass the cap raises FactorBudgetExceeded."""
+    """Cap the Pollard rho iterations of each `factor` call in the block
+    at `iterations` in place of RHO_BUDGET; a call that would pass the
+    cap raises FactorBudgetExceeded."""
     if iterations < 0:
         raise ValueError("rho budget must be nonnegative")
     token = _RHO_BUDGET.set(iterations)
@@ -319,7 +325,7 @@ class Factorization:
 
 
 def _pollard_rho_brent(
-    n: int, rng: random.Random, budget: Optional[int] = None, spent: int = 0
+    n: int, rng: random.Random, budget: int, spent: int = 0
 ) -> tuple[int, int]:
     """Nontrivial factor of an odd composite n via Brent's cycle variant,
     and the running iteration count: `spent` plus the iterations run here.
@@ -336,7 +342,7 @@ def _pollard_rho_brent(
         g = r = q = 1
         x = ys = y
         while g == 1:
-            if budget is not None and spent + r > budget:
+            if spent + r > budget:
                 raise FactorBudgetExceeded(budget, n)
             x = y
             for _ in range(r):
@@ -345,7 +351,7 @@ def _pollard_rho_brent(
             k = 0
             while k < r and g == 1:
                 batch = min(m, r - k)
-                if budget is not None and spent + batch > budget:
+                if spent + batch > budget:
                     raise FactorBudgetExceeded(budget, n)
                 ys = y
                 for _ in range(batch):
@@ -392,13 +398,13 @@ def factor(n: int, seed: int = 0) -> Factorization:
     divides by repeated squares past the first few copies, so
     `factor(3**(10**5))` takes milliseconds rather than seconds.
 
-    Inside a `rho_budget` block the rho iterations of the whole call are
-    capped, and FactorBudgetExceeded is raised past the cap; outside one
-    rho runs unbounded.
+    The rho iterations of the whole call are capped at RHO_BUDGET, or at
+    the budget of the enclosing `rho_budget` block, and
+    FactorBudgetExceeded is raised past the cap.
     """
     if n < 1:
         raise ValueError("factor expects n >= 1")
-    budget = _RHO_BUDGET.get()
+    budget = _RHO_BUDGET.get(RHO_BUDGET)
     counts: dict[int, int] = {}
     m = n
     for primes, product in _TRIAL_RANGES:

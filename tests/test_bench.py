@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -9,7 +11,6 @@ from wgcd.bench import (
     StrategyDisagreement,
     bench_report,
     bench_run,
-    parse_report,
 )
 from wgcd.numtheory import gcd_many
 
@@ -66,15 +67,12 @@ class TestBenchRun:
         # root candidate answers the known-answer spec unfactored, and the
         # adversarial gcd splits into two coprime pieces before factoring
         golden = [
-            {"auto": (36, 0, 0, 1), "gcd-factor": (36, 0, 0, 1),
-             "full-factor": (36, 2, 21, 0), "lcm-power": (36, 1, 32, 1),
-             "fold": (36, 2, 11, 0)},
-            {"auto": (1, 0, 0, 1), "gcd-factor": (1, 0, 0, 1),
-             "full-factor": (1, 2, 8, 0), "lcm-power": (1, 0, 0, 1),
-             "fold": (1, 1, 7, 0)},
-            {"auto": (19, 2, 40, 3), "gcd-factor": (19, 2, 40, 3),
-             "full-factor": (19, 2, 53, 0), "lcm-power": (19, 1, 105, 1),
-             "fold": (19, 2, 53, 0)},
+            {"auto": (36, 0, 0, 1), "full-factor": (36, 2, 21, 0),
+             "lcm-power": (36, 1, 32, 1), "fold": (36, 2, 11, 0)},
+            {"auto": (1, 0, 0, 1), "full-factor": (1, 2, 8, 0),
+             "lcm-power": (1, 0, 0, 1), "fold": (1, 1, 7, 0)},
+            {"auto": (19, 2, 40, 3), "full-factor": (19, 2, 53, 0),
+             "lcm-power": (19, 1, 105, 1), "fold": (19, 2, 53, 0)},
         ]
         records = bench_run(specs, repetitions=2)
         assert [r.spec.mode for r in records] == [
@@ -158,33 +156,51 @@ class TestReport:
             assert isinstance(result["d"], str)
         assert entry["agreement"] is True
 
-    def test_json_round_trip(self):
+    def test_json_holds_every_field(self):
         records = bench_run(small_specs(), repetitions=1)
-        parsed = parse_report(bench_report(records, "json"), "json")
-        assert parsed == records
+        payload = json.loads(bench_report(records, "json"))
+        assert len(payload) == len(records)
+        for entry, record in zip(payload, records):
+            assert GenSpec.from_json_dict(entry["spec"]) == record.spec
+            assert entry["agreement"] is record.agreement
+            assert len(entry["results"]) == len(record.results)
+            for result, run in zip(entry["results"], record.results):
+                assert isinstance(result["d"], str)
+                assert result == {
+                    "strategy": run.strategy,
+                    "ns_median": run.ns_median,
+                    "factor_calls": run.factor_calls,
+                    "max_factored_bits": run.max_factored_bits,
+                    "gcd_calls": run.gcd_calls,
+                    "d": str(run.d),
+                }
 
-    def test_csv_round_trip(self):
+    def test_csv_holds_every_field(self):
         records = bench_run(small_specs(), repetitions=2)
-        blob = bench_report(records, "csv")
-        lines = blob.decode().splitlines()
-        assert lines[0] == ",".join(bench_mod._CSV_FIELDS)
-        assert len(lines) == 1 + len(records) * len(DEFAULT_STRATEGIES)
-        assert parse_report(blob, "csv") == records
-
-    def test_csv_round_trip_with_duplicate_specs(self):
-        # timings differ between duplicate runs, so records must not merge
-        specs = [small_specs()[0]] * 2
-        records = bench_run(specs, strategies=("auto", "fold"), repetitions=1)
-        parsed = parse_report(bench_report(records, "csv"), "csv")
-        assert len(parsed) == 2
-        assert parsed == records
+        reader = csv.DictReader(io.StringIO(bench_report(records, "csv").decode()))
+        assert tuple(reader.fieldnames) == bench_mod._CSV_FIELDS
+        expected = [
+            {
+                "seed": str(record.spec.seed),
+                "n": str(record.spec.n_plus_1),
+                "weights": "|".join(map(str, record.spec.weights)),
+                "d_bits": str(record.spec.d_bits),
+                "cofactor_bits": str(record.spec.cofactor_bits),
+                "mode": record.spec.mode,
+                "strategy": run.strategy,
+                "ns_median": str(run.ns_median),
+                "factor_calls": str(run.factor_calls),
+                "max_factored_bits": str(run.max_factored_bits),
+                "gcd_calls": str(run.gcd_calls),
+                "d": str(run.d),
+                "agreement": str(record.agreement).lower(),
+            }
+            for record in records
+            for run in record.results
+        ]
+        assert len(expected) == len(records) * len(DEFAULT_STRATEGIES)
+        assert list(reader) == expected
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             bench_report([], "yaml")
-        with pytest.raises(ValueError):
-            parse_report(b"[]", "yaml")
-
-    def test_csv_rejects_missing_header(self):
-        with pytest.raises(ValueError):
-            parse_report(b"not,a,header\n", "csv")

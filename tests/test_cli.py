@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from helpers import time_limit
-from wgcd import cli
+from wgcd import numtheory
+from wgcd.bench import DEFAULT_STRATEGIES
 from wgcd.cli import main
 from wgcd.selftest import CORPUS
 
@@ -90,7 +91,7 @@ class TestCompute:
     def test_rho_budget_exit_code(self, capsys, monkeypatch):
         # gcd n, a 2x64-bit semiprime that neither the root candidate nor
         # the coprime split answers: rho cannot split it in 1000 steps
-        monkeypatch.setattr(cli, "RHO_BUDGET", 1000)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 1000)
         n = 9223372036854788173 * 18446744073709551557
         values = f"{n * 35},{n * 143},{n * 17}"
         with time_limit(10):
@@ -270,7 +271,7 @@ class TestBench:
         assert code == 0 and out == ""
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("seed,n,weights")
-        assert len(lines) == 1 + 2 * 5
+        assert len(lines) == 1 + 2 * len(DEFAULT_STRATEGIES)
 
     def test_missing_spec_file(self, capsys):
         code, _, err = run(capsys, "bench", "--spec", "/nonexistent.json")

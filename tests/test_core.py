@@ -4,13 +4,14 @@ import math
 import random
 import sys
 import threading
+import types
 
 import pytest
 import sympy
 
 from helpers import SPLIT_PRIMES, SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd, time_limit
 import wgcd
-from wgcd import core
+from wgcd import core, numtheory
 from wgcd.bench import MODES, GenSpec, gen_known, generate
 from wgcd.core import (
     STRATEGIES,
@@ -532,7 +533,7 @@ class TestAuto:
         result = wgcd_auto(WORKED_TRIPLE)
         assert result.d == 4
         assert result.counters == Counters(
-            factor_calls=0, max_factored_bits=0, gcd_calls=2
+            factor_calls=0, max_factored_bits=0, gcd_calls=1
         )
 
     def test_fastpath_one(self):
@@ -590,11 +591,11 @@ class TestAuto:
 # (factor_calls, max_factored_bits, gcd_calls) of each strategy on the
 # worked triple
 WORKED_COUNTS = {
-    "auto": (0, 0, 2),
+    "auto": (0, 0, 1),
     "oracle": (0, 0, 0),
     "full-factor": (3, 17, 0),
-    "gcd-factor": (0, 0, 2),
-    "lcm-power": (1, 13, 2),
+    "gcd-factor": (0, 0, 1),
+    "lcm-power": (1, 13, 1),
     "fold": (3, 14, 0),
 }
 
@@ -618,7 +619,7 @@ class TestCounting:
                 result = wgcd_auto(WORKED_TRIPLE)
             wgcd_lcm_power(WORKED_TRIPLE)
         assert result.counters is outer
-        assert counts(outer) == (1, 13, 6)
+        assert counts(outer) == (1, 13, 3)
 
     def test_strategies_run_outside_any_block(self):
         for fn in STRATEGIES.values():
@@ -626,6 +627,36 @@ class TestCounting:
         with counting() as c:
             pass
         assert counts(c) == (0, 0, 0)
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize(
+        "t", [WORKED_TRIPLE, wt(SPLIT_VALUES, SPLIT_WEIGHTS)], ids=["worked", "split"]
+    )
+    def test_counted_run_makes_the_uncounted_calls(self, monkeypatch, strategy, t):
+        # a counted run must execute the code an uncounted one does: the
+        # same gcd calls, each counted once
+        recorded = []
+
+        def gcd(*xs):
+            recorded.append(xs)
+            return math.gcd(*xs)
+
+        monkeypatch.setattr(core, "math", types.SimpleNamespace(**{**vars(math), "gcd": gcd}))
+
+        def run():
+            # the oracle's scan and lcm-power's power overrun their caps on
+            # the split tuple: the error is the outcome to compare
+            recorded.clear()
+            try:
+                return STRATEGIES[strategy](t, 0), list(recorded)
+            except ValueError as exc:
+                return str(exc), list(recorded)
+
+        uncounted = run()
+        with counting() as c:
+            counted = run()
+        assert counted == uncounted
+        assert c.gcd_calls == len(counted[1])
 
     def test_block_left_by_budget_error_is_closed(self):
         with pytest.raises(FactorBudgetExceeded):
@@ -785,6 +816,37 @@ class TestWideKnownAnswer:
         # stops it instead
         with time_limit(10), rho_budget(20_000), pytest.raises(FactorBudgetExceeded):
             wgcd_auto(UNSPLIT_TUPLE)
+
+
+# Every call that can reach Pollard rho, on a tuple whose gcd needs it.
+BOUNDED_CALLS = {
+    **{name: STRATEGIES[name] for name in ("auto", "full-factor", "lcm-power", "fold")},
+    "normalize": normalize,
+    "verify_wgcd": lambda t: verify_wgcd(t, 1),
+}
+
+
+class TestDefaultBudgets:
+    """Library calls are bounded with no `rho_budget` block opened."""
+
+    def test_hard_semiprime_hits_the_default_rho_budget(self):
+        # n is 130 bits and rho would need about 2**32 iterations to split
+        # it; whether the answer is 1 depends on whether n is square-free,
+        # so no shortcut avoids factoring it
+        n = sympy.nextprime(2**64) * sympy.nextprime(2**65)
+        with time_limit(15), pytest.raises(FactorBudgetExceeded, match="budget of 4194304 "):
+            weighted_gcd((n, n), (1, 2))
+
+    @pytest.mark.parametrize("call", sorted(BOUNDED_CALLS))
+    def test_every_route_reads_the_default(self, monkeypatch, call):
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 20_000)
+        with time_limit(2), pytest.raises(FactorBudgetExceeded, match="budget of 20000 "):
+            BOUNDED_CALLS[call](UNSPLIT_TUPLE)
+
+    def test_oracle_scan_is_capped(self):
+        with time_limit(1), pytest.raises(ValueError, match="the 10000000 budget"):
+            weighted_gcd((10**40 + 1,) * 3, (1, 1, 2), strategy="oracle")
+        assert wgcd_bruteforce(wt((5760, 13824), (2, 3)), max_scan=None) == 24
 
 
 def test_all_lists_every_public_name():

@@ -14,6 +14,7 @@ from helpers import (
     time_limit,
     trial_division_scan,
 )
+from wgcd import numtheory
 from wgcd.numtheory import (
     _SINGLE_COPIES,
     FactorBudgetExceeded,
@@ -483,6 +484,18 @@ class TestRhoBudget:
             assert factor(n).value() == n
         with rho_budget(20_000):
             with pytest.raises(FactorBudgetExceeded, match="budget of 20000 iterations on a 52-bit"):
+                factor(n)
+
+    def test_block_overrides_the_default(self, monkeypatch):
+        # the 76-bit product above: about 25.1k iterations in all
+        n = sympy.nextprime(2**24) * sympy.nextprime(2**25) * sympy.nextprime(2**26)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 20_000)
+        with pytest.raises(FactorBudgetExceeded, match="budget of 20000 "):
+            factor(n)
+        with rho_budget(30_000):
+            assert factor(n).value() == n
+        with rho_budget(1000):
+            with pytest.raises(FactorBudgetExceeded, match="budget of 1000 "):
                 factor(n)
 
     def test_within_budget_unchanged(self):
