@@ -31,7 +31,7 @@ for record in records:
     for run in record.results:
         print(
             f"{record.spec.seed:>4}  {run.strategy:<12} "
-            f"{run.ns_median / 1000:>10.1f}  {run.max_factored_bits:>18}"
+            f"{run.ns_median / 1000:>10.1f}  {run.counters.max_factored_bits:>18}"
         )
     print()
 

@@ -3,7 +3,10 @@
 Generators pin ground truth by construction instead of trusting any
 strategy; the harness times strategies against each other, counts one
 run of each in its own `counting` block, and refuses to report anything
-when they disagree.
+when they disagree.  A run's record keeps a copy of that block's
+`core.Counters`, and both report formats take the counter fields from
+it in declaration order: a CSV row is a JSON result flattened beside
+its spec.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import operator
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 from . import core, numtheory
-from .core import WeightedTuple, _positive_weights, counting
+from .core import Counters, WeightedTuple, _positive_weights, counting
 
 MODES = ("known-answer", "random", "adversarial-deficient")
 
@@ -245,9 +248,7 @@ def generate(spec: GenSpec) -> tuple[WeightedTuple, Optional[int]]:
 class StrategyRun:
     strategy: str
     ns_median: int
-    factor_calls: int
-    max_factored_bits: int
-    gcd_calls: int
+    counters: Counters
     d: int
 
 
@@ -302,15 +303,10 @@ def bench_run(
                 t0 = time.perf_counter_ns()
                 fn(t, seed)
                 times.append(time.perf_counter_ns() - t0)
+            # a copy: inside a caller's block `counters` is the caller's,
+            # still counting after this run
             runs.append(
-                StrategyRun(
-                    strategy=name,
-                    ns_median=int(statistics.median(times)),
-                    factor_calls=counters.factor_calls,
-                    max_factored_bits=counters.max_factored_bits,
-                    gcd_calls=counters.gcd_calls,
-                    d=d,
-                )
+                StrategyRun(name, int(statistics.median(times)), replace(counters), d)
             )
             answers.add(d)
         record = BenchRecord(spec, tuple(runs), len(answers) == 1)
@@ -329,9 +325,7 @@ _CSV_FIELDS = (
     "mode",
     "strategy",
     "ns_median",
-    "factor_calls",
-    "max_factored_bits",
-    "gcd_calls",
+    *(f.name for f in fields(Counters)),
     "d",
     "agreement",
 )
@@ -344,9 +338,7 @@ def _record_to_json(record: BenchRecord) -> dict:
             {
                 "strategy": r.strategy,
                 "ns_median": r.ns_median,
-                "factor_calls": r.factor_calls,
-                "max_factored_bits": r.max_factored_bits,
-                "gcd_calls": r.gcd_calls,
+                **asdict(r.counters),
                 "d": str(r.d),
             }
             for r in record.results
@@ -362,27 +354,13 @@ def bench_report(records: Sequence[BenchRecord], format: str = "json") -> bytes:
         return payload.encode()
     if format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(_CSV_FIELDS)
-        for record in records:
-            spec = record.spec
-            for r in record.results:
-                writer.writerow(
-                    (
-                        spec.seed,
-                        spec.n_plus_1,
-                        "|".join(str(q) for q in spec.weights),
-                        spec.d_bits,
-                        spec.cofactor_bits,
-                        spec.mode,
-                        r.strategy,
-                        r.ns_median,
-                        r.factor_calls,
-                        r.max_factored_bits,
-                        r.gcd_calls,
-                        r.d,
-                        str(record.agreement).lower(),
-                    )
-                )
+        writer = csv.DictWriter(out, _CSV_FIELDS)
+        writer.writeheader()
+        for entry in map(_record_to_json, records):
+            spec = entry["spec"]
+            spec["weights"] = "|".join(map(str, spec["weights"]))
+            agreement = str(entry["agreement"]).lower()
+            for result in entry["results"]:
+                writer.writerow({**spec, **result, "agreement": agreement})
         return out.getvalue().encode()
     raise ValueError(f"unknown report format {format!r}")

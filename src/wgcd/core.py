@@ -168,7 +168,7 @@ def _factor(n: int, seed: int):
 # ---------------------------------------------------------------------------
 # strategies
 
-ORACLE_SCAN_LIMIT = 10**7
+ORACLE_SCAN_LIMIT = 10**6
 
 
 def wgcd_bruteforce(

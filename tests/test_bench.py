@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -12,7 +13,15 @@ from wgcd.bench import (
     bench_report,
     bench_run,
 )
+from wgcd.cli import main
+from wgcd.core import Counters, WeightedTuple, counting, wgcd_auto
 from wgcd.numtheory import gcd_many
+
+COUNTER_NAMES = [f.name for f in fields(Counters)]
+
+
+def counts(c: Counters) -> tuple[int, int, int]:
+    return (c.factor_calls, c.max_factored_bits, c.gcd_calls)
 
 
 def small_specs():
@@ -55,9 +64,12 @@ class TestBenchRun:
         records = bench_run([spec], strategies=("auto", "full-factor"), repetitions=1)
         by_name = {r.strategy: r for r in records[0].results}
         suffix_gcd_bits = gcd_many(tup.values).bit_length()
-        assert by_name["auto"].max_factored_bits <= suffix_gcd_bits
-        assert by_name["full-factor"].max_factored_bits >= 128
-        assert by_name["auto"].max_factored_bits < by_name["full-factor"].max_factored_bits
+        assert by_name["auto"].counters.max_factored_bits <= suffix_gcd_bits
+        assert by_name["full-factor"].counters.max_factored_bits >= 128
+        assert (
+            by_name["auto"].counters.max_factored_bits
+            < by_name["full-factor"].counters.max_factored_bits
+        )
 
     def test_golden_counters(self):
         # the counters are exact and seeded: a change here is a change in
@@ -80,9 +92,21 @@ class TestBenchRun:
         ]
         for record, expected in zip(records, golden):
             assert {
-                r.strategy: (r.d, r.factor_calls, r.max_factored_bits, r.gcd_calls)
-                for r in record.results
+                r.strategy: (r.d, *counts(r.counters)) for r in record.results
             } == expected
+
+    def test_runs_in_a_callers_block_keep_their_own_counts(self):
+        # every run joins the caller's block, so each record must copy the
+        # running totals after its timing loop rather than hold the live
+        # Counters, which would read the final totals in every record
+        with counting() as outer:
+            records = bench_run(
+                small_specs()[:2], strategies=("auto", "fold"), repetitions=2
+            )
+        assert [counts(r.counters) for record in records for r in record.results] == [
+            (0, 0, 3), (6, 11, 3), (6, 11, 6), (15, 11, 6),
+        ]
+        assert counts(outer) == (15, 11, 6)
 
     def test_adversarial_instrumentation_monotonicity(self):
         # deficient noise inflates the gcd yet the auto strategy still
@@ -93,8 +117,8 @@ class TestBenchRun:
                                 repetitions=1)
             by_name = {r.strategy: r for r in records[0].results}
             assert (
-                by_name["auto"].max_factored_bits
-                < by_name["full-factor"].max_factored_bits
+                by_name["auto"].counters.max_factored_bits
+                < by_name["full-factor"].counters.max_factored_bits
             )
 
     def test_disagreement_aborts(self, monkeypatch):
@@ -148,12 +172,8 @@ class TestReport:
         assert set(entry["spec"]) == {
             "seed", "n", "weights", "d_bits", "cofactor_bits", "mode",
         }
-        for result in entry["results"]:
-            assert set(result) == {
-                "strategy", "ns_median", "factor_calls",
-                "max_factored_bits", "gcd_calls", "d",
-            }
-            assert isinstance(result["d"], str)
+        # the result fields are checked in TestCounterSchema
+        assert all(isinstance(result["d"], str) for result in entry["results"])
         assert entry["agreement"] is True
 
     def test_json_holds_every_field(self):
@@ -169,34 +189,24 @@ class TestReport:
                 assert result == {
                     "strategy": run.strategy,
                     "ns_median": run.ns_median,
-                    "factor_calls": run.factor_calls,
-                    "max_factored_bits": run.max_factored_bits,
-                    "gcd_calls": run.gcd_calls,
+                    **asdict(run.counters),
                     "d": str(run.d),
                 }
 
     def test_csv_holds_every_field(self):
+        # each CSV row is its JSON result flattened beside the spec
         records = bench_run(small_specs(), repetitions=2)
         reader = csv.DictReader(io.StringIO(bench_report(records, "csv").decode()))
         assert tuple(reader.fieldnames) == bench_mod._CSV_FIELDS
         expected = [
             {
-                "seed": str(record.spec.seed),
-                "n": str(record.spec.n_plus_1),
-                "weights": "|".join(map(str, record.spec.weights)),
-                "d_bits": str(record.spec.d_bits),
-                "cofactor_bits": str(record.spec.cofactor_bits),
-                "mode": record.spec.mode,
-                "strategy": run.strategy,
-                "ns_median": str(run.ns_median),
-                "factor_calls": str(run.factor_calls),
-                "max_factored_bits": str(run.max_factored_bits),
-                "gcd_calls": str(run.gcd_calls),
-                "d": str(run.d),
-                "agreement": str(record.agreement).lower(),
+                **{k: str(v) for k, v in entry["spec"].items()},
+                "weights": "|".join(map(str, entry["spec"]["weights"])),
+                **{k: str(v) for k, v in result.items()},
+                "agreement": str(entry["agreement"]).lower(),
             }
-            for record in records
-            for run in record.results
+            for entry in json.loads(bench_report(records, "json"))
+            for result in entry["results"]
         ]
         assert len(expected) == len(records) * len(DEFAULT_STRATEGIES)
         assert list(reader) == expected
@@ -204,3 +214,26 @@ class TestReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             bench_report([], "yaml")
+
+
+class TestCounterSchema:
+    """`Counters` declares the cost record once; every surface that
+    reports it lists its fields in declaration order."""
+
+    def test_every_surface_lists_the_counters_in_order(self, capsys):
+        argv = ["--weights", "2,3", "--values", "5760,13824", "--json"]
+        for command in ("compute", "explain"):
+            assert main([command, *argv]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert list(payload["counters"]) == COUNTER_NAMES, command
+        result = wgcd_auto(WeightedTuple((5760, 13824), (2, 3)))
+        assert list(asdict(result.counters)) == COUNTER_NAMES
+        records = bench_run(small_specs(), repetitions=1)
+        for entry in json.loads(bench_report(records, "json")):
+            for result in entry["results"]:
+                assert list(result) == ["strategy", "ns_median", *COUNTER_NAMES, "d"]
+        header = bench_report([], "csv").decode().splitlines()[0].split(",")
+        assert header == [
+            "seed", "n", "weights", "d_bits", "cofactor_bits", "mode",
+            "strategy", "ns_median", *COUNTER_NAMES, "d", "agreement",
+        ]

@@ -844,9 +844,14 @@ class TestDefaultBudgets:
             BOUNDED_CALLS[call](UNSPLIT_TUPLE)
 
     def test_oracle_scan_is_capped(self):
-        with time_limit(1), pytest.raises(ValueError, match="the 10000000 budget"):
+        with time_limit(1), pytest.raises(ValueError, match="the 1000000 budget"):
             weighted_gcd((10**40 + 1,) * 3, (1, 1, 2), strategy="oracle")
         assert wgcd_bruteforce(wt((5760, 13824), (2, 3)), max_scan=None) == 24
+
+    def test_oracle_refuses_a_ten_second_scan(self):
+        # about 10**7 candidates, a scan of over 10 s, past the default cap
+        with time_limit(1), pytest.raises(ValueError, match="budget"):
+            weighted_gcd((10**14 - 1,) * 2, (2, 2), strategy="oracle")
 
 
 def test_all_lists_every_public_name():
