@@ -7,21 +7,11 @@ exposes the paper's three wgcd-preserving tuple reductions (absolute
 values, a sort by weight, suffix gcds) that `wgcd_auto` traces to
 explain the default route, counts the gcd and factor calls of
 any strategy inside a `counting()` block, and ships known-answer
-generators plus an instrumented benchmark harness.
+generators plus an instrumented benchmark harness.  `import wgcd` loads
+`core` and `numtheory` only; the harness and selftest names load on
+first use.
 """
 
-from .bench import (
-    BenchRecord,
-    GenSpec,
-    StrategyDisagreement,
-    StrategyRun,
-    bench_report,
-    bench_run,
-    gen_adversarial,
-    gen_known,
-    gen_random,
-    known_answer_tuple,
-)
 from .core import (
     STRATEGIES,
     Counters,
@@ -56,7 +46,41 @@ from .numtheory import (
     rho_budget,
     valuation,
 )
-from .selftest import CORPUS, run_selftest
+# Names served on first use (PEP 562), so `import wgcd` loads only `core`
+# and `numtheory`: the bench harness pulls in `statistics`, `json`, `csv`
+# and `dataclasses`, and a weighted gcd needs neither it nor the selftest
+# corpus.
+_LAZY = {
+    "BenchRecord": "bench",
+    "GenSpec": "bench",
+    "StrategyDisagreement": "bench",
+    "StrategyRun": "bench",
+    "bench_report": "bench",
+    "bench_run": "bench",
+    "gen_adversarial": "bench",
+    "gen_known": "bench",
+    "gen_random": "bench",
+    "known_answer_tuple": "bench",
+    "CORPUS": "selftest",
+    "run_selftest": "selftest",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -5,8 +5,8 @@ strategy; the harness times strategies against each other, counts one
 run of each in its own `counting` block, and refuses to report anything
 when they disagree.  A run's record keeps a copy of that block's
 `core.Counters`, and both report formats take the counter fields from
-it in declaration order: a CSV row is a JSON result flattened beside
-its spec.
+`Counters.__slots__`, its declared field order: a CSV row is a JSON
+result flattened beside its spec.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import operator
 import random
 import statistics
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import core, numtheory
@@ -305,9 +305,8 @@ def bench_run(
                 times.append(time.perf_counter_ns() - t0)
             # a copy: inside a caller's block `counters` is the caller's,
             # still counting after this run
-            runs.append(
-                StrategyRun(name, int(statistics.median(times)), replace(counters), d)
-            )
+            copied = Counters(**counters._asdict())
+            runs.append(StrategyRun(name, int(statistics.median(times)), copied, d))
             answers.add(d)
         record = BenchRecord(spec, tuple(runs), len(answers) == 1)
         if not record.agreement:
@@ -325,7 +324,7 @@ _CSV_FIELDS = (
     "mode",
     "strategy",
     "ns_median",
-    *(f.name for f in fields(Counters)),
+    *Counters.__slots__,
     "d",
     "agreement",
 )
@@ -338,7 +337,7 @@ def _record_to_json(record: BenchRecord) -> dict:
             {
                 "strategy": r.strategy,
                 "ns_median": r.ns_median,
-                **asdict(r.counters),
+                **r.counters._asdict(),
                 "d": str(r.d),
             }
             for r in record.results

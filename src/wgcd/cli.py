@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
-from . import bench as bench_mod
 from .core import (
     STRATEGIES,
     WeightedTuple,
@@ -21,7 +19,6 @@ from .core import (
     wgcd_auto,
 )
 from .numtheory import FactorBudgetExceeded
-from .selftest import run_selftest
 
 ECHO_LIMIT = 60  # characters of a rejected list quoted back in an error
 
@@ -65,7 +62,7 @@ def _run_compute(args) -> int:
                 {
                     "d": str(d),
                     "strategy": args.strategy,
-                    "counters": asdict(counters),
+                    "counters": counters._asdict(),
                 }
             )
         )
@@ -120,7 +117,7 @@ def _run_explain(args) -> int:
                         }
                         for step in result.trace.steps
                     ],
-                    "counters": asdict(result.counters),
+                    "counters": result.counters._asdict(),
                 }
             )
         )
@@ -134,6 +131,8 @@ def _run_explain(args) -> int:
 
 
 def _run_selftest(args) -> int:
+    from .selftest import run_selftest  # imported here, as `bench` below
+
     results = run_selftest(args.seed)
     if args.json:
         print(
@@ -154,6 +153,9 @@ def _run_selftest(args) -> int:
 
 
 def _run_bench(args) -> int:
+    # imported here, so the other commands do not load the harness
+    from . import bench as bench_mod
+
     with open(args.spec, "rb") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):

@@ -21,11 +21,19 @@ from __future__ import annotations
 import math
 import operator
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Optional
 
-from .numtheory import _PRIME_BELOW, coprime_base, factor, iroot, valuation
+from .numtheory import (
+    _PRIME_BELOW,
+    _Frozen,
+    _Record,
+    _set_field,
+    coprime_base,
+    factor,
+    iroot,
+    valuation,
+)
 
 
 def _positive_weights(weights) -> tuple[int, ...]:
@@ -38,13 +46,18 @@ def _positive_weights(weights) -> tuple[int, ...]:
     return q
 
 
-@dataclass(frozen=True)
-class WeightedTuple:
+class WeightedTuple(_Frozen):
     """Integers x_0..x_n paired coordinate-wise with positive integer
     weights q_0..q_n; not all values zero."""
 
-    values: tuple[int, ...]
-    weights: tuple[int, ...]
+    __slots__ = ("values", "weights")
+
+    def __init__(self, values: tuple[int, ...], weights: tuple[int, ...]):
+        _set_field(self, "values", values)
+        _set_field(self, "weights", weights)
+        # looked up at each build, so a profiler can count builds by
+        # patching WeightedTuple.__post_init__
+        self.__post_init__()
 
     def __post_init__(self):
         values = tuple(map(operator.index, self.values))
@@ -55,8 +68,8 @@ class WeightedTuple:
             )
         if not any(values):
             raise ValueError("the all-zero tuple has no weighted gcd")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
+        _set_field(self, "values", values)
+        _set_field(self, "weights", weights)
 
     @classmethod
     def _trusted(
@@ -64,8 +77,8 @@ class WeightedTuple:
     ) -> "WeightedTuple":
         """Wrap ints and weights already proved valid, skipping the checks."""
         t = object.__new__(cls)
-        object.__setattr__(t, "values", values)
-        object.__setattr__(t, "weights", weights)
+        _set_field(t, "values", values)
+        _set_field(t, "weights", weights)
         return t
 
     def __len__(self) -> int:
@@ -75,15 +88,20 @@ class WeightedTuple:
         return zip(self.values, self.weights)
 
 
-@dataclass
-class Counters:
+class Counters(_Record):
     """Instrumentation for one `counting` block: the calls of `factor`,
     the bit length of the largest number factored, and the calls of
-    `math.gcd`, where a gcd of many values counts once."""
+    `math.gcd`, where a gcd of many values counts once.  `__slots__` is
+    the field order every report follows."""
 
-    factor_calls: int = 0
-    max_factored_bits: int = 0
-    gcd_calls: int = 0
+    __slots__ = ("factor_calls", "max_factored_bits", "gcd_calls")
+
+    def __init__(
+        self, factor_calls: int = 0, max_factored_bits: int = 0, gcd_calls: int = 0
+    ):
+        self.factor_calls = factor_calls
+        self.max_factored_bits = max_factored_bits
+        self.gcd_calls = gcd_calls
 
 
 class TraceStep(NamedTuple):
@@ -101,20 +119,26 @@ TRACE_RULES = (
 )
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(_Frozen):
     """Ordered rewrite steps; replaying them from the input reproduces
     each intermediate tuple."""
 
-    steps: tuple[TraceStep, ...] = ()
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...] = ()):
+        _set_field(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class WgcdResult:
-    d: int
-    strategy: str
-    trace: ReductionTrace
-    counters: Counters
+class WgcdResult(_Frozen):
+    __slots__ = ("d", "strategy", "trace", "counters")
+
+    def __init__(
+        self, d: int, strategy: str, trace: ReductionTrace, counters: Counters
+    ):
+        _set_field(self, "d", d)
+        _set_field(self, "strategy", strategy)
+        _set_field(self, "trace", trace)
+        _set_field(self, "counters", counters)
 
 
 class VerifyResult(NamedTuple):

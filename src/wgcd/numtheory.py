@@ -18,7 +18,6 @@ import random
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Iterator
 
 TRIAL_DIVISION_LIMIT = 10_000
@@ -273,19 +272,70 @@ def rho_budget(iterations: int):
         _RHO_BUDGET.reset(token)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _Record:
+    """Base of the package's small record classes.  The `__slots__` of a
+    subclass are its fields, in declaration order; two records of the
+    same class are equal when their fields are."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._astuple()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+# object.__setattr__ under one global name: it sets a _Frozen field past
+# the refusing __setattr__, and saves an attribute lookup per field on
+# every WeightedTuple built
+_set_field = object.__setattr__
+
+
+class _Frozen(_Record):
+    """A record whose own code sets each field once through `_set_field`;
+    assigning or deleting a field afterwards raises
+    `dataclasses.FrozenInstanceError`.  It hashes as its field tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # kept off the import path
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default would restore each slot with the refused __setattr__
+        return type(self), self._astuple()
+
+
+class Factorization(_Frozen):
     """Multiset of (prime, exponent) pairs, ascending by prime.
 
     The empty factorization represents 1.
     """
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(
-            (operator.index(p), operator.index(e)) for p, e in self.entries
-        )
+    def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
+        entries = tuple((operator.index(p), operator.index(e)) for p, e in entries)
         for i, (p, e) in enumerate(entries):
             if p < 2 or not is_prime(p):
                 raise ValueError(f"factor {p} is not a prime")
@@ -293,13 +343,13 @@ class Factorization:
                 raise ValueError(f"exponent {e} of {p} must be positive")
             if i > 0 and entries[i - 1][0] >= p:
                 raise ValueError("entries must be strictly ascending by prime")
-        object.__setattr__(self, "entries", entries)
+        _set_field(self, "entries", entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Factorization":
         """Wrap entries `factor` has already proved valid, skipping the checks."""
         f = object.__new__(cls)
-        object.__setattr__(f, "entries", entries)
+        _set_field(f, "entries", entries)
         return f
 
     def value(self) -> int:

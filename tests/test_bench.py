@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-from dataclasses import asdict, fields
 
 import pytest
 
@@ -17,7 +16,7 @@ from wgcd.cli import main
 from wgcd.core import Counters, WeightedTuple, counting, wgcd_auto
 from wgcd.numtheory import gcd_many
 
-COUNTER_NAMES = [f.name for f in fields(Counters)]
+COUNTER_NAMES = list(Counters.__slots__)
 
 
 def counts(c: Counters) -> tuple[int, int, int]:
@@ -189,7 +188,7 @@ class TestReport:
                 assert result == {
                     "strategy": run.strategy,
                     "ns_median": run.ns_median,
-                    **asdict(run.counters),
+                    **run.counters._asdict(),
                     "d": str(run.d),
                 }
 
@@ -227,7 +226,7 @@ class TestCounterSchema:
             payload = json.loads(capsys.readouterr().out)
             assert list(payload["counters"]) == COUNTER_NAMES, command
         result = wgcd_auto(WeightedTuple((5760, 13824), (2, 3)))
-        assert list(asdict(result.counters)) == COUNTER_NAMES
+        assert list(result.counters._asdict()) == COUNTER_NAMES
         records = bench_run(small_specs(), repetitions=1)
         for entry in json.loads(bench_report(records, "json")):
             for result in entry["results"]:

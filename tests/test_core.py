@@ -1,10 +1,15 @@
+import copy
+import dataclasses
 import functools
 import inspect
 import math
+import pickle
 import random
+import subprocess
 import sys
 import threading
 import types
+from pathlib import Path
 
 import pytest
 import sympy
@@ -856,8 +861,95 @@ class TestDefaultBudgets:
 
 def test_all_lists_every_public_name():
     # a removed name must leave __all__, and a new one must join it
+    # dir, not vars: the bench and selftest names load on first access
     public = {
-        name for name, value in vars(wgcd).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        name for name in dir(wgcd)
+        if not name.startswith("_") and not inspect.ismodule(getattr(wgcd, name))
     }
     assert sorted(wgcd.__all__) == sorted(public)
+
+
+class TestRecords:
+    """The record classes keep the behaviour of the dataclasses they were."""
+
+    def records(self):
+        result = wgcd_auto(WORKED_TRIPLE)
+        return [WORKED_TRIPLE, result.trace, result, factor(360)]
+
+    def test_frozen_records_compare_hash_copy_and_pickle_by_fields(self):
+        for r in self.records():
+            for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+                assert twin == r and twin is not r
+            name = type(r).__slots__[0]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(r, name)
+        assert hash(WORKED_TRIPLE) == hash((WORKED_TRIPLE.values, WORKED_TRIPLE.weights))
+        assert repr(factor(12)) == "Factorization(entries=((2, 2), (3, 1)))"
+        assert WORKED_TRIPLE != (WORKED_TRIPLE.values, WORKED_TRIPLE.weights)
+
+    def test_counters_are_mutable_and_unhashable(self):
+        c = Counters(gcd_calls=2)
+        c.factor_calls += 1
+        assert c == Counters(1, 0, 2) != Counters()
+        assert c._asdict() == {"factor_calls": 1, "max_factored_bits": 0, "gcd_calls": 2}
+        assert repr(c) == "Counters(factor_calls=1, max_factored_bits=0, gcd_calls=2)"
+        with pytest.raises(TypeError):
+            hash(c)
+
+
+# Run in a fresh isolated interpreter; the last line printed lists the
+# modules the body loaded beyond those the interpreter started with, so
+# whatever `site` loads on a given host is never counted.
+_COLD_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+started = set(sys.modules)
+{body}
+print(" ".join(sorted(set(sys.modules) - started)))
+"""
+
+# not needed to answer one weighted gcd
+HEAVY_MODULES = {"dataclasses", "inspect", "statistics", "json", "csv"}
+
+
+def loaded_cold(body: str) -> set:
+    src = str(Path(wgcd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _COLD_PROBE.format(body=body), src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestColdImport:
+    def test_import_loads_core_and_numtheory_only(self):
+        loaded = loaded_cold(
+            "import wgcd\n"
+            "assert wgcd.weighted_gcd((70352, 5760, 13824), (2, 2, 3)) == 4"
+        )
+        assert {m for m in loaded if m.startswith("wgcd")} == {
+            "wgcd", "wgcd.core", "wgcd.numtheory",
+        }
+        assert not loaded & HEAVY_MODULES
+
+    def test_cli_compute_loads_no_harness(self):
+        loaded = loaded_cold(
+            "from wgcd.cli import main\n"
+            "assert main(['compute', '--weights', '2,3', '--values', '5760,13824',"
+            " '--json']) == 0"
+        )
+        assert "wgcd.cli" in loaded
+        assert not loaded & {"wgcd.bench", "wgcd.selftest", *HEAVY_MODULES - {"json"}}
+
+    def test_lazy_names_resolve(self):
+        loaded = loaded_cold(
+            "import wgcd\n"
+            "assert set(wgcd.__all__) <= set(dir(wgcd))\n"
+            "assert wgcd.gen_known.__module__ == 'wgcd.bench'\n"
+            "names = {}\n"
+            "exec('from wgcd import *', names)\n"
+            "assert all(names[n] is getattr(wgcd, n) for n in wgcd.__all__)"
+        )
+        assert {"wgcd.bench", "wgcd.selftest"} <= loaded

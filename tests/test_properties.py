@@ -4,10 +4,11 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd
+from helpers import SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd, time_limit
+from wgcd.bench import known_answer_tuple
 from wgcd.core import (
     STRATEGIES,
     WeightedTuple,
@@ -31,6 +32,43 @@ def tuples(draw, max_len=4, max_abs=400, max_weight=4):
     )
     weights = draw(st.lists(st.integers(1, max_weight), min_size=n, max_size=n))
     return WeightedTuple(tuple(values), tuple(weights))
+
+
+@st.composite
+def wide_known_answer_tuples(draw):
+    """A signed tuple of 64-128 coordinates with weights up to 10**9, and
+    its weighted gcd.  The coordinates weighted 1-64 form a known-answer
+    tuple for a drawn d.  Each coordinate weighted 2**12 or more is 0,
+    which constrains nothing, or d**k * c with k <= 64 and c < 2**32.
+    Such a value has under 2**12 bits, so no power d'**q with d' > 1
+    divides it, and any of them being nonzero makes the answer 1."""
+    n = draw(st.integers(64, 128))
+    heavy = 2**12
+    weights = draw(
+        st.lists(
+            st.one_of(st.integers(1, 64), st.integers(heavy, 10**9)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    light = [i for i, q in enumerate(weights) if q < heavy]
+    assume(light)
+    d = draw(st.integers(1, 2**32))
+    cofactors = draw(
+        st.lists(st.integers(1, 2**32), min_size=len(light), max_size=len(light))
+    )
+    cofactors[draw(st.integers(0, len(light) - 1))] = 1
+    part = known_answer_tuple(d, [weights[i] for i in light], cofactors)
+    values = [0] * n
+    for i, x in zip(light, part.values):
+        values[i] = x
+    for i, q in enumerate(weights):
+        if q >= heavy and draw(st.booleans()):
+            values[i] = d ** draw(st.integers(0, 64)) * draw(st.integers(1, 2**32))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    values = [sign * x for sign, x in zip(signs, values)]
+    answer = d if all(values[i] == 0 for i in range(n) if weights[i] >= heavy) else 1
+    return WeightedTuple(tuple(values), tuple(weights)), answer
 
 
 @settings(max_examples=250, deadline=None)
@@ -91,6 +129,23 @@ def assert_normalized_like_validated(t):
 @given(tuples())
 def test_normalize_output_equals_a_validated_tuple(t):
     assert_normalized_like_validated(t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(wide_known_answer_tuples())
+def test_wide_tuples_with_extreme_weights_stay_bounded(case):
+    # the gcd divides the unit coordinate d**q, so only primes of a d
+    # below 2**32 are factored, within rho's reach: no budget is hit and
+    # each call is exact
+    t, d = case
+    with time_limit(5):
+        normalized, got = normalize(t)
+        assert got == d
+        for x, y, q in zip(t.values, normalized.values, t.weights):
+            assert (x == y * d**q) if x else y == 0
+        assert verify_wgcd(t, d).ok
+        assert not verify_wgcd(t, d + 1).ok
+        assert verify_wgcd(normalized, 1).ok
 
 
 def test_normalize_output_equals_a_validated_tuple_on_a_root_miss():
