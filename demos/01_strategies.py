@@ -1,9 +1,9 @@
 """Every wgcd characterization as a strategy, cross-checked on one tuple.
 
 The weighted gcd of (x_0, ..., x_n) under weights (q_0, ..., q_n) is the
-largest d with d**q_i | x_i for every i.  Five independent routes compute
-it, plus the default `auto`, which is `gcd-factor`; they must always
-agree.
+largest d with d**q_i | x_i for every i.  Four independent routes compute
+it, plus the default `auto`, which factors at most gcd(x); they must
+always agree.
 """
 
 from wgcd import STRATEGIES, WeightedTuple, counting, wgcd_auto

@@ -28,8 +28,7 @@ from .core import Counters, WeightedTuple, _positive_weights, counting
 MODES = ("known-answer", "random", "adversarial-deficient")
 
 # The oracle is excluded by default: its scan bound is astronomical on
-# benchmark-scale inputs; pass it explicitly for small specs.  "gcd-factor"
-# is "auto" under another name.
+# benchmark-scale inputs; pass it explicitly for small specs.
 DEFAULT_STRATEGIES = ("auto", "full-factor", "lcm-power", "fold")
 
 _COFACTOR_PRIME_BITS = (18, 28)  # keeps the slow strategies desk-scale
@@ -273,7 +272,6 @@ def bench_run(
     specs: Sequence[GenSpec],
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     repetitions: int = 3,
-    seed: int = 0,
 ) -> list[BenchRecord]:
     """One record per spec: median wall time over `repetitions` and the
     counters of a single canonical run, per strategy.  Inside a caller's
@@ -297,11 +295,11 @@ def bench_run(
         for name in strategies:
             fn = core.STRATEGIES[name]
             with counting() as counters:
-                d = fn(t, seed)
+                d = fn(t)
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter_ns()
-                fn(t, seed)
+                fn(t)
                 times.append(time.perf_counter_ns() - t0)
             # a copy: inside a caller's block `counters` is the caller's,
             # still counting after this run

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification or selftest failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import (
@@ -52,36 +51,29 @@ def _tuple_from_args(args) -> WeightedTuple:
     return WeightedTuple(tuple(values), tuple(weights))
 
 
+def _print(args, obj, text: str) -> None:
+    # `obj` as one JSON line under --json, else `text`; json loads only here
+    if args.json:
+        import json
+
+        text = json.dumps(obj)
+    print(text)
+
+
 def _run_compute(args) -> int:
     t = _tuple_from_args(args)
     with counting() as counters:
-        d = STRATEGIES[args.strategy](t, args.seed)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": str(d),
-                    "strategy": args.strategy,
-                    "counters": counters._asdict(),
-                }
-            )
-        )
-    else:
-        print(d)
+        d = STRATEGIES[args.strategy](t)
+    obj = {"d": str(d), "strategy": args.strategy, "counters": counters._asdict()}
+    _print(args, obj, str(d))
     return 0
 
 
 def _run_normalize(args) -> int:
     t = _tuple_from_args(args)
-    normalized, d = normalize(t, args.seed)
-    if args.json:
-        print(
-            json.dumps(
-                {"values": [str(v) for v in normalized.values], "d": str(d)}
-            )
-        )
-    else:
-        print(f"{','.join(str(v) for v in normalized.values)} d={d}")
+    normalized, d = normalize(t)
+    values = [str(v) for v in normalized.values]
+    _print(args, {"values": values, "d": str(d)}, f"{','.join(values)} d={d}")
     return 0
 
 
@@ -92,68 +84,55 @@ def _run_verify(args) -> int:
         raise ValueError("claim must be a single integer")
     if claim < 1:
         raise ValueError("claim must be >= 1")
-    result = verify_wgcd(t, claim, args.seed)
-    if args.json:
-        print(json.dumps({"ok": result.ok, "reason": result.reason}))
-    else:
-        print("ok" if result.ok else result.reason)
+    result = verify_wgcd(t, claim)
+    obj = {"ok": result.ok, "reason": result.reason}
+    _print(args, obj, "ok" if result.ok else result.reason)
     return 0 if result.ok else 1
 
 
 def _run_explain(args) -> int:
     t = _tuple_from_args(args)
-    result = wgcd_auto(t, args.seed)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": str(result.d),
-                    "strategy": result.strategy,
-                    "steps": [
-                        {
-                            "rule": step.rule,
-                            "values": [str(v) for v in step.values],
-                            "weights": list(step.weights),
-                        }
-                        for step in result.trace.steps
-                    ],
-                    "counters": result.counters._asdict(),
-                }
-            )
-        )
-    else:
-        print(f"d={result.d} strategy={result.strategy}")
-        for step in result.trace.steps:
-            values = ",".join(str(v) for v in step.values)
-            weights = ",".join(str(q) for q in step.weights)
-            print(f"  {step.rule}: values={values} weights={weights}")
+    result = wgcd_auto(t)
+    steps = result.trace.steps
+    obj = {
+        "d": str(result.d),
+        "strategy": result.strategy,
+        "steps": [
+            {
+                "rule": step.rule,
+                "values": [str(v) for v in step.values],
+                "weights": list(step.weights),
+            }
+            for step in steps
+        ],
+        "counters": result.counters._asdict(),
+    }
+    lines = [f"d={result.d} strategy={result.strategy}"]
+    for step in steps:
+        values = ",".join(str(v) for v in step.values)
+        weights = ",".join(str(q) for q in step.weights)
+        lines.append(f"  {step.rule}: values={values} weights={weights}")
+    _print(args, obj, "\n".join(lines))
     return 0
 
 
 def _run_selftest(args) -> int:
     from .selftest import run_selftest  # imported here, as `bench` below
 
-    results = run_selftest(args.seed)
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {"case": r.label, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ]
-            )
-        )
-    else:
-        for r in results:
-            if r.passed:
-                print(f"PASS {r.label}")
-            else:
-                print(f"FAIL {r.label}: {r.detail}")
+    results = run_selftest()
+    obj = [{"case": r.label, "passed": r.passed, "detail": r.detail} for r in results]
+    lines = [
+        f"PASS {r.label}" if r.passed else f"FAIL {r.label}: {r.detail}"
+        for r in results
+    ]
+    _print(args, obj, "\n".join(lines))
     return 0 if all(r.passed for r in results) else 1
 
 
 def _run_bench(args) -> int:
     # imported here, so the other commands do not load the harness
+    import json
+
     from . import bench as bench_mod
 
     with open(args.spec, "rb") as fh:
@@ -167,7 +146,7 @@ def _run_bench(args) -> int:
         except ValueError as exc:
             raise ValueError(f"entry {i} of {args.spec}: {exc}") from None
     try:
-        records = bench_mod.bench_run(specs, repetitions=args.reps, seed=args.seed)
+        records = bench_mod.bench_run(specs, repetitions=args.reps)
     except bench_mod.StrategyDisagreement as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -203,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--strategy", choices=sorted(STRATEGIES), default="auto",
             )
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("compute", help="weighted gcd of a tuple")
     tuple_flags(p, with_strategy=True)
@@ -228,12 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the report here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_run_bench)
 
     p = sub.add_parser("selftest", help="run the embedded example corpus")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_run_selftest)
 
     return parser

@@ -179,14 +179,14 @@ def _gcd(xs) -> int:
     return math.gcd(*xs)
 
 
-def _factor(n: int, seed: int):
+def _factor(n: int):
     c = _COUNTERS.get()
     if c is not None:
         c.factor_calls += 1
         bits = n.bit_length()
         if bits > c.max_factored_bits:
             c.max_factored_bits = bits
-    return factor(n, seed)
+    return factor(n)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ ORACLE_SCAN_LIMIT = 10**6
 
 
 def wgcd_bruteforce(
-    t: WeightedTuple, seed: int = 0, *, max_scan: Optional[int] = ORACLE_SCAN_LIMIT
+    t: WeightedTuple, *, max_scan: Optional[int] = ORACLE_SCAN_LIMIT
 ) -> int:
     """Definition-level oracle: scan d downward from the root bound.
 
@@ -205,7 +205,6 @@ def wgcd_bruteforce(
     candidates examined, ORACLE_SCAN_LIMIT by default, and raises
     ValueError naming it when the bound is past it; None lifts the cap.
     """
-    del seed  # uniform strategy signature; the scan needs no randomness
     upper = min(iroot(abs(x), q) for x, q in t.pairs() if x)
     if max_scan is not None and upper - 1 > max_scan:
         raise ValueError(
@@ -218,10 +217,10 @@ def wgcd_bruteforce(
     return 1
 
 
-def wgcd_full_factorization(t: WeightedTuple, seed: int = 0) -> int:
+def wgcd_full_factorization(t: WeightedTuple) -> int:
     """Product formula over the factorization of every nonzero coordinate:
     each prime contributes min over coordinates of floor(valuation/weight)."""
-    factored = [(_factor(abs(x), seed), q) for x, q in t.pairs() if x]
+    factored = [(_factor(abs(x)), q) for x, q in t.pairs() if x]
     first, first_q = factored[0]
     exps = {p: e // first_q for p, e in first if e >= first_q}
     for f, q in factored[1:]:
@@ -238,7 +237,7 @@ def wgcd_full_factorization(t: WeightedTuple, seed: int = 0) -> int:
     return d
 
 
-def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
+def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     """Factor at most g = gcd of the values; this is the `auto` strategy.
     Any valid d divides every x_i (the weights are >= 1), hence d | g, so
     g's primes are the only candidates.
@@ -264,12 +263,13 @@ def wgcd_gcd_factorization(t: WeightedTuple, seed: int = 0) -> int:
     the root candidate's test is `_divide_out` itself, whose quotients
     `normalize` keeps on a hit.
     """
-    return _wgcd_route(t.values, t.weights, seed)[0]
+    return _wgcd_route(t.values, t.weights)[0]
 
 
-def _wgcd_route(values, weights, seed: int) -> tuple[int, Optional[list[int]]]:
+def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
     # wgcd_gcd_factorization on plain tuples (values not all zero, weights
-    # >= 1), which verify_wgcd runs on its residues without a WeightedTuple.
+    # >= 1), which verify_wgcd runs on its residues without a WeightedTuple;
+    # normalize and wgcd_auto read its quotients.
     # Returns (d, ys): ys are the quotients x_i // d**q_i when the root
     # candidate answered, and None for g = 1 or when d was factored.
     g = _gcd(values)
@@ -281,10 +281,10 @@ def _wgcd_route(values, weights, seed: int) -> tuple[int, Optional[list[int]]]:
     if ys is not None:
         return r, ys
     if g < _PRIME_BELOW:
-        primes = _factor(g, seed)
+        primes = _factor(g)
     else:
         pieces = coprime_base([g, *(_gcd((x // g, g)) for x in values if x)])
-        primes = [(p, valuation(p, g)) for b in pieces for p, _ in _factor(b, seed)]
+        primes = [(p, valuation(p, g)) for b in pieces for p, _ in _factor(b)]
     d = 1
     for p, e in primes:
         m = e // q_min
@@ -306,7 +306,7 @@ def _wgcd_route(values, weights, seed: int) -> tuple[int, Optional[list[int]]]:
 LCM_POWER_BITS = 1 << 16
 
 
-def wgcd_lcm_power(t: WeightedTuple, seed: int = 0) -> int:
+def wgcd_lcm_power(t: WeightedTuple) -> int:
     """With m = lcm of the weights, return the largest d with d**m dividing
     G = gcd over nonzero coordinates of |x_i| ** (m / q_i).
 
@@ -327,12 +327,12 @@ def wgcd_lcm_power(t: WeightedTuple, seed: int = 0) -> int:
     if g_pow == 1:
         return 1
     d = 1
-    for p, e in _factor(g_pow, seed):
+    for p, e in _factor(g_pow):
         d *= p ** (e // m)
     return d
 
 
-def wgcd_single(x: int, q: int, seed: int = 0) -> int:
+def wgcd_single(x: int, q: int) -> int:
     """Weighted gcd of a single coordinate: product of p ** floor(e/q)
     over the factorization of |x|."""
     if x == 0:
@@ -343,12 +343,12 @@ def wgcd_single(x: int, q: int, seed: int = 0) -> int:
     if q == 1:
         return a
     d = 1
-    for p, e in _factor(a, seed):
+    for p, e in _factor(a):
         d *= p ** (e // q)
     return d
 
 
-def fold_merge(d_acc: int, x: int, q: int, seed: int = 0) -> int:
+def fold_merge(d_acc: int, x: int, q: int) -> int:
     """Weighted gcd of the pair (d_acc, x) under weights (1, q).
 
     Only primes of d_acc survive: each contributes
@@ -365,27 +365,27 @@ def fold_merge(d_acc: int, x: int, q: int, seed: int = 0) -> int:
     if q == 1:
         return _gcd((d_acc, a))
     d = 1
-    for p, e in _factor(d_acc, seed):
+    for p, e in _factor(d_acc):
         d *= p ** min(e, valuation(p, a) // q)
     return d
 
 
-def wgcd_fold(t: WeightedTuple, seed: int = 0) -> int:
-    """Peel one coordinate at a time: fully factor a single seed coordinate,
-    then merge the rest pairwise under weights (1, q_i).
+def wgcd_fold(t: WeightedTuple) -> int:
+    """Peel one coordinate at a time: fully factor a single start
+    coordinate, then merge the rest pairwise under weights (1, q_i).
 
-    The seed coordinate is the nonzero one minimizing bit-length / weight,
+    The start coordinate is the nonzero one minimizing bit-length / weight,
     the cheapest full factorization on offer.
     """
     nonzero = [(i, abs(x)) for i, x in enumerate(t.values) if x]
     start, x0 = min(nonzero, key=lambda iv: iv[1].bit_length() / t.weights[iv[0]])
-    d = wgcd_single(x0, t.weights[start], seed)
+    d = wgcd_single(x0, t.weights[start])
     for i, (x, q) in enumerate(t.pairs()):
         if i == start:
             continue
         if d == 1:
             break
-        d = fold_merge(d, x, q, seed)
+        d = fold_merge(d, x, q)
     return d
 
 
@@ -435,7 +435,7 @@ def _step(rule: str, t: WeightedTuple) -> TraceStep:
     return TraceStep(rule, t.values, t.weights)
 
 
-def wgcd_auto(t: WeightedTuple, seed: int = 0) -> WgcdResult:
+def wgcd_auto(t: WeightedTuple) -> WgcdResult:
     """`auto` with the paper's reduction traced: absolute values, a stable
     sort by weight, then suffix gcds y_i = gcd(x_i, ..., x_n), a chain
     ending in y_0 = gcd(x), the most `auto` factors.  The trace lists each
@@ -457,11 +457,10 @@ def wgcd_auto(t: WeightedTuple, seed: int = 0) -> WgcdResult:
     if chain.values != cur.values:
         steps.append(_step("suffix-gcd", chain))
     with counting() as c:
-        d = wgcd_gcd_factorization(t, seed)
-    g = chain.values[0]
-    if g == 1:
+        d, ys = _wgcd_route(t.values, t.weights)
+    if chain.values[0] == 1:
         steps.append(_step("fastpath-one", chain))
-    elif d == iroot(g, min(compress(t.weights, t.values))):
+    elif ys is not None:
         steps.append(_step("fastpath-root", chain))
     return WgcdResult(d, "auto", ReductionTrace(tuple(steps)), c)
 
@@ -470,13 +469,12 @@ STRATEGIES = {
     "auto": wgcd_gcd_factorization,
     "oracle": wgcd_bruteforce,
     "full-factor": wgcd_full_factorization,
-    "gcd-factor": wgcd_gcd_factorization,
     "lcm-power": wgcd_lcm_power,
     "fold": wgcd_fold,
 }
 
 
-def weighted_gcd(values, weights, strategy: str = "auto", seed: int = 0) -> int:
+def weighted_gcd(values, weights, strategy: str = "auto") -> int:
     """Convenience entry point: the weighted gcd of `values` under
     `weights` using the named strategy."""
     t = WeightedTuple(tuple(values), weights)
@@ -486,7 +484,7 @@ def weighted_gcd(values, weights, strategy: str = "auto", seed: int = 0) -> int:
         raise ValueError(
             f"unknown strategy {strategy!r}, expected one of {sorted(STRATEGIES)}"
         ) from None
-    return fn(t, seed)
+    return fn(t)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +505,7 @@ def _divide_out(pairs, b: int) -> Optional[list[int]]:
     return out
 
 
-def normalize(t: WeightedTuple, seed: int = 0) -> tuple[WeightedTuple, int]:
+def normalize(t: WeightedTuple) -> tuple[WeightedTuple, int]:
     """Divide out the weighted gcd: x_i -> x_i / d**q_i, signs preserved.
 
     Returns the normalized tuple (whose weighted gcd is 1) and d.  The
@@ -515,7 +513,7 @@ def normalize(t: WeightedTuple, seed: int = 0) -> tuple[WeightedTuple, int]:
     the quotients its test computed are the output; on a miss, d is
     factored and then divided out.
     """
-    d, ys = _wgcd_route(t.values, t.weights, seed)
+    d, ys = _wgcd_route(t.values, t.weights)
     if d == 1:
         return t, 1
     if ys is None:
@@ -523,7 +521,7 @@ def normalize(t: WeightedTuple, seed: int = 0) -> tuple[WeightedTuple, int]:
     return WeightedTuple._trusted(tuple(ys), t.weights), d
 
 
-def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
+def verify_wgcd(t: WeightedTuple, d: int) -> VerifyResult:
     """Check that d is the weighted gcd of t.
 
     Divisibility: d**q_i | x_i for every i.  Maximality: once that holds,
@@ -536,6 +534,6 @@ def verify_wgcd(t: WeightedTuple, d: int, seed: int = 0) -> VerifyResult:
     residues = t.values if d == 1 else _divide_out(t.pairs(), d)
     if residues is None:
         return VerifyResult(False, "divisibility")
-    if _wgcd_route(residues, t.weights, seed)[0] > 1:
+    if _wgcd_route(residues, t.weights)[0] > 1:
         return VerifyResult(False, "maximality")
     return VerifyResult(True, None)

@@ -6,8 +6,9 @@ testing, and integer factorization.
 Factorization runs trial division below 10**4, as one gcd per decade of
 primes against the product of that decade, then perfect-power detection,
 then a primality test, then Pollard rho capped at RHO_BUDGET iterations.
-All functions are pure and safe to call concurrently; a cap set with
-`rho_budget` replaces RHO_BUDGET in the calling context only.
+All functions are deterministic, pure and safe to call concurrently; a
+cap set with `rho_budget` replaces RHO_BUDGET in the calling context
+only.
 """
 
 from __future__ import annotations
@@ -210,11 +211,11 @@ def _miller_rabin_round(n: int, d: int, s: int, a: int) -> bool:
     return False
 
 
-def is_prime(n: int, seed: int = 0) -> bool:
-    """Primality test: deterministic and exact for n < 2**64, Miller-Rabin
-    with 40 witnesses from the seeded generator beyond that.  Witnesses
-    are drawn one at a time, so a composite is usually rejected after the
-    first draw."""
+def is_prime(n: int) -> bool:
+    """Primality test: exact for n < 2**64, Miller-Rabin with 40
+    witnesses from a fixed-seed generator beyond that, so the answer for
+    a given n never changes.  Witnesses are drawn one at a time, so a
+    composite is usually rejected after the first draw."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -232,7 +233,10 @@ def is_prime(n: int, seed: int = 0) -> bool:
             if n < bound:
                 break
     else:
-        rng = random.Random(seed)
+        # This generator and rho's in `factor` are seeded with 0, always:
+        # the answers do not depend on the seed, and a fixed one makes every
+        # witness set, rho walk and iteration count a function of n alone.
+        rng = random.Random(0)
         witnesses = (rng.randrange(2, n - 1) for _ in range(_PROBABILISTIC_ROUNDS))
     return all(_miller_rabin_round(n, d, s, a) for a in witnesses)
 
@@ -435,8 +439,10 @@ def _perfect_power(v: int) -> tuple[int, int]:
     return v, 1
 
 
-def factor(n: int, seed: int = 0) -> Factorization:
-    """Prime factorization of n >= 1, deterministic for a given (n, seed).
+def factor(n: int) -> Factorization:
+    """Prime factorization of n >= 1.  Pollard rho draws its walks from a
+    fixed-seed generator, so the rho iterations a call runs depend on n
+    alone.
 
     Trial division by the primes below 10**4 takes one gcd per decade of
     them against the decade's product and divides out only the primes of
@@ -487,11 +493,11 @@ def factor(n: int, seed: int = 0) -> Factorization:
         if k > 1:
             pending.append((root, k * mult))
             continue
-        if is_prime(v, seed):
+        if is_prime(v):
             counts[v] = counts.get(v, 0) + mult
             continue
         if rng is None:
-            rng = random.Random(seed)
+            rng = random.Random(0)
         a, spent = _pollard_rho_brent(v, rng, budget, spent)
         rest, e = _strip(v // a, a)
         pending.append((a, (e + 1) * mult))

@@ -79,14 +79,14 @@ def _case_label(case: CorpusCase) -> str:
     return f"wgcd[{w}]({x}) = {case.expected}"
 
 
-def run_selftest(seed: int = 0) -> list[SelftestResult]:
+def run_selftest() -> list[SelftestResult]:
     """Run the corpus through every strategy plus the pinned reductions."""
     results = []
     for case in CORPUS:
         t = WeightedTuple(case.values, case.weights)
         mismatches = []
         for name in sorted(STRATEGIES):
-            d = STRATEGIES[name](t, seed)
+            d = STRATEGIES[name](t)
             if d != case.expected:
                 mismatches.append(f"{name} -> {d}")
         results.append(

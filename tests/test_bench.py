@@ -122,7 +122,7 @@ class TestBenchRun:
 
     def test_disagreement_aborts(self, monkeypatch):
         lying = dict(bench_mod.core.STRATEGIES)
-        lying["fold"] = lambda t, seed=0: 1_000_003
+        lying["fold"] = lambda t: 1_000_003
         monkeypatch.setattr(bench_mod.core, "STRATEGIES", lying)
         with pytest.raises(StrategyDisagreement) as exc:
             bench_run(small_specs()[:1], strategies=("auto", "fold"), repetitions=1)

@@ -10,6 +10,9 @@ from wgcd.cli import main
 from wgcd.selftest import CORPUS
 
 
+TUPLE_ARGS = ("--weights", "2,3", "--values", "5760,13824")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -39,8 +42,7 @@ class TestCompute:
     def test_every_strategy_agrees_on_corpus(self, capsys):
         for case in CORPUS:
             answers = set()
-            for strategy in ("auto", "oracle", "full-factor", "gcd-factor",
-                             "lcm-power", "fold"):
+            for strategy in ("auto", "oracle", "full-factor", "lcm-power", "fold"):
                 code, out, _ = run(
                     capsys,
                     "compute",
@@ -73,10 +75,12 @@ class TestCompute:
         assert code == 2 and err
 
     def test_unknown_strategy_rejected_by_parser(self, capsys):
-        code, _, err = run(
-            capsys, "compute", "--weights", "2", "--values", "4", "--strategy", "magic"
-        )
-        assert code == 2 and err
+        # "gcd-factor" was an alias of "auto" and is gone
+        for name in ("magic", "gcd-factor"):
+            code, _, err = run(
+                capsys, "compute", "--weights", "2", "--values", "4", "--strategy", name
+            )
+            assert code == 2 and err
 
     def test_oracle_scan_cap(self, capsys):
         code, _, err = run(
@@ -320,6 +324,22 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", *TUPLE_ARGS],
+            ["normalize", *TUPLE_ARGS],
+            ["verify", *TUPLE_ARGS, "--claim", "24"],
+            ["explain", *TUPLE_ARGS],
+            ["bench", "--spec", "specs.json"],
+            ["selftest"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_takes_a_seed(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert code == 2 and out == "" and "unrecognized arguments: --seed 1" in err
 
 
 class TestExplainComputeAgreement:

@@ -528,7 +528,7 @@ class TestAuto:
             post_init(obj)
 
         monkeypatch.setattr(WeightedTuple, "__post_init__", counted)
-        assert STRATEGIES["auto"](t, 0) == naive_wgcd(values, weights)
+        assert STRATEGIES["auto"](t) == naive_wgcd(values, weights)
         assert built == []
         assert weighted_gcd(values, weights) == naive_wgcd(values, weights)
         assert len(built) == 1
@@ -564,24 +564,19 @@ class TestAuto:
         assert result.d == 4
         assert not any(s.rule.startswith("fastpath-") for s in result.trace.steps)
 
-    def test_auto_is_gcd_factor(self):
-        assert STRATEGIES["auto"] is STRATEGIES["gcd-factor"]
-
     def test_equal_weights_semiprime_gcd_is_not_factored(self):
         # a 130-bit semiprime gcd that rho would need about 2**32
         # iterations to split: equal weights make it the answer as it is
         n = sympy.nextprime(2**64) * sympy.nextprime(2**65)
-        for strategy in ("auto", "gcd-factor"):
-            with time_limit(1), rho_budget(0), counting() as c:
-                assert weighted_gcd((n, 3 * n), (1, 1), strategy=strategy) == n
-            assert c.factor_calls == 0
+        with time_limit(1), rho_budget(0), counting() as c:
+            assert weighted_gcd((n, 3 * n), (1, 1)) == n
+        assert c.factor_calls == 0
 
     def test_strategy_registry(self):
         assert sorted(STRATEGIES) == [
             "auto",
             "fold",
             "full-factor",
-            "gcd-factor",
             "lcm-power",
             "oracle",
         ]
@@ -599,7 +594,6 @@ WORKED_COUNTS = {
     "auto": (0, 0, 1),
     "oracle": (0, 0, 0),
     "full-factor": (3, 17, 0),
-    "gcd-factor": (0, 0, 1),
     "lcm-power": (1, 13, 1),
     "fold": (3, 14, 0),
 }
@@ -613,7 +607,7 @@ class TestCounting:
     @pytest.mark.parametrize("strategy", sorted(WORKED_COUNTS))
     def test_exact_counts_on_worked_triple(self, strategy):
         with counting() as c:
-            assert STRATEGIES[strategy](WORKED_TRIPLE, 0) == 4
+            assert STRATEGIES[strategy](WORKED_TRIPLE) == 4
         assert counts(c) == WORKED_COUNTS[strategy]
 
     def test_nested_block_joins_the_outer(self):
@@ -628,7 +622,7 @@ class TestCounting:
 
     def test_strategies_run_outside_any_block(self):
         for fn in STRATEGIES.values():
-            assert fn(WORKED_TRIPLE, 0) == 4
+            assert fn(WORKED_TRIPLE) == 4
         with counting() as c:
             pass
         assert counts(c) == (0, 0, 0)
@@ -653,7 +647,7 @@ class TestCounting:
             # the split tuple: the error is the outcome to compare
             recorded.clear()
             try:
-                return STRATEGIES[strategy](t, 0), list(recorded)
+                return STRATEGIES[strategy](t), list(recorded)
             except ValueError as exc:
                 return str(exc), list(recorded)
 
@@ -676,7 +670,7 @@ class TestCounting:
     def test_threads_keep_separate_counts(self):
         # more threads than cores, switching often, every block open at once:
         # a probe shared between threads would mix or lose counts
-        names = ("fold", "gcd-factor", "lcm-power", "auto")
+        names = ("fold", "full-factor", "lcm-power", "auto")
         all_inside = threading.Barrier(len(names), timeout=10)
         seen = {}
 
@@ -684,7 +678,7 @@ class TestCounting:
             with counting() as c:
                 all_inside.wait()
                 for _ in range(reps):
-                    STRATEGIES[name](WORKED_TRIPLE, 0)
+                    STRATEGIES[name](WORKED_TRIPLE)
                 all_inside.wait()
             seen[name] = (c, reps)
 
@@ -806,7 +800,7 @@ class TestWideKnownAnswer:
     p, so without perfect-power detection the 64-bit spec ran for minutes."""
 
     @pytest.mark.parametrize("d_bits", [32, 48, 64])
-    @pytest.mark.parametrize("strategy", ["auto", "gcd-factor", "full-factor"])
+    @pytest.mark.parametrize("strategy", ["auto", "full-factor"])
     def test_known_d(self, d_bits, strategy):
         t, d = gen_known(GenSpec(1, 3, (2, 3, 5), d_bits, 256, "known-answer"))
         with time_limit(10), counting() as counters:
@@ -867,6 +861,17 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not inspect.ismodule(getattr(wgcd, name))
     }
     assert sorted(wgcd.__all__) == sorted(public)
+
+
+def test_no_public_callable_takes_a_seed():
+    # factoring always draws from seed 0; GenSpec's seed picks an input
+    checked = 0
+    for name in wgcd.__all__:
+        obj = getattr(wgcd, name)
+        if callable(obj) and name != "GenSpec":
+            assert "seed" not in inspect.signature(obj).parameters, name
+            checked += 1
+    assert checked > 20
 
 
 class TestRecords:
@@ -942,6 +947,13 @@ class TestColdImport:
         )
         assert "wgcd.cli" in loaded
         assert not loaded & {"wgcd.bench", "wgcd.selftest", *HEAVY_MODULES - {"json"}}
+        # plain output loads no json either
+        loaded = loaded_cold(
+            "from wgcd.cli import main\n"
+            "assert main(['compute', '--weights', '2,3', '--values', '5760,13824']) == 0"
+        )
+        assert "wgcd.cli" in loaded
+        assert not loaded & {"wgcd.bench", "wgcd.selftest", *HEAVY_MODULES}
 
     def test_lazy_names_resolve(self):
         loaded = loaded_cold(
