@@ -43,7 +43,6 @@ from .numtheory import (
     gcd_many,
     iroot,
     is_prime,
-    rho_budget,
     valuation,
 )
 # Names served on first use (PEP 562), so `import wgcd` loads only `core`
@@ -114,7 +113,6 @@ __all__ = [
     "known_answer_tuple",
     "normalize",
     "reduce_suffix_gcd",
-    "rho_budget",
     "run_selftest",
     "sort_by_weight",
     "valuation",

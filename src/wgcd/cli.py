@@ -82,8 +82,6 @@ def _run_verify(args) -> int:
     claim, *rest = _parse_int_list(args.claim, "claim", single=True)
     if rest:
         raise ValueError("claim must be a single integer")
-    if claim < 1:
-        raise ValueError("claim must be >= 1")
     result = verify_wgcd(t, claim)
     obj = {"ok": result.ok, "reason": result.reason}
     _print(args, obj, "ok" if result.ok else result.reason)

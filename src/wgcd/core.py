@@ -195,20 +195,18 @@ def _factor(n: int):
 ORACLE_SCAN_LIMIT = 10**6
 
 
-def wgcd_bruteforce(
-    t: WeightedTuple, *, max_scan: Optional[int] = ORACLE_SCAN_LIMIT
-) -> int:
+def wgcd_bruteforce(t: WeightedTuple) -> int:
     """Definition-level oracle: scan d downward from the root bound.
 
     The bound is min over nonzero coordinates of floor(|x_i| ** (1/q_i));
-    zero coordinates impose no constraint.  `max_scan` caps the number of
-    candidates examined, ORACLE_SCAN_LIMIT by default, and raises
-    ValueError naming it when the bound is past it; None lifts the cap.
+    zero coordinates impose no constraint.  A bound past ORACLE_SCAN_LIMIT
+    candidates raises ValueError naming the limit before any is examined.
     """
     upper = min(iroot(abs(x), q) for x, q in t.pairs() if x)
-    if max_scan is not None and upper - 1 > max_scan:
+    if upper - 1 > ORACLE_SCAN_LIMIT:
         raise ValueError(
-            f"oracle scan of {upper - 1} candidates exceeds the {max_scan} budget"
+            f"oracle scan of {upper - 1} candidates exceeds the"
+            f" {ORACLE_SCAN_LIMIT} budget"
         )
     constraints = [(abs(x), q) for x, q in t.pairs() if x]
     for d in range(upper, 1, -1):
@@ -335,6 +333,7 @@ def wgcd_lcm_power(t: WeightedTuple) -> int:
 def wgcd_single(x: int, q: int) -> int:
     """Weighted gcd of a single coordinate: product of p ** floor(e/q)
     over the factorization of |x|."""
+    x, q = operator.index(x), operator.index(q)
     if x == 0:
         raise ValueError("wgcd of a single zero coordinate is undefined")
     if q < 1:
@@ -355,6 +354,7 @@ def fold_merge(d_acc: int, x: int, q: int) -> int:
     min(valuation in d_acc, floor(valuation in x / q)).  x = 0 imposes no
     constraint and returns d_acc unchanged.
     """
+    d_acc, x, q = map(operator.index, (d_acc, x, q))
     if d_acc < 1:
         raise ValueError("accumulator must be >= 1")
     if q < 1:

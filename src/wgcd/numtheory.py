@@ -6,9 +6,9 @@ testing, and integer factorization.
 Factorization runs trial division below 10**4, as one gcd per decade of
 primes against the product of that decade, then perfect-power detection,
 then a primality test, then Pollard rho capped at RHO_BUDGET iterations.
-All functions are deterministic, pure and safe to call concurrently; a
-cap set with `rho_budget` replaces RHO_BUDGET in the calling context
-only.
+All functions are deterministic, pure and safe to call concurrently: they
+read no context, and the cap is the module constant at the time of the
+call.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import math
 import operator
 import random
 from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Iterator
 
 TRIAL_DIVISION_LIMIT = 10_000
@@ -258,23 +256,6 @@ class FactorBudgetExceeded(ArithmeticError):
 # primes would otherwise run for hours.
 RHO_BUDGET = 1 << 22
 
-# Unset outside every `rho_budget` block, where `factor` uses RHO_BUDGET.
-_RHO_BUDGET: ContextVar[int] = ContextVar("rho_budget")
-
-
-@contextmanager
-def rho_budget(iterations: int):
-    """Cap the Pollard rho iterations of each `factor` call in the block
-    at `iterations` in place of RHO_BUDGET; a call that would pass the
-    cap raises FactorBudgetExceeded."""
-    if iterations < 0:
-        raise ValueError("rho budget must be nonnegative")
-    token = _RHO_BUDGET.set(iterations)
-    try:
-        yield
-    finally:
-        _RHO_BUDGET.reset(token)
-
 
 class _Record:
     """Base of the package's small record classes.  The `__slots__` of a
@@ -454,13 +435,11 @@ def factor(n: int) -> Factorization:
     divides by repeated squares past the first few copies, so
     `factor(3**(10**5))` takes milliseconds rather than seconds.
 
-    The rho iterations of the whole call are capped at RHO_BUDGET, or at
-    the budget of the enclosing `rho_budget` block, and
+    The rho iterations of the whole call are capped at RHO_BUDGET, and
     FactorBudgetExceeded is raised past the cap.
     """
     if n < 1:
         raise ValueError("factor expects n >= 1")
-    budget = _RHO_BUDGET.get(RHO_BUDGET)
     counts: dict[int, int] = {}
     m = n
     for primes, product in _TRIAL_RANGES:
@@ -498,7 +477,7 @@ def factor(n: int) -> Factorization:
             continue
         if rng is None:
             rng = random.Random(0)
-        a, spent = _pollard_rho_brent(v, rng, budget, spent)
+        a, spent = _pollard_rho_brent(v, rng, RHO_BUDGET, spent)
         rest, e = _strip(v // a, a)
         pending.append((a, (e + 1) * mult))
         if rest > 1:

@@ -39,7 +39,7 @@ from wgcd.core import (
     wgcd_lcm_power,
     wgcd_single,
 )
-from wgcd.numtheory import FactorBudgetExceeded, factor, rho_budget
+from wgcd.numtheory import FactorBudgetExceeded, factor
 
 WORKED_TRIPLE = WeightedTuple((70352, 5760, 13824), (2, 2, 3))
 
@@ -105,10 +105,11 @@ class TestBruteforce:
     def test_zero_coordinate_unconstrained(self):
         assert wgcd_bruteforce(wt((0, 13824), (2, 3))) == 24
 
-    def test_scan_budget(self):
+    def test_scan_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "ORACLE_SCAN_LIMIT", 10**7)
         with pytest.raises(ValueError):
-            wgcd_bruteforce(wt((10**14,), (1,)), max_scan=10**7)
-        assert wgcd_bruteforce(wt((13824,), (3,)), max_scan=10**7) == 24
+            wgcd_bruteforce(wt((10**14,), (1,)))
+        assert wgcd_bruteforce(wt((13824,), (3,))) == 24
 
 
 class TestFullFactorization:
@@ -297,14 +298,15 @@ class TestRootAndSplit:
                     t, claim,
                 )
 
-    def test_split_reaches_no_rho(self):
+    def test_split_reaches_no_rho(self, monkeypatch):
         # the root misses the 143-bit g = p**2 * r1 * r2, and the coprime
         # pieces are p, r1 and r2, so rho never runs where factor(g) would
         # need it
         p, r1, r2 = SPLIT_PRIMES
         values = SPLIT_VALUES
         t = wt(values, SPLIT_WEIGHTS)
-        with time_limit(1), rho_budget(0):
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        with time_limit(1):
             with counting() as c:
                 assert weighted_gcd(values, t.weights) == p
             assert c.factor_calls == 3 and c.max_factored_bits == 42
@@ -312,17 +314,18 @@ class TestRootAndSplit:
             assert d == p and normalized.values[1] == r1 * r2
             assert verify_wgcd(t, p) == (True, None)
             assert verify_wgcd(t, 1) == (False, "maximality")
-        with rho_budget(0), pytest.raises(FactorBudgetExceeded):
+        with pytest.raises(FactorBudgetExceeded):
             factor(math.gcd(*values))  # g whole does need rho
 
-    def test_equal_weights_split_reaches_no_rho(self):
+    def test_equal_weights_split_reaches_no_rho(self, monkeypatch):
         # the same 143-bit g = p**2 * r1 * r2 under equal weights: the
         # bound floor(2 / 2) = 1 answers p, and the pieces p**2, r1 and r2
         # need no rho
         p, r1, r2 = SPLIT_PRIMES
         g = p**2 * r1 * r2
         t = wt((g * r1, g * r2, g), (2, 2, 2))
-        with time_limit(1), rho_budget(0):
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        with time_limit(1):
             with counting() as c:
                 assert weighted_gcd(t.values, t.weights) == p
             assert c.max_factored_bits <= 61
@@ -382,6 +385,9 @@ class TestSingleAndFold:
         assert wgcd_single(-7, 1) == 7
         with pytest.raises(ValueError):
             wgcd_single(0, 2)
+        for x, q in ((72, 2.0), (72.0, 2), ("72", 2), (72, "2")):
+            with pytest.raises(TypeError):
+                wgcd_single(x, q)
 
     def test_fold_merge_examples(self):
         assert fold_merge(24, 70352, 2) == 4
@@ -389,6 +395,9 @@ class TestSingleAndFold:
         assert fold_merge(24, 0, 5) == 24
         with pytest.raises(ValueError):
             fold_merge(0, 99, 3)
+        for args in ((6, 72, 2.0), (6, 72.0, 2), (6.0, 72, 2), (6, "72", 2)):
+            with pytest.raises(TypeError):
+                fold_merge(*args)
 
     def test_fold_strategy(self):
         assert wgcd_fold(WORKED_TRIPLE) == 4
@@ -564,11 +573,12 @@ class TestAuto:
         assert result.d == 4
         assert not any(s.rule.startswith("fastpath-") for s in result.trace.steps)
 
-    def test_equal_weights_semiprime_gcd_is_not_factored(self):
+    def test_equal_weights_semiprime_gcd_is_not_factored(self, monkeypatch):
         # a 130-bit semiprime gcd that rho would need about 2**32
         # iterations to split: equal weights make it the answer as it is
         n = sympy.nextprime(2**64) * sympy.nextprime(2**65)
-        with time_limit(1), rho_budget(0), counting() as c:
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        with time_limit(1), counting() as c:
             assert weighted_gcd((n, 3 * n), (1, 1)) == n
         assert c.factor_calls == 0
 
@@ -580,6 +590,9 @@ class TestAuto:
             "lcm-power",
             "oracle",
         ]
+        # every strategy is fn(t): nothing else can be passed
+        for fn in STRATEGIES.values():
+            assert len(inspect.signature(fn).parameters) == 1, fn
 
     def test_weighted_gcd_convenience(self):
         assert weighted_gcd((70352, 5760, 13824), (2, 2, 3)) == 4
@@ -657,9 +670,10 @@ class TestCounting:
         assert counted == uncounted
         assert c.gcd_calls == len(counted[1])
 
-    def test_block_left_by_budget_error_is_closed(self):
+    def test_block_left_by_budget_error_is_closed(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 20000)
         with pytest.raises(FactorBudgetExceeded):
-            with rho_budget(20000), counting() as c:
+            with counting() as c:
                 wgcd_auto(UNSPLIT_TUPLE)
         assert c.factor_calls == 1
         with counting() as fresh:
@@ -809,11 +823,12 @@ class TestWideKnownAnswer:
             # the gcd is d**2, and its root candidate d is the answer
             assert counters.factor_calls == 0
 
-    def test_hard_128_bit_d_hits_the_budget(self):
+    def test_hard_128_bit_d_hits_the_budget(self, monkeypatch):
         # a 128-bit gcd that neither the root candidate nor the coprime
         # split answers: rho would need about 2**32 iterations, so a budget
         # stops it instead
-        with time_limit(10), rho_budget(20_000), pytest.raises(FactorBudgetExceeded):
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 20_000)
+        with time_limit(10), pytest.raises(FactorBudgetExceeded):
             wgcd_auto(UNSPLIT_TUPLE)
 
 
@@ -826,7 +841,7 @@ BOUNDED_CALLS = {
 
 
 class TestDefaultBudgets:
-    """Library calls are bounded with no `rho_budget` block opened."""
+    """Library calls are bounded by the module constants alone."""
 
     def test_hard_semiprime_hits_the_default_rho_budget(self):
         # n is 130 bits and rho would need about 2**32 iterations to split
@@ -845,7 +860,6 @@ class TestDefaultBudgets:
     def test_oracle_scan_is_capped(self):
         with time_limit(1), pytest.raises(ValueError, match="the 1000000 budget"):
             weighted_gcd((10**40 + 1,) * 3, (1, 1, 2), strategy="oracle")
-        assert wgcd_bruteforce(wt((5760, 13824), (2, 3)), max_scan=None) == 24
 
     def test_oracle_refuses_a_ten_second_scan(self):
         # about 10**7 candidates, a scan of over 10 s, past the default cap

@@ -25,7 +25,6 @@ from wgcd.numtheory import (
     iroot,
     is_prime,
     _strip,
-    rho_budget,
     valuation,
 )
 
@@ -325,14 +324,13 @@ class TestFactor:
             assert dict(factor(n).entries) == sympy.factorint(n)
 
 
-def factor_or_budget(factorize, n: int, budget: int):
-    """What `factorize(n)` gives inside `rho_budget(budget)`: its entries, or
-    the cofactor on which rho ran out of iterations."""
-    with rho_budget(budget):
-        try:
-            return factorize(n)
-        except FactorBudgetExceeded as exc:
-            return ("budget", exc.n)
+def factor_or_budget(factorize, n: int):
+    """What `factorize(n)` gives: its entries, or the cofactor on which rho
+    ran out of iterations."""
+    try:
+        return factorize(n)
+    except FactorBudgetExceeded as exc:
+        return ("budget", exc.n)
 
 
 class TestTrialDivision:
@@ -372,7 +370,7 @@ class TestTrialDivision:
             # what `_trusted` accepted passes the checked constructor too
             assert Factorization(f.entries) == f
 
-    def test_same_result_as_the_per_prime_scan(self):
+    def test_same_result_as_the_per_prime_scan(self, monkeypatch):
         # the scan's exponents below 10**4 plus the factorization of the
         # cofactor it leaves are what factor gave before trial division
         # took one gcd per decade.  A zero rho budget keeps random 200-bit
@@ -404,10 +402,9 @@ class TestTrialDivision:
             return factor(n).entries
 
         for corpus, budget in ((random_numbers, 0), (prime_power_gcds, 1 << 16)):
+            monkeypatch.setattr(numtheory, "RHO_BUDGET", budget)
             for n in corpus:
-                assert factor_or_budget(entries, n, budget) == factor_or_budget(
-                    reference, n, budget
-                ), n
+                assert factor_or_budget(entries, n) == factor_or_budget(reference, n), n
 
 
 # 40- to 64-bit primes: rho would need about sqrt(p) >= 2**20 iterations
@@ -470,51 +467,40 @@ class TestLargePrimePowers:
 class TestRhoBudget:
     SEMIPRIME = sympy.nextprime(2**63 + 12345) * sympy.prevprime(2**64)
 
-    def test_tiny_budget_raises(self):
-        with time_limit(10), rho_budget(1000):
+    def test_tiny_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 1000)
+        with time_limit(10):
             with pytest.raises(FactorBudgetExceeded, match="budget of 1000 ") as exc:
                 factor(self.SEMIPRIME)
         assert exc.value.budget == 1000 and exc.value.n == self.SEMIPRIME
 
-    def test_budget_spans_the_whole_call(self):
+    def test_budget_spans_the_whole_call(self, monkeypatch):
         # with seed 0 the two rho splits of this 76-bit product take about
         # 12.4k and 12.7k iterations: 20k covers either alone, not both
         n = sympy.nextprime(2**24) * sympy.nextprime(2**25) * sympy.nextprime(2**26)
-        with rho_budget(30_000):
-            assert factor(n).value() == n
-        with rho_budget(20_000):
-            with pytest.raises(FactorBudgetExceeded, match="budget of 20000 iterations on a 52-bit"):
-                factor(n)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 30_000)
+        assert factor(n).value() == n
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 20_000)
+        with pytest.raises(FactorBudgetExceeded, match="budget of 20000 iterations on a 52-bit"):
+            factor(n)
 
-    def test_block_overrides_the_default(self, monkeypatch):
-        # the 76-bit product above: about 25.1k iterations in all
+    def test_budget_is_read_at_call_time(self, monkeypatch):
+        # the 76-bit product above: about 25.1k iterations in all; each
+        # call reads RHO_BUDGET as it is then, smaller or larger
         n = sympy.nextprime(2**24) * sympy.nextprime(2**25) * sympy.nextprime(2**26)
         monkeypatch.setattr(numtheory, "RHO_BUDGET", 20_000)
         with pytest.raises(FactorBudgetExceeded, match="budget of 20000 "):
             factor(n)
-        with rho_budget(30_000):
-            assert factor(n).value() == n
-        with rho_budget(1000):
-            with pytest.raises(FactorBudgetExceeded, match="budget of 1000 "):
-                factor(n)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 30_000)
+        assert factor(n).value() == n
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 1000)
+        with pytest.raises(FactorBudgetExceeded, match="budget of 1000 "):
+            factor(n)
 
-    def test_within_budget_unchanged(self):
+    def test_within_budget_unchanged(self, monkeypatch):
         n = 10007 * 10009 * 2**70
-        with rho_budget(10_000):
-            f = factor(n)
+        f = factor(n)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 10_000)
         assert f == factor(n)
-        with rho_budget(0):
-            assert factor(13824).entries == ((2, 9), (3, 3))
-
-    def test_budget_is_scoped_to_the_block(self):
-        with rho_budget(0):
-            with rho_budget(10_000):
-                assert factor(10007 * 10009).entries == ((10007, 1), (10009, 1))
-            with pytest.raises(FactorBudgetExceeded):
-                factor(10007 * 10009)
-        assert factor(10007 * 10009).entries == ((10007, 1), (10009, 1))
-
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ValueError):
-            with rho_budget(-1):
-                pass
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        assert factor(13824).entries == ((2, 9), (3, 3))
