@@ -153,8 +153,7 @@ def _run_bench(args) -> int:
         with open(args.out, "wb") as fh:
             fh.write(blob)
     else:
-        sys.stdout.buffer.write(blob)
-        sys.stdout.buffer.write(b"\n")
+        print(blob.decode())
     return 0
 
 

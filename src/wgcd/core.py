@@ -8,7 +8,7 @@ strategies, plus normalization and verification.  The default route,
 `auto`, factors at most g = gcd(x), the same way for every weight
 vector: it first tries the root candidate iroot(g, min q), which often
 answers with nothing factored, and splits a big g into coprime pieces
-before factoring.
+with exact exponents, which decide most pieces' shares of d unfactored.
 `verify_wgcd` runs the same route on the residues x_i / d**q_i.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  A `with counting() as c:` block
@@ -26,9 +26,15 @@ from typing import NamedTuple, Optional
 
 from .numtheory import (
     _PRIME_BELOW,
+    SECOND_TIER_LIMIT,
+    TRIAL_DIVISION_LIMIT,
+    _exact_pieces,
     _Frozen,
+    _perfect_power,
     _Record,
+    _second_tier_product,
     _set_field,
+    _trial_division,
     coprime_base,
     factor,
     iroot,
@@ -244,15 +250,25 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     root candidate r = iroot(g, q).  So g = 1 gives 1, and r is the answer
     when every r**q_i | x_i, with nothing factored.  Otherwise g's primes
     come from `factor(g)` when g < 10**8, where trial division finishes
-    it, and else from factoring each piece of the coprime base of g and
-    the gcd(x_i / g, g).  The pieces divide g and keep apart primes whose
-    exponents differ across the coordinates, so such primes need no
-    Pollard rho to be told apart.
+    it.  A bigger g is split into the coprime base of g and the
+    gcd(x_i / g, g), and trial division takes its primes below 10**4.
+    What is left of each piece is refined against the nonzero x_i until
+    its exponents are exact (factor refinement): x_i = c**e_i * u_i with
+    gcd(u_i, c) = 1, so a prime with k copies in the piece c contributes
+    p**f(k), where f(k) = min over i of floor(k e_i / q_i).  A perfect
+    power c = r**k stands for r.  Since every prime of c exceeds L = 10**4,
+    a prime of c with k >= 2 copies leaves a cofactor above L, so
+    L**(k+1) < c; when f(k) = k f(1) for each such k, c contributes
+    c**f(1), and 1 when f(1) = 0.  An undecided c below 10**20 takes one
+    gcd with the product of the primes in (10**4, 10**5): a gcd h > 1
+    splits c into square-free divisors of h and pieces whose primes
+    exceed 10**5, and a gcd of 1 gives the size test L = 10**5.  Only a
+    piece still undecided is factored, where a square could matter.
 
-    The exponent of each prime p of g is min over nonzero x_i of
-    floor(valuation(p, x_i) / q_i), found with a running bound m that
-    starts at floor(e / q) for p's exponent e in g: some x_i has
-    valuation e and q_i >= q.  A prime with m = 0 is skipped.  A
+    The exponent in d of each prime p of g below 10**4, or of g < 10**8,
+    is min over nonzero x_i of floor(valuation(p, x_i) / q_i), found with
+    a running bound m that starts at floor(e / q) for p's exponent e in
+    g: some x_i has valuation e and q_i >= q.  A prime with m = 0 is skipped.  A
     coordinate costs one `x_i % p**(q_i m)`; only a nonzero remainder
     lowers m, by a valuation unless m = 1, and the scan stops at m = 0.
     Under equal weights the bound is already the answer, so every
@@ -280,10 +296,9 @@ def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
         return r, ys
     if g < _PRIME_BELOW:
         primes = _factor(g)
+        d = 1
     else:
-        pieces = coprime_base([g, *(_gcd((x // g, g)) for x in values if x)])
-        primes = [(p, valuation(p, g)) for b in pieces for p, _ in _factor(b)]
-    d = 1
+        primes, d = _split_share(g, values, weights)
     for p, e in primes:
         m = e // q_min
         if not m:
@@ -296,6 +311,76 @@ def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
                     break
         d *= p**m
     return d, None
+
+
+# Undecided pieces below this take one gcd with the second tier's product;
+# past it the gcd costs as much and bounds fewer multiplicities.
+_SECOND_TIER_BELOW = 10**20
+
+
+def _split_share(g: int, values, weights) -> tuple:
+    # _wgcd_route's miss on g >= 10**8: g's primes below 10**4 with their
+    # exponents in g, for the route's running minimum, and the share of d
+    # of the rest of g, worked out piece by piece from exact exponents
+    pieces = coprime_base([g, *(_gcd((x // g, g)) for x in values if x)])
+    small: dict[int, int] = {}
+    rest = _trial_division(g, small)
+    d = 1
+    if rest == 1:
+        return small.items(), d
+    if rest < g:  # each small prime of g sits in one of the coprime pieces
+        smooth = g // rest
+        pieces = [b // _gcd((b, smooth)) for b in pieces]
+    xs = [abs(x) for x in values if x]
+    qs = list(compress(weights, values))
+    todo = [(c, es, TRIAL_DIVISION_LIMIT) for c, es in _exact_pieces(pieces, xs)]
+    while todo:
+        # every prime of the exact piece c exceeds low
+        c, es, low = todo.pop()
+        root, k = _perfect_power(c)
+        if k > 1:
+            todo.append((root, [k * e for e in es], low))
+            continue
+        share = _size_share(c, es, qs, low)
+        if share is None and low == TRIAL_DIVISION_LIMIT and c < _SECOND_TIER_BELOW:
+            h = _gcd((c, _second_tier_product()))
+            if h > 1:
+                for b, bes in _exact_pieces([c, h], xs):
+                    if h % b:  # b is coprime to h: its primes exceed 10**5
+                        todo.append((b, bes, SECOND_TIER_LIMIT))
+                    else:  # b divides h, which is square-free
+                        d *= b ** _share_exponent(1, bes, qs)
+                continue
+            share = _size_share(c, es, qs, SECOND_TIER_LIMIT)
+        if share is None:
+            share = 1
+            for p, k in _factor(c):
+                share *= p ** _share_exponent(k, es, qs)
+        d *= share
+    return small.items(), d
+
+
+def _share_exponent(k: int, es, qs) -> int:
+    # f(k): the exponent in d of a prime with k copies in an exact piece
+    # whose exponents in the nonzero coordinates are es
+    return min(k * e // q for e, q in zip(es, qs))
+
+
+def _size_share(c: int, es, qs, low: int) -> Optional[int]:
+    # c**f(1) when the size of c proves that every prime of c, with its k
+    # copies, contributes p**(k * f(1)), else None.  c is an exact piece, no
+    # perfect power, whose primes all exceed low: so a prime with k >= 2
+    # copies leaves a cofactor above low, and low**(k+1) < c.  The pieces
+    # with f(k) = 0 up to the largest such k contribute 1; a prime c, or a
+    # c below low**3, is square-free.
+    f1 = _share_exponent(1, es, qs)
+    k, power = 2, low**3
+    while power < c:
+        if _share_exponent(k, es, qs) != k * f1:
+            return None
+        k += 1
+        power *= low
+    return c**f1
 
 
 # Largest power |x_i| ** (m / q_i) that lcm-power builds, in bits.  Building

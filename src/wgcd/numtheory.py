@@ -1,11 +1,15 @@
 """Arbitrary-precision integer primitives.
 
 Everything the weighted-gcd strategies stand on: gcd folds, floor roots,
-p-adic valuations, factor refinement into a coprime base, primality
-testing, and integer factorization.
+p-adic valuations, factor refinement into a coprime base and into pieces
+with exact exponents, primality testing, and integer factorization.
 Factorization runs trial division below 10**4, as one gcd per decade of
 primes against the product of that decade, then perfect-power detection,
 then a primality test, then Pollard rho capped at RHO_BUDGET iterations.
+A second tier, the product of the primes in (10**4, 10**5), is built on
+first use, never at import; the `auto` route takes one gcd with it to
+prove a piece below 10**20 free of those primes, which bounds the
+multiplicity of its primes by its size, or to split off the ones it has.
 All functions are deterministic, pure and safe to call concurrently: they
 read no context, and the cap is the module constant at the time of the
 call.
@@ -13,6 +17,7 @@ call.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -48,6 +53,17 @@ _TRIAL_RANGES = tuple(
         for lo, hi in ((2, 10), (10, 100), (100, 1000), (1000, TRIAL_DIVISION_LIMIT))
     )
 )
+
+# The second tier: the primes in (10**4, 10**5).  Their product has
+# 129,539 bits and takes tens of milliseconds to build, so it is built on
+# the first call that needs it.
+SECOND_TIER_LIMIT = 10**5
+
+
+@functools.cache
+def _second_tier_product() -> int:
+    return math.prod(_primes_below(SECOND_TIER_LIMIT)[len(_SMALL_PRIMES) :])
+
 
 # Deterministic Miller-Rabin witness sets, tiered by magnitude.  Each set is
 # exact for every n below its bound; the last tier covers all n < 2**64.
@@ -196,6 +212,34 @@ def coprime_base(xs) -> list[int]:
         else:
             base.append(a)
     return base
+
+
+def _exact_pieces(xs, ys) -> list[tuple[int, list[int]]]:
+    """Factor refinement of xs until the pieces are exact in ys: pairwise
+    coprime c > 1, each with its exponents e_j, such that every x > 1 in
+    xs is a product of powers of them and each y_j = c**e_j * u_j with
+    gcd(u_j, c) = 1.  Then a prime with k copies in c has k * e_j copies
+    in y_j.  The ys must be positive.
+
+    Starts from `coprime_base(xs)`; a piece c that leaves 1 < gcd(u_j, c)
+    is split by `coprime_base([c, gcd(u_j, c)])` into smaller pieces,
+    which are refined in turn.
+    """
+    out = []
+    todo = coprime_base(xs)
+    while todo:
+        c = todo.pop()
+        es = []
+        for y in ys:
+            u, e = _strip(y, c)
+            h = math.gcd(u, c)
+            if h > 1:
+                todo += coprime_base([c, h])
+                break
+            es.append(e)
+        else:
+            out.append((c, es))
+    return out
 
 
 def _miller_rabin_round(n: int, d: int, s: int, a: int) -> bool:
@@ -349,9 +393,6 @@ class Factorization(_Frozen):
                 return e
         return 0
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.entries)
 
@@ -420,28 +461,16 @@ def _perfect_power(v: int) -> tuple[int, int]:
     return v, 1
 
 
-def factor(n: int) -> Factorization:
-    """Prime factorization of n >= 1.  Pollard rho draws its walks from a
-    fixed-seed generator, so the rho iterations a call runs depend on n
-    alone.
+def _trial_division(m: int, counts: dict[int, int]) -> int:
+    """Move the primes below 10**4 of m >= 1 into counts, as prime:
+    exponent, and return what is left of m: 1, or a number of at least
+    10**8 whose primes all exceed 10**4.  A rest below 10**8 is one prime
+    and goes into counts too.
 
-    Trial division by the primes below 10**4 takes one gcd per decade of
-    them against the decade's product and divides out only the primes of
-    that gcd; it stops at the first decade whose smallest prime squared
-    exceeds the cofactor.  Then, on each remaining cofactor, perfect-power
-    detection, a primality test, and Pollard rho with Brent cycle
-    detection.  Every copy of a prime found by trial division, and of a
-    divisor rho splits off, is stripped at once by `_strip`, which
-    divides by repeated squares past the first few copies, so
-    `factor(3**(10**5))` takes milliseconds rather than seconds.
-
-    The rho iterations of the whole call are capped at RHO_BUDGET, and
-    FactorBudgetExceeded is raised past the cap.
+    Takes one gcd per decade of the primes against the decade's product
+    and divides out only the primes of that gcd; it stops at the first
+    decade whose smallest prime squared exceeds the cofactor.
     """
-    if n < 1:
-        raise ValueError("factor expects n >= 1")
-    counts: dict[int, int] = {}
-    m = n
     for primes, product in _TRIAL_RANGES:
         if primes[0] * primes[0] > m:
             break
@@ -460,6 +489,32 @@ def factor(n: int) -> Factorization:
             counts[p] = e + 1
             if g == 1:
                 break
+    if 1 < m < _PRIME_BELOW:
+        counts[m] = 1
+        m = 1
+    return m
+
+
+def factor(n: int) -> Factorization:
+    """Prime factorization of n >= 1.  Pollard rho draws its walks from a
+    fixed-seed generator, so the rho iterations a call runs depend on n
+    alone.
+
+    First `_trial_division` by the primes below 10**4.  Then, on each
+    remaining cofactor, perfect-power detection, a primality test, and
+    Pollard rho with Brent cycle detection.  Every copy of a prime found
+    by trial division, and of a divisor rho splits off, is stripped at
+    once by `_strip`, which divides by repeated squares past the first
+    few copies, so `factor(3**(10**5))` takes milliseconds rather than
+    seconds.
+
+    The rho iterations of the whole call are capped at RHO_BUDGET, and
+    FactorBudgetExceeded is raised past the cap.
+    """
+    if n < 1:
+        raise ValueError("factor expects n >= 1")
+    counts: dict[int, int] = {}
+    m = _trial_division(n, counts)
     rng = None
     spent = 0
     pending = [(m, 1)] if m > 1 else []

@@ -76,13 +76,14 @@ class TestBenchRun:
         specs = [small_specs()[i] for i in (0, 2, 3)]
         # strategy -> (d, factor_calls, max_factored_bits, gcd_calls); auto's
         # root candidate answers the known-answer spec unfactored, and the
-        # adversarial gcd splits into two coprime pieces before factoring
+        # adversarial gcd splits into two coprime pieces whose exact
+        # exponents decide their shares unfactored
         golden = [
             {"auto": (36, 0, 0, 1), "full-factor": (36, 2, 21, 0),
              "lcm-power": (36, 1, 32, 1), "fold": (36, 2, 11, 0)},
             {"auto": (1, 0, 0, 1), "full-factor": (1, 2, 8, 0),
              "lcm-power": (1, 0, 0, 1), "fold": (1, 1, 7, 0)},
-            {"auto": (19, 2, 40, 3), "full-factor": (19, 2, 53, 0),
+            {"auto": (19, 0, 0, 5), "full-factor": (19, 2, 53, 0),
              "lcm-power": (19, 1, 105, 1), "fold": (19, 2, 53, 0)},
         ]
         records = bench_run(specs, repetitions=2)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import sys
 
@@ -262,6 +264,20 @@ class TestBench:
         payload = json.loads(out)
         assert len(payload) == 2
         assert all(entry["agreement"] for entry in payload)
+
+    def test_report_to_a_text_only_stdout(self, tmp_path):
+        # an in-process caller may hand main a stdout with no byte buffer
+        spec = self.spec_file(tmp_path, self.small_specs())
+        for format in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["bench", "--spec", spec, "--reps", "1", "--format", format]) == 0
+            if format == "json":
+                assert len(json.loads(out.getvalue())) == 2
+            else:
+                lines = out.getvalue().strip().splitlines()
+                assert lines[0].startswith("seed,n,weights")
+                assert len(lines) == 1 + 2 * len(DEFAULT_STRATEGIES)
 
     def test_csv_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"

@@ -257,10 +257,19 @@ class TestRootAndSplit:
     def test_route_matches_full_factor_and_sympy(self, splits):
         hits = []  # whether the root answered, for each gcd > 1
         for t in seeded_corpus():
+            g = math.gcd(*t.values)
+            seen = len(splits)
             with counting() as c:
                 d = wgcd_gcd_factorization(t)
-            if math.gcd(*t.values) > 1:
-                hits.append(c.factor_calls == 0)
+            if g > 1:
+                q = min(q for x, q in t.pairs() if x)
+                r = sympy.integer_nthroot(g, q)[0]
+                hits.append(all(x % r**q_i == 0 for x, q_i in t.pairs()))
+                # one split per miss on g >= 10**8, with g first; a hit
+                # factors nothing
+                split = not hits[-1] and g >= 10**8
+                assert [xs0 for xs0, _ in splits[seen:]] == ([g] if split else []), t
+                assert not hits[-1] or c.factor_calls == 0, t
             assert d == wgcd_full_factorization(t), t
             assert d == TestGcdFactorization.reference(t.values, t.weights), t
         # every path ran: root hits, root misses, and the split
@@ -301,7 +310,8 @@ class TestRootAndSplit:
     def test_split_reaches_no_rho(self, monkeypatch):
         # the root misses the 143-bit g = p**2 * r1 * r2, and the coprime
         # pieces are p, r1 and r2, so rho never runs where factor(g) would
-        # need it
+        # need it; each piece is prime and below 10**12 = (10**4)**3, so it
+        # is square-free and factors nothing
         p, r1, r2 = SPLIT_PRIMES
         values = SPLIT_VALUES
         t = wt(values, SPLIT_WEIGHTS)
@@ -309,7 +319,7 @@ class TestRootAndSplit:
         with time_limit(1):
             with counting() as c:
                 assert weighted_gcd(values, t.weights) == p
-            assert c.factor_calls == 3 and c.max_factored_bits == 42
+            assert c.factor_calls == 0 and c.max_factored_bits == 0
             normalized, d = normalize(t)
             assert d == p and normalized.values[1] == r1 * r2
             assert verify_wgcd(t, p) == (True, None)
@@ -319,8 +329,9 @@ class TestRootAndSplit:
 
     def test_equal_weights_split_reaches_no_rho(self, monkeypatch):
         # the same 143-bit g = p**2 * r1 * r2 under equal weights: the
-        # bound floor(2 / 2) = 1 answers p, and the pieces p**2, r1 and r2
-        # need no rho
+        # pieces are p**2, r1 and r2.  The 61-bit p**2 is a perfect power,
+        # so p takes its exponents times 2 and answers itself; r1 and r2
+        # are proved square-free by size, so nothing is factored
         p, r1, r2 = SPLIT_PRIMES
         g = p**2 * r1 * r2
         t = wt((g * r1, g * r2, g), (2, 2, 2))
@@ -328,7 +339,7 @@ class TestRootAndSplit:
         with time_limit(1):
             with counting() as c:
                 assert weighted_gcd(t.values, t.weights) == p
-            assert c.max_factored_bits <= 61
+            assert c.factor_calls == 0
             normalized, d = normalize(t)
             assert d == p and normalized.values == (r1**2 * r2, r1 * r2**2, r1 * r2)
             assert verify_wgcd(t, p) == (True, None)
@@ -344,6 +355,132 @@ class TestRootAndSplit:
             assert normalize(t) == (wt((0, 7, 1), t.weights), 9)
             assert verify_wgcd(t, 9) == (True, None)
             assert verify_wgcd(t, 3) == (False, "maximality")
+        assert c.factor_calls == 0
+
+
+class TestPieceShares:
+    """On a miss with g >= 10**8, each coprime piece of g is refined until
+    its exponents in the coordinates are exact, and its share of d comes
+    from those exponents: by size, after one gcd with the second tier's
+    primes in (10**4, 10**5), or, only where a square factor could still
+    matter, by factoring the piece."""
+
+    @pytest.fixture
+    def second_tier(self, monkeypatch):
+        """The calls of the second tier's product, one per gcd with it."""
+        calls, product = [], core._second_tier_product
+
+        def spy():
+            calls.append(1)
+            return product()
+
+        monkeypatch.setattr(core, "_second_tier_product", spy)
+        return calls
+
+    def test_matches_full_factor_and_sympy_on_mid_size_primes(self):
+        # a seeded fuzz of tuples of primes in (10**4, 10**6) and
+        # (2**16, 2**24) with exponents 0-12 and weights 1-5
+        rng = random.Random(16)
+        mid = list(sympy.primerange(10**4, 10**6))
+        wide = [sympy.randprime(2**16, 2**24) for _ in range(60)]
+        factored = unfactored = 0
+        for _ in range(100):
+            primes = rng.sample(mid, rng.randint(1, 3)) + rng.sample(wide, rng.randint(0, 3))
+            weights = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+            values = [math.prod(p ** rng.randint(0, 12) for p in primes) for _ in weights]
+            t = wt(values, weights)
+            with counting() as c:
+                d = wgcd_gcd_factorization(t)
+            assert d == wgcd_full_factorization(t), t
+            assert d == TestGcdFactorization.reference(values, weights), t
+            if math.gcd(*values) >= 10**8:
+                factored += c.factor_calls > 0
+                unfactored += c.factor_calls == 0
+        assert factored and unfactored > 5 * factored
+
+    def shares(self, values, weights):
+        with counting() as c:
+            d = weighted_gcd(values, weights)
+        assert d == TestGcdFactorization.reference(values, weights)
+        return d, c.factor_calls
+
+    def test_noise_piece_is_skipped(self, monkeypatch, second_tier):
+        # r1 * r2 is one 36-bit piece with exponents (1, 2) under weights
+        # (2, 3): below (10**4)**3 it is square-free, and it contributes 1
+        p, r1, r2 = 10007, 131071, 262147
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        values = (p**2 * r1 * r2, p**3 * (r1 * r2) ** 2)
+        assert self.shares(values, (2, 3)) == (p, 0)
+        assert second_tier == []
+
+    def test_composite_piece_contributes_whole(self, monkeypatch, second_tier):
+        # p * r1 * r2 is one 70-bit piece with exponents (2, 3, 4) under
+        # weights (2, 3, 4): f(k) = k for every multiplicity k, so the
+        # piece contributes itself whatever its primes' multiplicities
+        p, r1, r2 = SPLIT_PRIMES[0], 131071, 262147
+        c = p * r1 * r2
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        values = (c**2 * 5, c**3 * 7**3, c**4 * 11)
+        assert self.shares(values, (2, 3, 4)) == (c, 0)
+        assert second_tier == []
+
+    def test_perfect_power_piece_takes_its_root(self, monkeypatch, second_tier):
+        # the piece r**2 has exponents (1, 1); as r it has (2, 2), and
+        # under weights (1, 2) r contributes r**1
+        r, s = SPLIT_PRIMES[:2]
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        values = (r**2 * s, r**2 * s**2 * 3)
+        assert self.shares(values, (1, 2)) == (r * s, 0)
+        assert second_tier == []
+
+    def test_second_tier_splits_a_square(self, monkeypatch, second_tier):
+        # c = a**2 * b with a in (10**4, 10**5): wgcd((c, c), (1, 2)) is
+        # the square part a of c.  c is 54 bits, so size alone cannot rule
+        # out a square; the gcd with the second tier's product is a, which
+        # splits c into a and b with no factoring
+        a, b = 10007, sympy.nextprime(2**27)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        c = a**2 * b
+        assert self.shares((c, c), (1, 2)) == (a, 0)
+        assert len(second_tier) == 1
+
+    def test_undecided_piece_is_factored(self, second_tier):
+        # a, b in (10**5, 10**6) and c = a**2 * b in [10**15, 10**16): no
+        # prime of the second tier divides c, but at 10**15 or more it may
+        # still hold a square, so c alone is factored
+        a, b = sympy.nextprime(10**5), sympy.nextprime(2 * 10**5)
+        c = a**2 * b
+        assert 10**15 <= c < 10**16
+        assert self.shares((c, c), (1, 2)) == (a, 1)
+        assert len(second_tier) == 1
+        # the second tier splits 10007 off c, but what is left, a**2 * b,
+        # has only primes above 10**5 and is factored all the same
+        c *= 10007
+        assert self.shares((c, c), (1, 2)) == (a, 1)
+        assert len(second_tier) == 2
+
+    def test_prime_powers_deficient_shape_needs_no_rho(self, monkeypatch):
+        # the benchmark's adversarial-deficient shape: noise primes enter
+        # every coordinate with its full weight but one.  r1 * r2 is one
+        # 41-bit piece that rho had to split; now no piece is factored
+        p = sympy.nextprime(2**22)
+        r1, r2, r3 = (sympy.nextprime(2**k) for k in (20, 21, 19))
+        weights = (2, 3, 5)
+        values = (
+            p**2 * r1 * r2 * r3**2,
+            -(p**3) * (r1 * r2) ** 3 * r3**3,
+            p**5 * (r1 * r2) ** 5 * r3**2,
+        )
+        t = wt(values, weights)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        with time_limit(1), counting() as c:
+            assert weighted_gcd(values, weights) == p
+            normalized, d = normalize(t)
+            assert d == p and normalized.values == tuple(
+                x // p**q for x, q in zip(values, weights)
+            )
+            assert verify_wgcd(t, p) == (True, None)
+            assert verify_wgcd(t, 1) == (False, "maximality")
         assert c.factor_calls == 0
 
 
@@ -952,6 +1089,21 @@ class TestColdImport:
             "wgcd", "wgcd.core", "wgcd.numtheory",
         }
         assert not loaded & HEAVY_MODULES
+
+    def test_second_tier_is_built_on_first_use(self):
+        # the 129,539-bit product costs tens of milliseconds: not at import,
+        # nor on a miss that size alone decides, only on a piece that needs it
+        loaded_cold(
+            "import wgcd\n"
+            "from wgcd import numtheory\n"
+            "built = numtheory._second_tier_product.cache_info\n"
+            "p, r1, r2 = 10007, 131071, 262147\n"
+            "assert wgcd.weighted_gcd((p**2 * r1 * r2, p**3 * (r1 * r2) ** 2), (2, 3)) == p\n"
+            "assert built().currsize == 0\n"
+            "c = 10007**2 * 134217757\n"
+            "assert wgcd.weighted_gcd((c, c), (1, 2)) == 10007\n"
+            "assert built().currsize == 1"
+        )
 
     def test_cli_compute_loads_no_harness(self):
         loaded = loaded_cold(

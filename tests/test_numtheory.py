@@ -19,6 +19,8 @@ from wgcd.numtheory import (
     _SINGLE_COPIES,
     FactorBudgetExceeded,
     Factorization,
+    _exact_pieces,
+    _trial_division,
     coprime_base,
     factor,
     gcd_many,
@@ -197,7 +199,6 @@ class TestFactorization:
         assert f.value() == 13824
         assert f.exponent(2) == 9
         assert f.exponent(5) == 0
-        assert f.primes() == (2, 3)
 
     def test_empty_is_one(self):
         assert Factorization().value() == 1
@@ -262,6 +263,43 @@ class TestCoprimeBase:
             assert sorted(coprime_base([6 ** (10**4) * 5, 3 * 5])) == [
                 3, 5, 2 ** (10**4),
             ]
+
+
+
+class TestExactPieces:
+    @staticmethod
+    def check(xs, ys, pieces):
+        TestCoprimeBase.check(xs, [c for c, _ in pieces])
+        for c, es in pieces:
+            for y, e in zip(ys, es, strict=True):
+                assert y % c**e == 0 and math.gcd(y // c**e, c) == 1, (c, y)
+
+    def test_examples(self):
+        # 35 is exact in 35**3 and 70, and splits once a y holds 5 and 7
+        # to different powers
+        assert _exact_pieces([35], [35**3, 70]) == [(35, [3, 1])]
+        assert sorted(_exact_pieces([35], [35, 5 * 7**2])) == [(5, [1, 1]), (7, [1, 2])]
+        assert _exact_pieces([1], [5]) == []
+
+    def test_random_sets(self):
+        rng = random.Random(13)
+        primes = (3, 10007, 65537, 2**31 - 1, sympy.nextprime(2**64))
+        for _ in range(300):
+            xs = [
+                math.prod(p ** rng.randint(0, 3) for p in rng.sample(primes, 3))
+                for _ in range(rng.randint(1, 3))
+            ]
+            ys = [
+                math.prod(p ** rng.randint(0, 5) for p in primes)
+                for _ in range(rng.randint(1, 4))
+            ]
+            self.check(xs, ys, _exact_pieces(xs, ys))
+
+
+def test_second_tier_product():
+    product = numtheory._second_tier_product()
+    assert product == math.prod(sympy.primerange(10**4, 10**5))
+    assert product.bit_length() == 129_539
 
 
 class TestFactor:
@@ -369,6 +407,28 @@ class TestTrialDivision:
             assert dict(f.entries) == sympy.factorint(n), n
             # what `_trusted` accepted passes the checked constructor too
             assert Factorization(f.entries) == f
+
+    def test_rest_is_one_or_rough(self):
+        # the rest is 1 or at least 10**8 with no prime below 10**4; a rest
+        # below 10**8 is a prime and joins the counts
+        cases = {
+            2**40 * 13: ({2: 40, 13: 1}, 1),
+            2 * 10007: ({2: 1, 10007: 1}, 1),
+            10007**2: ({}, 10007**2),
+            9973**2 * 10007**2: ({9973: 2}, 10007**2),
+        }
+        for n, expected in cases.items():
+            counts = {}
+            assert (counts, _trial_division(n, counts)) == expected
+        small = math.prod(sympy.primerange(2, 10**4))
+        rng = random.Random(12)
+        for _ in range(500):
+            n = rng.getrandbits(rng.randint(1, 120)) + 1
+            counts = {}
+            rest = _trial_division(n, counts)
+            assert n == rest * math.prod(p**e for p, e in counts.items())
+            assert all(sympy.isprime(p) for p in counts)
+            assert rest == 1 or rest >= 10**8 and math.gcd(rest, small) == 1
 
     def test_same_result_as_the_per_prime_scan(self, monkeypatch):
         # the scan's exponents below 10**4 plus the factorization of the
