@@ -3,14 +3,14 @@
 Generators pin ground truth by construction instead of trusting any
 strategy; the harness times strategies against each other, counts one
 run of each in its own `counting` block, and refuses to report anything
-when they disagree.  A run's record keeps a copy of that block's
-`core.Counters`, and both report formats take the counter fields from
-`Counters.__slots__`, its declared field order: a CSV row is a JSON
-result flattened beside its spec.
+when they disagree.  A run's record keeps that block's `core.Counters`;
+both report formats take its fields in `Counters.__slots__` order: a CSV
+row is a JSON result flattened beside its spec.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import json
@@ -268,14 +268,20 @@ class StrategyDisagreement(RuntimeError):
         super().__init__(f"strategy disagreement on {record.spec}: {answers}")
 
 
+def _counted_run(fn, t):
+    with counting() as counters:
+        return counters, fn(t)
+
+
 def bench_run(
     specs: Sequence[GenSpec],
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     repetitions: int = 3,
 ) -> list[BenchRecord]:
     """One record per spec: median wall time over `repetitions` and the
-    counters of a single canonical run, per strategy.  Inside a caller's
-    `counting` block every run joins the caller's counts instead.
+    counters of a single canonical run, per strategy.  That run counts in
+    an empty `contextvars.Context`, so a caller's `counting` block counts
+    only the timed repetitions and changes no record.
 
     Known-answer specs additionally check every strategy against the
     constructed answer.  Aborts on any disagreement.
@@ -294,17 +300,13 @@ def bench_run(
         answers = set() if expected is None else {expected}
         for name in strategies:
             fn = core.STRATEGIES[name]
-            with counting() as counters:
-                d = fn(t)
+            counters, d = contextvars.Context().run(_counted_run, fn, t)
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter_ns()
                 fn(t)
                 times.append(time.perf_counter_ns() - t0)
-            # a copy: inside a caller's block `counters` is the caller's,
-            # still counting after this run
-            copied = Counters(**counters._asdict())
-            runs.append(StrategyRun(name, int(statistics.median(times)), copied, d))
+            runs.append(StrategyRun(name, int(statistics.median(times)), counters, d))
             answers.add(d)
         record = BenchRecord(spec, tuple(runs), len(answers) == 1)
         if not record.agreement:

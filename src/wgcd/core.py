@@ -7,8 +7,8 @@ provides that quantity through several independent, cross-checkable
 strategies, plus normalization and verification.  The default route,
 `auto`, factors at most g = gcd(x), the same way for every weight
 vector: it first tries the root candidate iroot(g, min q), which often
-answers with nothing factored, and splits a big g into coprime pieces
-with exact exponents, which decide most pieces' shares of d unfactored.
+answers with nothing factored; on a miss, trial division and coprime
+pieces with exact exponents decide most of d unfactored.
 `verify_wgcd` runs the same route on the residues x_i / d**q_i.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  A `with counting() as c:` block
@@ -25,7 +25,6 @@ from itertools import compress
 from typing import NamedTuple, Optional
 
 from .numtheory import (
-    _PRIME_BELOW,
     SECOND_TIER_LIMIT,
     TRIAL_DIVISION_LIMIT,
     _exact_pieces,
@@ -248,31 +247,31 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
 
     Let q be the least weight of a nonzero x_i; d**q | g bounds d by the
     root candidate r = iroot(g, q).  So g = 1 gives 1, and r is the answer
-    when every r**q_i | x_i, with nothing factored.  Otherwise g's primes
-    come from `factor(g)` when g < 10**8, where trial division finishes
-    it.  A bigger g is split into the coprime base of g and the
-    gcd(x_i / g, g), and trial division takes its primes below 10**4.
-    What is left of each piece is refined against the nonzero x_i until
-    its exponents are exact (factor refinement): x_i = c**e_i * u_i with
-    gcd(u_i, c) = 1, so a prime with k copies in the piece c contributes
-    p**f(k), where f(k) = min over i of floor(k e_i / q_i).  A perfect
-    power c = r**k stands for r.  Since every prime of c exceeds L = 10**4,
-    a prime of c with k >= 2 copies leaves a cofactor above L, so
-    L**(k+1) < c; when f(k) = k f(1) for each such k, c contributes
-    c**f(1), and 1 when f(1) = 0.  An undecided c below 10**20 takes one
-    gcd with the product of the primes in (10**4, 10**5): a gcd h > 1
-    splits c into square-free divisors of h and pieces whose primes
-    exceed 10**5, and a gcd of 1 gives the size test L = 10**5.  Only a
-    piece still undecided is factored, where a square could matter.
+    when every r**q_i | x_i, with nothing factored.  Otherwise trial
+    division takes g's primes below 10**4, and the rest of g too when it
+    is below 10**8, where it is prime.  A bigger rest is split into the
+    coprime base of the rest and the gcd(x_i / g, rest), and each piece
+    is refined against the nonzero x_i until its exponents are exact
+    (factor refinement): x_i = c**e_i * u_i with gcd(u_i, c) = 1, so a
+    prime with k copies in the piece c contributes p**f(k), where
+    f(k) = min over i of floor(k e_i / q_i).  A perfect power c = r**k
+    stands for r.  Since every prime of c exceeds L = 10**4, a prime of
+    c with k >= 2 copies leaves a cofactor above L, so L**(k+1) < c;
+    when f(k) = k f(1) for each such k, c contributes c**f(1), and 1
+    when f(1) = 0.  An undecided c below 10**20 takes one gcd with the
+    product of the primes in (10**4, 10**5): a gcd h > 1 splits c into
+    square-free divisors of h and pieces whose primes exceed 10**5, and a
+    gcd of 1 gives the size test L = 10**5.  Only a piece still undecided
+    is factored, where a square could matter.
 
-    The exponent in d of each prime p of g below 10**4, or of g < 10**8,
-    is min over nonzero x_i of floor(valuation(p, x_i) / q_i), found with
-    a running bound m that starts at floor(e / q) for p's exponent e in
-    g: some x_i has valuation e and q_i >= q.  A prime with m = 0 is skipped.  A
-    coordinate costs one `x_i % p**(q_i m)`; only a nonzero remainder
-    lowers m, by a valuation unless m = 1, and the scan stops at m = 0.
-    Under equal weights the bound is already the answer, so every
-    coordinate passes.  As in `_divide_out`, a power with
+    The exponent in d of each prime p that trial division takes is min
+    over nonzero x_i of floor(valuation(p, x_i) / q_i), found with a
+    running bound m that starts at floor(e / q) for p's exponent e in g:
+    some x_i has valuation e and q_i >= q.  A prime with m = 0 is
+    skipped.  A coordinate costs one `x_i % p**(q_i m)`; only a nonzero
+    remainder lowers m, by a valuation unless m = 1, and the scan stops
+    at m = 0.  Under equal weights the bound is already the answer, so
+    every coordinate passes.  As in `_divide_out`, a power with
     q_i m (bitlen(p) - 1) >= bitlen(x_i) cannot divide and is not built;
     the root candidate's test is `_divide_out` itself, whose quotients
     `normalize` keeps on a hit.
@@ -285,7 +284,7 @@ def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
     # >= 1), which verify_wgcd runs on its residues without a WeightedTuple;
     # normalize and wgcd_auto read its quotients.
     # Returns (d, ys): ys are the quotients x_i // d**q_i when the root
-    # candidate answered, and None for g = 1 or when d was factored.
+    # candidate answered, and None for g = 1 or on a miss.
     g = _gcd(values)
     if g == 1:
         return 1, None
@@ -294,12 +293,10 @@ def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
     ys = _divide_out(zip(values, weights), r)
     if ys is not None:
         return r, ys
-    if g < _PRIME_BELOW:
-        primes = _factor(g)
-        d = 1
-    else:
-        primes, d = _split_share(g, values, weights)
-    for p, e in primes:
+    small: dict[int, int] = {}
+    rest = _trial_division(g, small)
+    d = _split_share(g, rest, values, weights) if rest > 1 else 1
+    for p, e in small.items():
         m = e // q_min
         if not m:
             continue
@@ -318,19 +315,11 @@ def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
 _SECOND_TIER_BELOW = 10**20
 
 
-def _split_share(g: int, values, weights) -> tuple:
-    # _wgcd_route's miss on g >= 10**8: g's primes below 10**4 with their
-    # exponents in g, for the route's running minimum, and the share of d
-    # of the rest of g, worked out piece by piece from exact exponents
-    pieces = coprime_base([g, *(_gcd((x // g, g)) for x in values if x)])
-    small: dict[int, int] = {}
-    rest = _trial_division(g, small)
+def _split_share(g: int, rest: int, values, weights) -> int:
+    # _wgcd_route's miss: the share of d of g's rough part rest > 1, whose
+    # primes all exceed 10**4, worked out piece by piece from exact exponents
+    pieces = coprime_base([rest, *(_gcd((x // g, rest)) for x in values if x)])
     d = 1
-    if rest == 1:
-        return small.items(), d
-    if rest < g:  # each small prime of g sits in one of the coprime pieces
-        smooth = g // rest
-        pieces = [b // _gcd((b, smooth)) for b in pieces]
     xs = [abs(x) for x in values if x]
     qs = list(compress(weights, values))
     todo = [(c, es, TRIAL_DIVISION_LIMIT) for c, es in _exact_pieces(pieces, xs)]
@@ -357,7 +346,7 @@ def _split_share(g: int, values, weights) -> tuple:
             for p, k in _factor(c):
                 share *= p ** _share_exponent(k, es, qs)
         d *= share
-    return small.items(), d
+    return d
 
 
 def _share_exponent(k: int, es, qs) -> int:
@@ -596,7 +585,7 @@ def normalize(t: WeightedTuple) -> tuple[WeightedTuple, int]:
     Returns the normalized tuple (whose weighted gcd is 1) and d.  The
     `auto` route divides each x_i once: when its root candidate answers,
     the quotients its test computed are the output; on a miss, d is
-    factored and then divided out.
+    worked out and then divided out.
     """
     d, ys = _wgcd_route(t.values, t.weights)
     if d == 1:

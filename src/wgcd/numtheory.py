@@ -2,7 +2,7 @@
 
 Everything the weighted-gcd strategies stand on: gcd folds, floor roots,
 p-adic valuations, factor refinement into a coprime base and into pieces
-with exact exponents, primality testing, and integer factorization.
+with exact exponents, Baillie-PSW primality, and integer factorization.
 Factorization runs trial division below 10**4, as one gcd per decade of
 primes against the product of that decade, then perfect-power detection,
 then a primality test, then Pollard rho capped at RHO_BUDGET iterations.
@@ -63,21 +63,6 @@ SECOND_TIER_LIMIT = 10**5
 @functools.cache
 def _second_tier_product() -> int:
     return math.prod(_primes_below(SECOND_TIER_LIMIT)[len(_SMALL_PRIMES) :])
-
-
-# Deterministic Miller-Rabin witness sets, tiered by magnitude.  Each set is
-# exact for every n below its bound; the last tier covers all n < 2**64.
-_WITNESS_TIERS = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
-
-_PROBABILISTIC_ROUNDS = 40  # error probability below 4**-40 past 2**64
 
 
 def gcd_many(xs) -> int:
@@ -253,11 +238,56 @@ def _miller_rabin_round(n: int, d: int, s: int, a: int) -> bool:
     return False
 
 
+def _jacobi(a: int, n: int) -> int:
+    # the Jacobi symbol (a / n) for odd n > 0
+    a %= n
+    j = 1
+    while a:
+        t = (a & -a).bit_length() - 1
+        a >>= t
+        if t & 1 and n & 7 in (3, 5):
+            j = -j
+        if a & n & 3 == 3:  # reciprocity, both odd
+            j = -j
+        a, n = n % a, a
+    return j if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    # strong Lucas probable-prime test for odd n > 41**2 with no prime
+    # factor below 41.  Selfridge's parameters: the first D of 5, -7, 9, ...
+    # with (D / n) = -1, which no square has, P = 1 and Q = (1 - D) / 4.
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:  # |D| < n shares a prime with n
+        return False
+    Q, d = (1 - D) // 4, n + 1
+    s = (d & -d).bit_length() - 1
+    # (V_k, V_k+1, Q**k) mod n up the bits of d / 2**s from k = 0, by
+    # V_2k = V_k**2 - 2 Q**k and V_2k+1 = V_k V_k+1 - Q**k; D U_k = 2 V_k+1 - V_k
+    v0, v1, qk = 2, 1, 1
+    for bit in bin(d >> s)[2:]:
+        if bit == "1":
+            v0, v1, qk = (v0 * v1 - qk) % n, (v1 * v1 - 2 * Q * qk) % n, qk * qk * Q % n
+        else:
+            v0, v1, qk = (v0 * v0 - 2 * qk) % n, (v0 * v1 - qk) % n, qk * qk % n
+    if v0 == 0 or (2 * v1 - v0) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v0, qk = (v0 * v0 - 2 * qk) % n, qk * qk % n
+        if v0 == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Primality test: exact for n < 2**64, Miller-Rabin with 40
-    witnesses from a fixed-seed generator beyond that, so the answer for
-    a given n never changes.  Witnesses are drawn one at a time, so a
-    composite is usually rejected after the first draw."""
+    """Baillie-PSW test: trial division by the primes below 41, a strong
+    Miller-Rabin round to base 2, then a strong Lucas test (Baillie &
+    Wagstaff, "Lucas pseudoprimes", 1980).  Exact for n < 2**64, with no
+    known counterexample above, and the answer depends on n alone."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -269,18 +299,7 @@ def is_prime(n: int) -> bool:
         return True
     d = n - 1
     s = (d & -d).bit_length() - 1
-    d >>= s
-    if n < _WITNESS_TIERS[-1][0]:
-        for bound, witnesses in _WITNESS_TIERS:
-            if n < bound:
-                break
-    else:
-        # This generator and rho's in `factor` are seeded with 0, always:
-        # the answers do not depend on the seed, and a fixed one makes every
-        # witness set, rho walk and iteration count a function of n alone.
-        rng = random.Random(0)
-        witnesses = (rng.randrange(2, n - 1) for _ in range(_PROBABILISTIC_ROUNDS))
-    return all(_miller_rabin_round(n, d, s, a) for a in witnesses)
+    return _miller_rabin_round(n, d >> s, s, 2) and _strong_lucas(n)
 
 
 class FactorBudgetExceeded(ArithmeticError):

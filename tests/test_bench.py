@@ -76,14 +76,14 @@ class TestBenchRun:
         specs = [small_specs()[i] for i in (0, 2, 3)]
         # strategy -> (d, factor_calls, max_factored_bits, gcd_calls); auto's
         # root candidate answers the known-answer spec unfactored, and the
-        # adversarial gcd splits into two coprime pieces whose exact
-        # exponents decide their shares unfactored
+        # rough part of the adversarial gcd splits into two coprime pieces
+        # whose exact exponents decide their shares unfactored
         golden = [
             {"auto": (36, 0, 0, 1), "full-factor": (36, 2, 21, 0),
              "lcm-power": (36, 1, 32, 1), "fold": (36, 2, 11, 0)},
             {"auto": (1, 0, 0, 1), "full-factor": (1, 2, 8, 0),
              "lcm-power": (1, 0, 0, 1), "fold": (1, 1, 7, 0)},
-            {"auto": (19, 0, 0, 5), "full-factor": (19, 2, 53, 0),
+            {"auto": (19, 0, 0, 3), "full-factor": (19, 2, 53, 0),
              "lcm-power": (19, 1, 105, 1), "fold": (19, 2, 53, 0)},
         ]
         records = bench_run(specs, repetitions=2)
@@ -96,17 +96,20 @@ class TestBenchRun:
             } == expected
 
     def test_runs_in_a_callers_block_keep_their_own_counts(self):
-        # every run joins the caller's block, so each record must copy the
-        # running totals after its timing loop rather than hold the live
-        # Counters, which would read the final totals in every record
-        with counting() as outer:
+        # each canonical run counts in a context of its own, so a record
+        # reads the same inside a caller's block as outside it; the
+        # caller's block counts the two timed repetitions of each run
+        def run():
             records = bench_run(
                 small_specs()[:2], strategies=("auto", "fold"), repetitions=2
             )
-        assert [counts(r.counters) for record in records for r in record.results] == [
-            (0, 0, 3), (6, 11, 3), (6, 11, 6), (15, 11, 6),
-        ]
-        assert counts(outer) == (15, 11, 6)
+            return [counts(r.counters) for record in records for r in record.results]
+
+        standalone = run()
+        assert standalone == [(0, 0, 1), (2, 11, 0), (0, 0, 1), (3, 10, 0)]
+        with counting() as outer:
+            assert run() == standalone
+        assert counts(outer) == (10, 11, 4)
 
     def test_adversarial_instrumentation_monotonicity(self):
         # deficient noise inflates the gcd yet the auto strategy still

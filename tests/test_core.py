@@ -239,11 +239,13 @@ def loop_verdict(t: WeightedTuple, d: int) -> tuple:
 
 class TestRootAndSplit:
     """The `auto` route answers with the root candidate when it can, and
-    on a miss factors the coprime pieces of a big gcd, not the gcd."""
+    on a miss splits the gcd's part with no prime below 10**4 into coprime
+    pieces, never factoring the gcd."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
-        """(g, pieces) of every coprime split the route makes."""
+        """(rest, pieces) of every coprime split the route makes, where
+        rest is what trial division leaves of the gcd."""
         seen, split = [], core.coprime_base
 
         def spy(xs):
@@ -265,10 +267,16 @@ class TestRootAndSplit:
                 q = min(q for x, q in t.pairs() if x)
                 r = sympy.integer_nthroot(g, q)[0]
                 hits.append(all(x % r**q_i == 0 for x, q_i in t.pairs()))
-                # one split per miss on g >= 10**8, with g first; a hit
-                # factors nothing
-                split = not hits[-1] and g >= 10**8
-                assert [xs0 for xs0, _ in splits[seen:]] == ([g] if split else []), t
+                # a miss splits the part of g whose primes exceed 10**4,
+                # passed first, when it is at least 10**8 (below, it is 1 or
+                # one prime); a hit factors nothing
+                rough = math.prod(
+                    p**e for p, e in sympy.factorint(g).items() if p > 10**4
+                )
+                split = not hits[-1] and rough >= 10**8
+                assert [xs0 for xs0, _ in splits[seen:]] == (
+                    [rough] if split else []
+                ), t
                 assert not hits[-1] or c.factor_calls == 0, t
             assert d == wgcd_full_factorization(t), t
             assert d == TestGcdFactorization.reference(t.values, t.weights), t
@@ -280,13 +288,21 @@ class TestRootAndSplit:
         for t in seeded_corpus():
             wgcd_gcd_factorization(t)
         assert len(splits) > 20
-        for g, pieces in splits:
-            assert g >= 10**8  # below it trial division finishes factor(g)
+        for rest, pieces in splits:
+            assert rest >= 10**8  # below it trial division leaves a prime
             for i, a in enumerate(pieces):
-                assert g % a == 0
+                assert rest % a == 0
                 assert all(math.gcd(a, b) == 1 for b in pieces[i + 1 :])
             primes = {p for b in pieces for p in sympy.primefactors(b)}
-            assert primes == set(sympy.primefactors(g))
+            assert primes == set(sympy.primefactors(rest))
+            assert min(primes) > 10**4
+
+    def test_miss_on_a_smooth_gcd_factors_nothing(self):
+        # g = 48 misses its root candidate 6, whose square does not divide
+        # it; trial division alone gives 2**4 * 3, so d = 4 unfactored
+        with counting() as c:
+            assert weighted_gcd((48, 144), (2, 2)) == 4
+        assert c.factor_calls == 0
 
     def test_split_bound_starts_at_the_exponent_in_g(self):
         # g = p**4 against x_1 / g = p refines to the one piece p, whose
@@ -359,11 +375,11 @@ class TestRootAndSplit:
 
 
 class TestPieceShares:
-    """On a miss with g >= 10**8, each coprime piece of g is refined until
-    its exponents in the coordinates are exact, and its share of d comes
-    from those exponents: by size, after one gcd with the second tier's
-    primes in (10**4, 10**5), or, only where a square factor could still
-    matter, by factoring the piece."""
+    """On a miss, each coprime piece of what trial division leaves of g is
+    refined until its exponents in the coordinates are exact, and its
+    share of d comes from those exponents: by size, after one gcd with the
+    second tier's primes in (10**4, 10**5), or, only where a square factor
+    could still matter, by factoring the piece."""
 
     @pytest.fixture
     def second_tier(self, monkeypatch):

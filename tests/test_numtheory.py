@@ -178,19 +178,39 @@ class TestIsPrime:
         assert not is_prime(3_215_031_751)
         assert not is_prime(3_825_123_056_546_413_051)
         assert is_prime(2**61 - 1)
+        # squares of the Wieferich primes are strong pseudoprimes to base 2,
+        # and a square has no D with Jacobi symbol -1 to stop Selfridge's
+        # search; the last three are strong Lucas pseudoprimes
+        for n in (1093**2, 3511**2, 5459, 5777, 10877):
+            assert not is_prime(n), n
 
     def test_beyond_64_bits(self):
         assert is_prime(2**127 - 1)
         assert not is_prime(2**128 + 1)
-        # the witnesses past 2**64 come from a fixed seed: deterministic
+        # no random witnesses: the answer is a function of n alone
         n = 2**89 - 1
         assert is_prime(n) == is_prime(n) is True
 
     def test_crosscheck_sympy(self):
         rng = random.Random(4)
-        for _ in range(150):
-            n = rng.getrandbits(48)
-            assert is_prime(n) == sympy.isprime(n)
+        for _ in range(300):
+            n = rng.getrandbits(rng.randint(2, 200))
+            assert is_prime(n) == sympy.isprime(n), n
+            # and a prime of the same size, which a random n seldom is
+            p = sympy.nextprime(n)
+            assert is_prime(p) and not is_prime(p * sympy.nextprime(p)), p
+
+    def test_lucas_rejects_a_square(self):
+        # a square has no D with Jacobi symbol -1, so Selfridge's search
+        # would run until |D| reached the root
+        p = sympy.nextprime(2**64)
+        with time_limit(5):
+            assert not numtheory._strong_lucas(p * p)
+
+    def test_big_mersenne_prime_is_fast(self):
+        # one base-2 round and one Lucas test, not 40 Miller-Rabin rounds
+        with time_limit(5):
+            assert is_prime(2**4423 - 1)
 
 
 class TestFactorization:
