@@ -259,10 +259,12 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     c with k >= 2 copies leaves a cofactor above L, so L**(k+1) < c;
     when f(k) = k f(1) for each such k, c contributes c**f(1), and 1
     when f(1) = 0.  An undecided c below 10**20 takes one gcd with the
-    product of the primes in (10**4, 10**5): a gcd h > 1 splits c into
-    square-free divisors of h and pieces whose primes exceed 10**5, and a
-    gcd of 1 gives the size test L = 10**5.  Only a piece still undecided
-    is factored, where a square could matter.
+    product of the primes in (10**4, B), B = min(2**ceil(bitlen(c) / 3),
+    10**5): a gcd h > 1 splits c into square-free divisors of h and pieces
+    whose primes exceed B, and a gcd of 1 gives the size test L = B.
+    Below 2**48, B**3 > c, so that test decides c and each piece of the
+    split with no factoring.  Only a piece still undecided is factored,
+    where a square could matter.
 
     The exponent in d of each prime p that trial division takes is min
     over nonzero x_i of floor(valuation(p, x_i) / q_i), found with a
@@ -332,15 +334,18 @@ def _split_share(g: int, rest: int, values, weights) -> int:
             continue
         share = _size_share(c, es, qs, low)
         if share is None and low == TRIAL_DIVISION_LIMIT and c < _SECOND_TIER_BELOW:
-            h = _gcd((c, _second_tier_product()))
+            # primes of c all above bound, with bound**3 >= c, leave no
+            # room for a square: the gcd needs only the primes below bound
+            bound = min(1 << -(-c.bit_length() // 3), SECOND_TIER_LIMIT)
+            h = _gcd((c, _second_tier_product(bound)))
             if h > 1:
                 for b, bes in _exact_pieces([c, h], xs):
-                    if h % b:  # b is coprime to h: its primes exceed 10**5
-                        todo.append((b, bes, SECOND_TIER_LIMIT))
+                    if h % b:  # b is coprime to h: its primes exceed bound
+                        todo.append((b, bes, bound))
                     else:  # b divides h, which is square-free
                         d *= b ** _share_exponent(1, bes, qs)
                 continue
-            share = _size_share(c, es, qs, SECOND_TIER_LIMIT)
+            share = _size_share(c, es, qs, bound)
         if share is None:
             share = 1
             for p, k in _factor(c):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import types
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -378,19 +379,30 @@ class TestPieceShares:
     """On a miss, each coprime piece of what trial division leaves of g is
     refined until its exponents in the coordinates are exact, and its
     share of d comes from those exponents: by size, after one gcd with the
-    second tier's primes in (10**4, 10**5), or, only where a square factor
-    could still matter, by factoring the piece."""
+    second tier's primes in (10**4, B), B = min(2**ceil(bitlen(c) / 3),
+    10**5) for the piece c, or, only where a square factor could still
+    matter, by factoring the piece."""
 
     @pytest.fixture
     def second_tier(self, monkeypatch):
-        """The calls of the second tier's product, one per gcd with it."""
-        calls, product = [], core._second_tier_product
+        """The bound B of each gcd of a piece c with the second tier's
+        product, checked against the B that c's size calls for."""
+        calls, checked, product, gcd = [], [], core._second_tier_product, core._gcd
 
-        def spy():
-            calls.append(1)
-            return product()
+        def spy(bound):
+            calls.append(bound)
+            return product(bound)
+
+        def gcd_spy(xs):
+            # _split_share builds the product just before its gcd
+            if len(calls) > len(checked):
+                c = xs[0]
+                assert calls[-1] == min(2 ** math.ceil(c.bit_length() / 3), 10**5), c
+                checked.append(c)
+            return gcd(xs)
 
         monkeypatch.setattr(core, "_second_tier_product", spy)
+        monkeypatch.setattr(core, "_gcd", gcd_spy)
         return calls
 
     def test_matches_full_factor_and_sympy_on_mid_size_primes(self):
@@ -458,7 +470,61 @@ class TestPieceShares:
         monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
         c = a**2 * b
         assert self.shares((c, c), (1, 2)) == (a, 0)
-        assert len(second_tier) == 1
+        assert second_tier == [10**5]
+
+    @pytest.mark.parametrize(
+        "a, b, bound",
+        [(10007, 10009, 2**14), (10007, 50021, 2**15), (20011, 90001, 2**16)],
+    )
+    def test_second_tier_bound_follows_the_cube_root(self, monkeypatch, second_tier, a, b, bound):
+        # c = a**2 * b in [10**12, 10**15) with a, b in (10**4, 10**5): the
+        # primes below the least power of two at or above the cube root of
+        # c find a, and the size test with that bound decides b
+        c = a**2 * b
+        assert 10**12 <= c < 10**15
+        t = wt((c, c), (1, 2))
+        expected = wgcd_full_factorization(t)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        assert self.shares(t.values, t.weights) == (expected, 0)
+        assert expected == a
+        assert second_tier == [bound]
+
+    def test_square_free_piece_above_its_bound(self, monkeypatch, second_tier):
+        # c = a * b, 42 bits, both primes above its bound 2**14: the gcd is
+        # 1 and the size test with 2**14 proves c square-free, where 10**4
+        # could not; under weights (2, 3) and exponents (1, 3) c gives 1
+        a, b = sympy.nextprime(2**20), sympy.nextprime(2**21)
+        c = a * b
+        assert c > 10**12
+        t = wt((7**2 * c, 7**3 * c**3), (2, 3))
+        expected = wgcd_full_factorization(t)
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        assert self.shares(t.values, t.weights) == (expected, 0)
+        assert expected == 7
+        assert second_tier == [2**14]
+
+    def test_second_tier_fuzz(self, second_tier):
+        # pieces c in (10**12, 10**20), the sizes that reach the second
+        # tier, of 2-4 primes drawn log-uniformly from (10**4, 4 * 10**5)
+        # with exponents 0-6; each coordinate is a power of c times noise,
+        # under weights 1-5.  Only a piece of 2**48 or more is factored.
+        rng = random.Random(18)
+        primes = list(sympy.primerange(10**4, 4 * 10**5))
+        for _ in range(300):
+            c = 0
+            while not 10**12 < c < 10**20:
+                logs = (rng.uniform(4, 5.6) for _ in range(rng.randint(2, 4)))
+                ps = {primes[bisect_left(primes, 10**e)] for e in logs}
+                c = math.prod(p ** rng.randint(0, 6) for p in ps)
+            weights = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+            values = [
+                c ** rng.randint(1, 6) * rng.choice(primes) ** rng.randint(0, 6) for _ in weights
+            ]
+            d, factor_calls = self.shares(values, weights)
+            assert d == wgcd_full_factorization(wt(values, weights)), (values, weights)
+            if c < 2**48:
+                assert factor_calls == 0, (values, weights)
+        assert set(second_tier) == {2**14, 2**15, 2**16, 10**5}
 
     def test_undecided_piece_is_factored(self, second_tier):
         # a, b in (10**5, 10**6) and c = a**2 * b in [10**15, 10**16): no
@@ -468,12 +534,12 @@ class TestPieceShares:
         c = a**2 * b
         assert 10**15 <= c < 10**16
         assert self.shares((c, c), (1, 2)) == (a, 1)
-        assert len(second_tier) == 1
+        assert second_tier == [10**5]
         # the second tier splits 10007 off c, but what is left, a**2 * b,
         # has only primes above 10**5 and is factored all the same
         c *= 10007
         assert self.shares((c, c), (1, 2)) == (a, 1)
-        assert len(second_tier) == 2
+        assert second_tier == [10**5, 10**5]
 
     def test_prime_powers_deficient_shape_needs_no_rho(self, monkeypatch):
         # the benchmark's adversarial-deficient shape: noise primes enter
@@ -1107,18 +1173,29 @@ class TestColdImport:
         assert not loaded & HEAVY_MODULES
 
     def test_second_tier_is_built_on_first_use(self):
-        # the 129,539-bit product costs tens of milliseconds: not at import,
-        # nor on a miss that size alone decides, only on a piece that needs it
+        # the products cost up to about 14 ms: not at import, nor on a miss
+        # that size alone decides, only on a piece that needs one, and only
+        # the product of the bound that piece's size calls for.  Taking a
+        # product already built is a hit, so misses names what was built.
         loaded_cold(
             "import wgcd\n"
             "from wgcd import numtheory\n"
-            "built = numtheory._second_tier_product.cache_info\n"
+            "product = numtheory._second_tier_product\n"
+            "def built(bound):\n"
+            "    misses = product.cache_info().misses\n"
+            "    product(bound)\n"
+            "    return product.cache_info().misses == misses\n"
             "p, r1, r2 = 10007, 131071, 262147\n"
             "assert wgcd.weighted_gcd((p**2 * r1 * r2, p**3 * (r1 * r2) ** 2), (2, 3)) == p\n"
-            "assert built().currsize == 0\n"
-            "c = 10007**2 * 134217757\n"
+            "assert product.cache_info().currsize == 0\n"
+            "c = 10007**2 * 30011\n"
+            "assert c.bit_length() == 42\n"
             "assert wgcd.weighted_gcd((c, c), (1, 2)) == 10007\n"
-            "assert built().currsize == 1"
+            "assert product.cache_info().currsize == 1 and built(2**14)\n"
+            "c = 10007**2 * 134217757\n"
+            "assert c.bit_length() == 54\n"
+            "assert wgcd.weighted_gcd((c, c), (1, 2)) == 10007\n"
+            "assert product.cache_info().currsize == 2 and built(10**5)"
         )
 
     def test_cli_compute_loads_no_harness(self):

@@ -317,9 +317,10 @@ class TestExactPieces:
 
 
 def test_second_tier_product():
-    product = numtheory._second_tier_product()
-    assert product == math.prod(sympy.primerange(10**4, 10**5))
-    assert product.bit_length() == 129_539
+    for bound, bits in ((2**14, 9_175), (2**15, 32_633), (2**16, 79_750), (10**5, 129_539)):
+        product = numtheory._second_tier_product(bound)
+        assert product == math.prod(sympy.primerange(10**4, bound))
+        assert product.bit_length() == bits
 
 
 class TestFactor:
