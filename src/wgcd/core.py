@@ -34,7 +34,6 @@ from .numtheory import (
     _second_tier_product,
     _set_field,
     _trial_division,
-    coprime_base,
     factor,
     iroot,
     valuation,
@@ -249,9 +248,8 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     root candidate r = iroot(g, q).  So g = 1 gives 1, and r is the answer
     when every r**q_i | x_i, with nothing factored.  Otherwise trial
     division takes g's primes below 10**4, and the rest of g too when it
-    is below 10**8, where it is prime.  A bigger rest is split into the
-    coprime base of the rest and the gcd(x_i / g, rest), and each piece
-    is refined against the nonzero x_i until its exponents are exact
+    is below 10**8, where it is prime.  A bigger rest is refined against
+    the nonzero x_i into coprime pieces whose exponents are exact
     (factor refinement): x_i = c**e_i * u_i with gcd(u_i, c) = 1, so a
     prime with k copies in the piece c contributes p**f(k), where
     f(k) = min over i of floor(k e_i / q_i).  A perfect power c = r**k
@@ -297,7 +295,7 @@ def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
         return r, ys
     small: dict[int, int] = {}
     rest = _trial_division(g, small)
-    d = _split_share(g, rest, values, weights) if rest > 1 else 1
+    d = _split_share(rest, values, weights) if rest > 1 else 1
     for p, e in small.items():
         m = e // q_min
         if not m:
@@ -317,14 +315,14 @@ def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
 _SECOND_TIER_BELOW = 10**20
 
 
-def _split_share(g: int, rest: int, values, weights) -> int:
+def _split_share(rest: int, values, weights) -> int:
     # _wgcd_route's miss: the share of d of g's rough part rest > 1, whose
-    # primes all exceed 10**4, worked out piece by piece from exact exponents
-    pieces = coprime_base([rest, *(_gcd((x // g, rest)) for x in values if x)])
+    # primes all exceed 10**4, worked out piece by piece from the exact
+    # pieces that refining rest against the nonzero |x_i| leaves
     d = 1
     xs = [abs(x) for x in values if x]
     qs = list(compress(weights, values))
-    todo = [(c, es, TRIAL_DIVISION_LIMIT) for c, es in _exact_pieces(pieces, xs)]
+    todo = [(c, es, TRIAL_DIVISION_LIMIT) for c, es in _exact_pieces([rest], xs)]
     while todo:
         # every prime of the exact piece c exceeds low
         c, es, low = todo.pop()

@@ -83,7 +83,7 @@ class TestBenchRun:
              "lcm-power": (36, 1, 32, 1), "fold": (36, 2, 11, 0)},
             {"auto": (1, 0, 0, 1), "full-factor": (1, 2, 8, 0),
              "lcm-power": (1, 0, 0, 1), "fold": (1, 1, 7, 0)},
-            {"auto": (19, 0, 0, 3), "full-factor": (19, 2, 53, 0),
+            {"auto": (19, 0, 0, 1), "full-factor": (19, 2, 53, 0),
              "lcm-power": (19, 1, 105, 1), "fold": (19, 2, 53, 0)},
         ]
         records = bench_run(specs, repetitions=2)

@@ -212,7 +212,10 @@ def seeded_corpus() -> list[WeightedTuple]:
         )
         values = list(generate(spec)[0].values)
         if mode == "random":
-            shared = [sympy.randprime(2**14, 2**20) for _ in range(rng.randint(2, 3))]
+            shared = [
+                sympy.nextprime(rng.randrange(2**14, 2**20))
+                for _ in range(rng.randint(2, 3))
+            ]
             for j, q in enumerate(weights):
                 values[j] *= math.prod(r ** rng.randint(1, q + 1) for r in shared)
         values = [-x if rng.getrandbits(1) else x for x in values]
@@ -221,6 +224,22 @@ def seeded_corpus() -> list[WeightedTuple]:
         if any(values):
             corpus.append(wt(values, weights))
     return corpus
+
+
+def test_seeded_corpus_is_the_same_in_a_fresh_interpreter():
+    # every prime of the corpus comes from its own seeded generator, so a
+    # new interpreter, with its own hash seed, builds the same tuples
+    probe = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_core import seeded_corpus\n"
+        "print([(t.values, t.weights) for t in seeded_corpus()])"
+    )
+    tests, src = Path(__file__).resolve().parent, Path(wgcd.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(tests), str(src)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == str([(t.values, t.weights) for t in seeded_corpus()])
 
 
 def loop_verdict(t: WeightedTuple, d: int) -> tuple:
@@ -246,15 +265,18 @@ class TestRootAndSplit:
     @pytest.fixture
     def splits(self, monkeypatch):
         """(rest, pieces) of every coprime split the route makes, where
-        rest is what trial division leaves of the gcd."""
-        seen, split = [], core.coprime_base
+        rest is what trial division leaves of the gcd.  The second tier's
+        refinements of a piece against its gcd h, [c, h], are not splits
+        of rest and are skipped."""
+        seen, refine = [], core._exact_pieces
 
-        def spy(xs):
-            pieces = split(xs)
-            seen.append((xs[0], pieces))
+        def spy(xs, ys):
+            pieces = refine(xs, ys)
+            if len(xs) == 1:
+                seen.append((xs[0], [c for c, _ in pieces]))
             return pieces
 
-        monkeypatch.setattr(core, "coprime_base", spy)
+        monkeypatch.setattr(core, "_exact_pieces", spy)
         return seen
 
     def test_route_matches_full_factor_and_sympy(self, splits):
@@ -337,12 +359,37 @@ class TestRootAndSplit:
             with counting() as c:
                 assert weighted_gcd(values, t.weights) == p
             assert c.factor_calls == 0 and c.max_factored_bits == 0
+            assert c.gcd_calls == 1  # gcd(x) only: the pieces take no counted gcd
             normalized, d = normalize(t)
             assert d == p and normalized.values[1] == r1 * r2
             assert verify_wgcd(t, p) == (True, None)
             assert verify_wgcd(t, 1) == (False, "maximality")
         with pytest.raises(FactorBudgetExceeded):
             factor(math.gcd(*values))  # g whole does need rho
+
+    def test_wide_split_takes_one_gcd(self, monkeypatch):
+        # 64 coordinates over 3 and four primes above 10**4: the prime
+        # 2**30 + 3 has exponent 1 in g and contributes nothing, so g is
+        # no square and the root misses.  Refining what trial division
+        # leaves against the coordinates takes no counted gcd, and every
+        # piece is a prime below 10**12, decided by size
+        rng = random.Random(19)
+        primes = [sympy.nextprime(b) for b in (2, 10**4, 2**20, 2**30, 2**39)]
+        shares = (1, 2, 1, 0, 1)
+        weights = [rng.randint(2, 5) for _ in range(64)]
+        values = [
+            math.prod(p ** (q * k + rng.randrange(k == 0, q)) for p, k in zip(primes, shares))
+            for q in weights
+        ]
+        t = wt(values, weights)
+        expected = wgcd_full_factorization(t)
+        assert expected == 3 * 10007**2 * 1048583 * 549755813911
+        monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
+        with time_limit(1):
+            assert "fastpath-root" not in {s.rule for s in wgcd_auto(t).trace.steps}
+            with counting() as c:
+                assert wgcd_gcd_factorization(t) == expected
+        assert c == Counters(factor_calls=0, max_factored_bits=0, gcd_calls=1)
 
     def test_equal_weights_split_reaches_no_rho(self, monkeypatch):
         # the same 143-bit g = p**2 * r1 * r2 under equal weights: the
@@ -410,7 +457,7 @@ class TestPieceShares:
         # (2**16, 2**24) with exponents 0-12 and weights 1-5
         rng = random.Random(16)
         mid = list(sympy.primerange(10**4, 10**6))
-        wide = [sympy.randprime(2**16, 2**24) for _ in range(60)]
+        wide = [sympy.nextprime(rng.randrange(2**16, 2**24)) for _ in range(60)]
         factored = unfactored = 0
         for _ in range(100):
             primes = rng.sample(mid, rng.randint(1, 3)) + rng.sample(wide, rng.randint(0, 3))
