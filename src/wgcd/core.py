@@ -11,7 +11,9 @@ answers with nothing factored; on a miss, trial division and coprime
 pieces with exact exponents decide most of d unfactored.
 `verify_wgcd` runs the same route on the residues x_i / d**q_i.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
-`wgcd_auto` replays them as a trace.  A `with counting() as c:` block
+`wgcd_auto` replays them as a trace.  The route borrows their weight
+order, to build each power of the root test from the previous one on
+long tuples.  A `with counting() as c:` block
 counts the gcd and factor calls made inside it, and how many bits the
 largest factored number had.
 """
@@ -246,7 +248,10 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
 
     Let q be the least weight of a nonzero x_i; d**q | g bounds d by the
     root candidate r = iroot(g, q).  So g = 1 gives 1, and r is the answer
-    when every r**q_i | x_i, with nothing factored.  Otherwise trial
+    when every r**q_i | x_i, with nothing factored.  On a tuple of
+    _WEIGHT_ORDER_FROM or more coordinates that test takes them in the
+    paper's order, by ascending weight, so each r**q_i is the previous
+    power times r**(q_i - q_prev).  Otherwise trial
     division takes g's primes below 10**4, and the rest of g too when it
     is below 10**8, where it is prime.  A bigger rest is refined against
     the nonzero x_i into coprime pieces whose exponents are exact
@@ -290,7 +295,7 @@ def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
         return 1, None
     q_min = min(compress(weights, values))
     r = iroot(g, q_min)
-    ys = _divide_out(zip(values, weights), r)
+    ys = _divide_out(values, weights, r)
     if ys is not None:
         return r, ys
     small: dict[int, int] = {}
@@ -474,6 +479,11 @@ def abs_values(t: WeightedTuple) -> WeightedTuple:
     return WeightedTuple(tuple(abs(x) for x in t.values), t.weights)
 
 
+def _weight_order(weights) -> list[int]:
+    # the paper's order: the coordinate indices by ascending weight, stably
+    return sorted(range(len(weights)), key=weights.__getitem__)
+
+
 def sort_by_weight(t: WeightedTuple) -> tuple[WeightedTuple, tuple[int, ...]]:
     """Permute coordinates so the weights ascend, stably on ties.
 
@@ -481,7 +491,7 @@ def sort_by_weight(t: WeightedTuple) -> tuple[WeightedTuple, tuple[int, ...]]:
     index).  Applying the same permutation to values and weights leaves
     the weighted gcd unchanged.
     """
-    perm = tuple(sorted(range(len(t)), key=lambda i: (t.weights[i], i)))
+    perm = tuple(_weight_order(t.weights))
     permuted = WeightedTuple(
         tuple(t.values[i] for i in perm), tuple(t.weights[i] for i in perm)
     )
@@ -554,7 +564,7 @@ STRATEGIES = {
 def weighted_gcd(values, weights, strategy: str = "auto") -> int:
     """Convenience entry point: the weighted gcd of `values` under
     `weights` using the named strategy."""
-    t = WeightedTuple(tuple(values), weights)
+    t = WeightedTuple(values, weights)
     try:
         fn = STRATEGIES[strategy]
     except KeyError:
@@ -567,18 +577,43 @@ def weighted_gcd(values, weights, strategy: str = "auto") -> int:
 # ---------------------------------------------------------------------------
 # normalization and verification
 
-def _divide_out(pairs, b: int) -> Optional[list[int]]:
-    # x // b**q for each pair, or None when a b**q does not divide its x.
-    # Builds no power for x = 0, nor when b**q >= 2**(q * (bitlen(b) - 1)) > |x|.
-    out = []
-    for x, q in pairs:
+# Tuples of this many coordinates or more are visited in weight order.
+# There each power costs one multiplication of the previous one, which
+# pays for the sort on long tuples only.  Per call on shuffled weights
+# 1..n, x_i = b**q_i times a 64-bit cofactor, the ordered pass took this
+# share of the time of building every b**q_i afresh (best of 15, 2 shared
+# vCPUs, Python 3.11.7): 16-bit b 1.52 at n = 3, 0.99 at 16, 0.85 at 32,
+# 0.73 at 64; 4-bit b 1.61, 1.15, 1.02, 0.87.  Chaining the powers in
+# input order instead took 0.99-1.08 at every n, and on 3 coordinates it
+# cost 0.13-0.18 us of the ~6.2 us small-tuples compute p50 in perfbench.
+_WEIGHT_ORDER_FROM = 32
+
+
+def _divide_out(values, weights, b: int) -> Optional[list[int]]:
+    # x_i // b**q_i for each coordinate, or None when a b**q_i does not
+    # divide its x_i.  Long tuples are visited in weight order, so each
+    # power is the previous one times b**(q_i - q_prev); shorter ones in
+    # input order, building b**q_i afresh.  Either way a tied weight reuses
+    # the power.  Builds no power for x_i = 0, nor when
+    # b**q_i >= 2**(q_i (bitlen(b) - 1)) > |x_i|, so no power outgrows the
+    # one its coordinate needs.
+    n = len(values)
+    ordered = n >= _WEIGHT_ORDER_FROM
+    lg = b.bit_length() - 1
+    out = list(values)
+    power, q_prev = 1, 0
+    for i in _weight_order(weights) if ordered else range(n):
+        x = values[i]
         if x:
-            if q * (b.bit_length() - 1) >= x.bit_length():
+            q = weights[i]
+            if q * lg >= x.bit_length():
                 return None
-            x, rem = divmod(x, b**q)
+            if q != q_prev:
+                power = power * b ** (q - q_prev) if ordered else b**q
+                q_prev = q
+            out[i], rem = divmod(x, power)
             if rem:
                 return None
-        out.append(x)
     return out
 
 
@@ -594,7 +629,7 @@ def normalize(t: WeightedTuple) -> tuple[WeightedTuple, int]:
     if d == 1:
         return t, 1
     if ys is None:
-        ys = _divide_out(t.pairs(), d)
+        ys = _divide_out(t.values, t.weights, d)
     return WeightedTuple._trusted(tuple(ys), t.weights), d
 
 
@@ -608,7 +643,7 @@ def verify_wgcd(t: WeightedTuple, d: int) -> VerifyResult:
     d = operator.index(d)
     if d < 1:
         raise ValueError("claimed weighted gcd must be >= 1")
-    residues = t.values if d == 1 else _divide_out(t.pairs(), d)
+    residues = t.values if d == 1 else _divide_out(t.values, t.weights, d)
     if residues is None:
         return VerifyResult(False, "divisibility")
     if _wgcd_route(residues, t.weights)[0] > 1:

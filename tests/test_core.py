@@ -92,6 +92,13 @@ class TestTypes:
         with pytest.raises(TypeError):
             weighted_gcd(values, weights)
 
+    def test_values_from_any_iterable(self):
+        # WeightedTuple reads the values once, through operator.index
+        assert weighted_gcd([5760, 13824], (2, 3)) == 24
+        assert weighted_gcd((x for x in (5760, 13824)), (2, 3)) == 24
+        with pytest.raises(TypeError):
+            weighted_gcd((x / 1 for x in (5760, 13824)), (2, 3))
+
     def test_zero_coordinates_allowed(self):
         assert wt((0, 13824), (2, 3)).values == (0, 13824)
 
@@ -997,9 +1004,9 @@ class TestNormalizeVerify:
         """The base of every `_divide_out` call made, in order."""
         bases, divide_out = [], core._divide_out
 
-        def spy(pairs, b):
+        def spy(values, weights, b):
             bases.append(b)
-            return divide_out(pairs, b)
+            return divide_out(values, weights, b)
 
         monkeypatch.setattr(core, "_divide_out", spy)
         return bases

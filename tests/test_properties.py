@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd, time_limit
+from wgcd import core
 from wgcd.bench import known_answer_tuple
 from wgcd.core import (
     STRATEGIES,
@@ -69,6 +70,53 @@ def wide_known_answer_tuples(draw):
     values = [sign * x for sign, x in zip(signs, values)]
     answer = d if all(values[i] == 0 for i in range(n) if weights[i] >= heavy) else 1
     return WeightedTuple(tuple(values), tuple(weights)), answer
+
+
+@st.composite
+def divide_out_cases(draw):
+    """(values, weights, b) on both sides of core._WEIGHT_ORDER_FROM: tied
+    weights, weight gaps up to 10**9, zeros, signs and b = 1.  An exact
+    case makes each coordinate 0 or a multiple of b**q; a multiple of a
+    power that large is 0 unless b = 1."""
+    n = draw(st.integers(1, 80))
+    b = draw(st.one_of(st.just(1), st.integers(2, 2**16)))
+    weights = draw(
+        st.lists(
+            st.one_of(st.integers(1, 40), st.integers(1, 10**9)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    kinds = ("zero", "multiple") if draw(st.booleans()) else ("zero", "multiple", "any")
+    values = []
+    for q in weights:
+        kind = draw(st.sampled_from(kinds))
+        u = draw(st.integers(-(2**64), 2**64))
+        if kind == "zero" or (kind == "multiple" and q > 40 and b > 1):
+            values.append(0)
+        else:
+            values.append(u * b**q if kind == "multiple" and b > 1 else u)
+    return tuple(values), tuple(weights), b
+
+
+def divide_by_definition(values, weights, b):
+    # x // b**q for every coordinate when b**q divides every nonzero x
+    out = []
+    for x, q in zip(values, weights):
+        if x:
+            if b > 1 and q > x.bit_length():
+                return None  # b**q >= 2**q > |x|
+            if x % b**q:
+                return None
+            x //= b**q
+        out.append(x)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(divide_out_cases())
+def test_divide_out_matches_the_definition(case):
+    assert core._divide_out(*case) == divide_by_definition(*case)
 
 
 @settings(max_examples=250, deadline=None)
