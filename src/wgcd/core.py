@@ -6,14 +6,19 @@ the largest d with d**q_i dividing x_i for every i.  This module
 provides that quantity through several independent, cross-checkable
 strategies, plus normalization and verification.  The default route,
 `auto`, factors at most g = gcd(x), the same way for every weight
-vector: it first tries the root candidate iroot(g, min q), which often
+vector: it first tries a root candidate iroot(h, min q), which often
 answers with nothing factored; on a miss, trial division and coprime
-pieces with exact exponents decide most of d unfactored.
+pieces with exact exponents decide most of d unfactored.  h is g on a
+short tuple; on a long one it is the gcd of only its least-weight
+nonzero coordinates.  A hit is exact all the same: g | h, so the
+candidate is at least iroot(g, min q) >= d; a candidate that passes is
+a common weighted divisor, so it is at most d; so it is d.  Only a
+failed test completes h to g.
 `verify_wgcd` runs the same route on the residues x_i / d**q_i.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  The route borrows their weight
-order, to build each power of the root test from the previous one on
-long tuples.  A `with counting() as c:` block
+order on long tuples, to pick the head and to build each power of the
+root test from the previous one.  A `with counting() as c:` block
 counts the gcd and factor calls made inside it, and how many bits the
 largest factored number had.
 """
@@ -23,13 +28,14 @@ from __future__ import annotations
 import math
 import operator
 from contextvars import ContextVar
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple, Optional
 
 from .numtheory import (
     SECOND_TIER_LIMIT,
     TRIAL_DIVISION_LIMIT,
     _exact_pieces,
+    _factor_rough,
     _Frozen,
     _perfect_power,
     _Record,
@@ -185,14 +191,17 @@ def _gcd(xs) -> int:
     return math.gcd(*xs)
 
 
-def _factor(n: int):
+def _factor(n: int, rough: bool = False):
+    # factor(n) as (prime, exponent) pairs, counted.  rough: every prime of
+    # n exceeds 10**4 and n is no perfect power, so trial division and the
+    # perfect-power test are skipped
     c = _COUNTERS.get()
     if c is not None:
         c.factor_calls += 1
         bits = n.bit_length()
         if bits > c.max_factored_bits:
             c.max_factored_bits = bits
-    return factor(n)
+    return _factor_rough(n, power_free=True).items() if rough else factor(n)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +260,12 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     when every r**q_i | x_i, with nothing factored.  On a tuple of
     _WEIGHT_ORDER_FROM or more coordinates that test takes them in the
     paper's order, by ascending weight, so each r**q_i is the previous
-    power times r**(q_i - q_prev).  Otherwise trial
+    power times r**(q_i - q_prev).  There the first candidate comes from
+    h, the gcd of the _HEAD first nonzero x_i in that order, not from g.
+    A hit is still exact: g | h, so iroot(h, q) >= iroot(g, q) >= d; a
+    candidate that passes is a common weighted divisor, so it is <= d;
+    so it is d.  h = 1 gives 1, as g | h.  Only on a failed test is h
+    completed to g = gcd(h, x), and g != h retested.  Otherwise trial
     division takes g's primes below 10**4, and the rest of g too when it
     is below 10**8, where it is prime.  A bigger rest is refined against
     the nonzero x_i into coprime pieces whose exponents are exact
@@ -267,7 +281,8 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     whose primes exceed B, and a gcd of 1 gives the size test L = B.
     Below 2**48, B**3 > c, so that test decides c and each piece of the
     split with no factoring.  Only a piece still undecided is factored,
-    where a square could matter.
+    where a square could matter, by the second half of `factor` alone:
+    trial division and the perfect-power test have already run on it.
 
     The exponent in d of each prime p that trial division takes is min
     over nonzero x_i of floor(valuation(p, x_i) / q_i), found with a
@@ -284,20 +299,36 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     return _wgcd_route(t.values, t.weights)[0]
 
 
-def _wgcd_route(values, weights) -> tuple[int, Optional[list[int]]]:
+def _wgcd_route(values, weights, order=None) -> tuple[int, Optional[list[int]]]:
     # wgcd_gcd_factorization on plain tuples (values not all zero, weights
     # >= 1), which verify_wgcd runs on its residues without a WeightedTuple;
-    # normalize and wgcd_auto read its quotients.
-    # Returns (d, ys): ys are the quotients x_i // d**q_i when the root
-    # candidate answered, and None for g = 1 or on a miss.
-    g = _gcd(values)
+    # normalize and wgcd_auto read its quotients.  order: _weight_order of
+    # a long tuple's weights, when the caller has it.
+    # Returns (d, ys): ys are the quotients x_i // d**q_i when a root
+    # candidate answered, else None.
+    head = values
+    if len(values) >= _WEIGHT_ORDER_FROM:
+        if order is None:
+            order = _weight_order(weights)
+        head = list(islice(filter(None, map(values.__getitem__, order)), _HEAD))
+    # g is a multiple of gcd(x), and gcd(x) itself once head is all of x
+    g = _gcd(head)
     if g == 1:
         return 1, None
     q_min = min(compress(weights, values))
-    r = iroot(g, q_min)
-    ys = _divide_out(values, weights, r)
-    if ys is not None:
-        return r, ys
+    while True:
+        r = iroot(g, q_min)
+        ys = _divide_out(values, weights, r, order)
+        if ys is not None:
+            return r, ys
+        if head is values:
+            break
+        head, h = values, g
+        g = _gcd((h, *values))
+        if g == 1:
+            return 1, None
+        if g == h:
+            break
     small: dict[int, int] = {}
     rest = _trial_division(g, small)
     d = _split_share(rest, values, weights) if rest > 1 else 1
@@ -351,7 +382,7 @@ def _split_share(rest: int, values, weights) -> int:
             share = _size_share(c, es, qs, bound)
         if share is None:
             share = 1
-            for p, k in _factor(c):
+            for p, k in _factor(c, rough=True):
                 share *= p ** _share_exponent(k, es, qs)
         d *= share
     return d
@@ -588,21 +619,33 @@ def weighted_gcd(values, weights, strategy: str = "auto") -> int:
 # cost 0.13-0.18 us of the ~6.2 us small-tuples compute p50 in perfbench.
 _WEIGHT_ORDER_FROM = 32
 
+# Coordinates of a long tuple whose gcd gives the first root candidate:
+# the least-weight nonzero ones, where the candidate is smallest.  Of the
+# first 500 perfbench long-tuples inputs (stream seed 1016), the candidate
+# was d for 3, 396, 460, 484 and 498 at 1, 2, 3, 4 and 6 of them.  Per
+# call over 500 such inputs (seeds 4242-4245, best of 15-30 passes, 2
+# shared vCPUs, Python 3.11.7), compute took 46-53 us at every value from
+# 2 to 8, with no order among 3-8 beyond the noise, against 68-73 us with
+# the gcd of all 64 coordinates; 4 keeps the head's gcd short and hits 97%.
+_HEAD = 4
 
-def _divide_out(values, weights, b: int) -> Optional[list[int]]:
+
+def _divide_out(values, weights, b: int, order=None) -> Optional[list[int]]:
     # x_i // b**q_i for each coordinate, or None when a b**q_i does not
-    # divide its x_i.  Long tuples are visited in weight order, so each
-    # power is the previous one times b**(q_i - q_prev); shorter ones in
-    # input order, building b**q_i afresh.  Either way a tied weight reuses
-    # the power.  Builds no power for x_i = 0, nor when
-    # b**q_i >= 2**(q_i (bitlen(b) - 1)) > |x_i|, so no power outgrows the
-    # one its coordinate needs.
+    # divide its x_i.  Long tuples are visited in weight order, the given
+    # `order` or their own, so each power is the previous one times
+    # b**(q_i - q_prev); shorter ones in input order, building b**q_i
+    # afresh.  Either way a tied weight reuses the power.  Builds no power
+    # for x_i = 0, nor when b**q_i >= 2**(q_i (bitlen(b) - 1)) > |x_i|, so
+    # no power outgrows the one its coordinate needs.
     n = len(values)
-    ordered = n >= _WEIGHT_ORDER_FROM
+    if order is None and n >= _WEIGHT_ORDER_FROM:
+        order = _weight_order(weights)
+    ordered = order is not None
     lg = b.bit_length() - 1
     out = list(values)
     power, q_prev = 1, 0
-    for i in _weight_order(weights) if ordered else range(n):
+    for i in order if ordered else range(n):
         x = values[i]
         if x:
             q = weights[i]
@@ -643,9 +686,11 @@ def verify_wgcd(t: WeightedTuple, d: int) -> VerifyResult:
     d = operator.index(d)
     if d < 1:
         raise ValueError("claimed weighted gcd must be >= 1")
-    residues = t.values if d == 1 else _divide_out(t.values, t.weights, d)
+    # the claim's division and the route share one sort of a long tuple
+    order = _weight_order(t.weights) if len(t.weights) >= _WEIGHT_ORDER_FROM else None
+    residues = t.values if d == 1 else _divide_out(t.values, t.weights, d, order)
     if residues is None:
         return VerifyResult(False, "divisibility")
-    if _wgcd_route(residues, t.weights)[0] > 1:
+    if _wgcd_route(residues, t.weights, order)[0] > 1:
         return VerifyResult(False, "maximality")
     return VerifyResult(True, None)

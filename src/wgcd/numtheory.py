@@ -4,8 +4,10 @@ Everything the weighted-gcd strategies stand on: gcd folds, floor roots,
 p-adic valuations, factor refinement into a coprime base and into pieces
 with exact exponents, Baillie-PSW primality, and integer factorization.
 Factorization runs trial division below 10**4, as one gcd per decade of
-primes against the product of that decade, then perfect-power detection,
-then a primality test, then Pollard rho capped at RHO_BUDGET iterations.
+primes against the product of that decade; then `_factor_rough`, which
+also serves alone a number whose primes all exceed 10**4, runs
+perfect-power detection, a primality test and Pollard rho capped at
+RHO_BUDGET iterations.
 A second tier, the product of the primes in (10**4, B) for a bound B of
 at most 10**5, is built per bound on first use, never at import; the
 `auto` route takes one gcd with it, B sized to the piece's cube root, to
@@ -527,11 +529,10 @@ def factor(n: int) -> Factorization:
     fixed-seed generator, so the rho iterations a call runs depend on n
     alone.
 
-    First `_trial_division` by the primes below 10**4.  Then, on each
-    remaining cofactor, perfect-power detection, a primality test, and
-    Pollard rho with Brent cycle detection.  Every copy of a prime found
-    by trial division, and of a divisor rho splits off, is stripped at
-    once by `_strip`, which divides by repeated squares past the first
+    First `_trial_division` by the primes below 10**4, then
+    `_factor_rough` on the cofactor it leaves.  Every copy of a prime
+    found by trial division, and of a divisor rho splits off, is stripped
+    at once by `_strip`, which divides by repeated squares past the first
     few copies, so `factor(3**(10**5))` takes milliseconds rather than
     seconds.
 
@@ -542,18 +543,31 @@ def factor(n: int) -> Factorization:
         raise ValueError("factor expects n >= 1")
     counts: dict[int, int] = {}
     m = _trial_division(n, counts)
+    if m > 1:
+        counts.update(_factor_rough(m))
+    return Factorization._trusted(tuple(sorted(counts.items())))
+
+
+def _factor_rough(m: int, power_free: bool = False) -> dict[int, int]:
+    """Prime factorization of m > 1 whose primes all exceed 10**4, as
+    prime: exponent.  Each piece takes perfect-power detection, a
+    primality test, then Pollard rho, capped at RHO_BUDGET iterations in
+    all.  power_free: m is already known to be no perfect power, so its
+    own test is skipped; the pieces rho splits off still take theirs."""
+    counts: dict[int, int] = {}
     rng = None
     spent = 0
-    pending = [(m, 1)] if m > 1 else []
+    pending = [(m, 1, power_free)]
     while pending:
-        v, mult = pending.pop()
+        v, mult, power_free = pending.pop()
         if v < _PRIME_BELOW:
             counts[v] = counts.get(v, 0) + mult
             continue
-        root, k = _perfect_power(v)
-        if k > 1:
-            pending.append((root, k * mult))
-            continue
+        if not power_free:
+            root, k = _perfect_power(v)
+            if k > 1:
+                pending.append((root, k * mult, False))
+                continue
         if is_prime(v):
             counts[v] = counts.get(v, 0) + mult
             continue
@@ -561,7 +575,7 @@ def factor(n: int) -> Factorization:
             rng = random.Random(0)
         a, spent = _pollard_rho_brent(v, rng, RHO_BUDGET, spent)
         rest, e = _strip(v // a, a)
-        pending.append((a, (e + 1) * mult))
+        pending.append((a, (e + 1) * mult, False))
         if rest > 1:
-            pending.append((rest, mult))
-    return Factorization._trusted(tuple(sorted(counts.items())))
+            pending.append((rest, mult, False))
+    return counts

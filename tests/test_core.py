@@ -249,6 +249,22 @@ def test_seeded_corpus_is_the_same_in_a_fresh_interpreter():
     assert proc.stdout.strip() == str([(t.values, t.weights) for t in seeded_corpus()])
 
 
+def long_tuple(rng: random.Random) -> tuple[WeightedTuple, int]:
+    # 64 signed coordinates d**q_i * c_i under the weights 1-64 shuffled,
+    # with a 16-bit d and 64-bit cofactors coprime to it, one of them 1
+    weights = list(range(1, 65))
+    rng.shuffle(weights)
+    d = rng.getrandbits(15) | 1 << 15
+    cofactors = []
+    while len(cofactors) < 64:
+        c = rng.getrandbits(64) | 1 << 63
+        if math.gcd(c, d) == 1:
+            cofactors.append(c)
+    cofactors[rng.randrange(64)] = 1
+    values = [rng.choice((1, -1)) * d**q * c for q, c in zip(weights, cofactors)]
+    return wt(values, weights), d
+
+
 def loop_verdict(t: WeightedTuple, d: int) -> tuple:
     # verify_wgcd's verdict as a per-prime loop: divisibility of every
     # d**q_i, then whether some prime of the residues' gcd still divides
@@ -377,8 +393,9 @@ class TestRootAndSplit:
     def test_wide_split_takes_one_gcd(self, monkeypatch):
         # 64 coordinates over 3 and four primes above 10**4: the prime
         # 2**30 + 3 has exponent 1 in g and contributes nothing, so g is
-        # no square and the root misses.  Refining what trial division
-        # leaves against the coordinates takes no counted gcd, and every
+        # no square and the root misses.  The two counted gcds are the
+        # head's and the one completing it to gcd(x); refining what trial
+        # division leaves against the coordinates takes none, and every
         # piece is a prime below 10**12, decided by size
         rng = random.Random(19)
         primes = [sympy.nextprime(b) for b in (2, 10**4, 2**20, 2**30, 2**39)]
@@ -396,7 +413,26 @@ class TestRootAndSplit:
             assert "fastpath-root" not in {s.rule for s in wgcd_auto(t).trace.steps}
             with counting() as c:
                 assert wgcd_gcd_factorization(t) == expected
+        assert c == Counters(factor_calls=0, max_factored_bits=0, gcd_calls=2)
+
+    def test_long_root_hit_takes_the_head_gcd_only(self, monkeypatch):
+        # the long-tuples shape: weights 1-64 shuffled, x_i = d**q_i * c_i
+        # with 64-bit cofactors coprime to d.  The candidate from the gcd of
+        # the core._HEAD least-weight coordinates answers, and that gcd is
+        # the only one taken
+        sizes, gcd = [], core._gcd
+
+        def spy(xs):
+            xs = list(xs)
+            sizes.append(len(xs))
+            return gcd(xs)
+
+        monkeypatch.setattr(core, "_gcd", spy)
+        t, d = long_tuple(random.Random(21))
+        with counting() as c:
+            assert wgcd_gcd_factorization(t) == d
         assert c == Counters(factor_calls=0, max_factored_bits=0, gcd_calls=1)
+        assert sizes == [core._HEAD]
 
     def test_equal_weights_split_reaches_no_rho(self, monkeypatch):
         # the same 143-bit g = p**2 * r1 * r2 under equal weights: the
@@ -594,6 +630,24 @@ class TestPieceShares:
         c *= 10007
         assert self.shares((c, c), (1, 2)) == (a, 1)
         assert second_tier == [10**5, 10**5]
+
+    def test_undecided_piece_repeats_no_step(self, monkeypatch):
+        # the route takes trial division once, of g = c, and the split
+        # tests the piece c = a**2 * b for a perfect power once; factoring
+        # c then runs only the primality test and rho
+        a, b = sympy.nextprime(10**5), sympy.nextprime(2 * 10**5)
+        c = a**2 * b
+        calls = {"_perfect_power": [], "_trial_division": []}
+        for name, seen in calls.items():
+
+            def spy(n, *rest, fn=getattr(numtheory, name), seen=seen):
+                seen.append(n)
+                return fn(n, *rest)
+
+            monkeypatch.setattr(numtheory, name, spy)
+            monkeypatch.setattr(core, name, spy)
+        assert self.shares((c, c), (1, 2)) == (a, 1)
+        assert calls == {"_perfect_power": [c], "_trial_division": [c]}
 
     def test_prime_powers_deficient_shape_needs_no_rho(self, monkeypatch):
         # the benchmark's adversarial-deficient shape: noise primes enter
@@ -1004,9 +1058,9 @@ class TestNormalizeVerify:
         """The base of every `_divide_out` call made, in order."""
         bases, divide_out = [], core._divide_out
 
-        def spy(values, weights, b):
+        def spy(values, weights, b, order=None):
             bases.append(b)
-            return divide_out(values, weights, b)
+            return divide_out(values, weights, b, order)
 
         monkeypatch.setattr(core, "_divide_out", spy)
         return bases
@@ -1021,6 +1075,26 @@ class TestNormalizeVerify:
         p = SPLIT_PRIMES[0]
         _, d = normalize(wt(SPLIT_VALUES, SPLIT_WEIGHTS))
         assert d == p and len(divisions) == 2 and divisions[1] == p
+
+    def test_verify_sorts_a_long_tuple_once(self, monkeypatch):
+        # the claim's division and the route on its residues share one
+        # weight order, for the true claim and for d / p, whose residues'
+        # gcd exceeds 1 and whose root test runs in that order too
+        sorts, order = [], core._weight_order
+
+        def spy(weights):
+            sorts.append(len(weights))
+            return order(weights)
+
+        monkeypatch.setattr(core, "_weight_order", spy)
+        rng = random.Random(22)
+        for _ in range(20):
+            t, d = long_tuple(rng)
+            p = min(sympy.primefactors(d))
+            for claim, verdict in ((d, (True, None)), (d // p, (False, "maximality"))):
+                del sorts[:]
+                assert tuple(verify_wgcd(t, claim)) == verdict
+                assert sorts == [64], (t, claim)
 
     def test_normalize_worked_pair(self):
         normalized, d = normalize(wt((5760, 13824), (2, 3)))

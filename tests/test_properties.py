@@ -4,10 +4,10 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd, time_limit
+from helpers import SPLIT_VALUES, SPLIT_WEIGHTS, naive_root, naive_wgcd, time_limit
 from wgcd import core
 from wgcd.bench import known_answer_tuple
 from wgcd.core import (
@@ -17,6 +17,7 @@ from wgcd.core import (
     reduce_suffix_gcd,
     sort_by_weight,
     verify_wgcd,
+    weighted_gcd,
     wgcd_auto,
     wgcd_bruteforce,
 )
@@ -117,6 +118,89 @@ def divide_by_definition(values, weights, b):
 @given(divide_out_cases())
 def test_divide_out_matches_the_definition(case):
     assert core._divide_out(*case) == divide_by_definition(*case)
+
+
+@st.composite
+def head_candidate_cases(draw):
+    """A signed tuple of 32-80 coordinates, at least core._WEIGHT_ORDER_FROM,
+    whose least-weight coordinates, zeros and tied weights among them,
+    carry e**j, j <= q_min, for an extra e that the others may lack.  So the
+    candidate from the head of the weight order can exceed the weighted
+    gcd, the gcd of the head can be above 1 where gcd(x) is 1, and a head
+    gcd below 2**q_min gives the candidate 1.  Every root
+    |x_i| ** (1 / q_i) stays below about 2000, so naive_wgcd is quick."""
+    n = draw(st.integers(32, 80))
+    q_low = draw(st.integers(1, 3))
+    light = draw(st.integers(1, 8))
+    d = draw(st.one_of(st.just(1), st.integers(2, 10)))
+    e = draw(st.sampled_from((1, 2, 3, 5, 6, 7)))
+    j = draw(st.integers(1, q_low))
+    values, weights = [], []
+    for i in range(n):
+        if i < light:
+            q = q_low + draw(st.integers(0, 1))
+            x = 0 if draw(st.integers(0, 3)) == 0 else d**q * e**j
+        else:
+            q = q_low + draw(st.integers(1, 4))
+            x = d**q if draw(st.booleans()) else 0
+        weights.append(q)
+        values.append(x * draw(st.integers(1, 30)) * draw(st.sampled_from((1, -1))))
+    assume(any(values))
+    order = draw(st.permutations(range(n)))
+    return WeightedTuple(
+        tuple(values[i] for i in order), tuple(weights[i] for i in order)
+    )
+
+
+def verdict_by_definition(t, claim, d):
+    # a claim whose powers divide every coordinate divides d
+    if any(x % claim**q for x, q in t.pairs()):
+        return (False, "divisibility")
+    return (True, None) if claim == d else (False, "maximality")
+
+
+def fast_path_by_definition(t):
+    # the fast path that root-testing the candidate of the full gcd takes
+    g = gcd_many(t.values)
+    if g == 1:
+        return "fastpath-one"
+    q_min = min(q for x, q in t.pairs() if x)
+    r = naive_root(g, q_min)
+    return "fastpath-root" if all(x % r**q == 0 for x, q in t.pairs()) else None
+
+
+def signed_head_case(head, head_weight, rest, rest_weight, n=32):
+    # head's values at the least weight, then rest's at a larger one,
+    # cycled to n coordinates with alternating signs
+    values = head + [rest[i % len(rest)] for i in range(n - len(head))]
+    weights = [head_weight] * len(head) + [rest_weight] * (n - len(head))
+    return WeightedTuple(
+        tuple(x * (-1) ** i for i, x in enumerate(values)), tuple(weights)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(head_candidate_cases())
+# the head's candidate 6 misses and gcd(x) = 3 gives d = 3
+@example(signed_head_case([6, 0, 6, 6, 6], 1, [9, 45], 2))
+# the head's gcd is 2, gcd(x) is 1
+@example(signed_head_case([2, 2, 0, 4, 2], 1, [1, 3], 2))
+# iroot(2, 2) = 1 answers d = 1 from the head
+@example(signed_head_case([2, 0, 2, 6, 2], 2, [3], 3))
+def test_head_candidate_matches_the_definition(t):
+    d = naive_wgcd(t.values, t.weights)
+    assert weighted_gcd(t.values, t.weights) == d
+    assert normalize(t)[1] == d
+    assert_normalized_like_validated(t)
+    q_min = min(q for x, q in t.pairs() if x)
+    head = [x for q, x in sorted(zip(t.weights, t.values), key=lambda qx: qx[0]) if x]
+    claims = {d, d + 1, d * 2, naive_root(gcd_many(head[: core._HEAD]), q_min)}
+    claims.update(d // p for p in range(2, d + 1) if d % p == 0)
+    for claim in claims:
+        assert tuple(verify_wgcd(t, claim)) == verdict_by_definition(t, claim, d)
+    steps = wgcd_auto(t).trace.steps
+    fast = steps[-1].rule if steps and steps[-1].rule.startswith("fastpath") else None
+    assert fast == fast_path_by_definition(t)
 
 
 @settings(max_examples=250, deadline=None)
