@@ -17,10 +17,10 @@ failed test completes h to g.
 `verify_wgcd` runs the same route on the residues x_i / d**q_i.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  The route borrows their weight
-order on long tuples, to pick the head and to build each power of the
-root test from the previous one.  A `with counting() as c:` block
-counts the gcd and factor calls made inside it, and how many bits the
-largest factored number had.
+order on long tuples, which each entry point decides once, to pick the
+head and to build each power of the root test from the previous one.
+A `with counting() as c:` block counts the gcd and factor calls made
+inside it, and how many bits the largest factored number had.
 """
 
 from __future__ import annotations
@@ -259,12 +259,13 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     root candidate r = iroot(g, q).  So g = 1 gives 1, and r is the answer
     when every r**q_i | x_i, with nothing factored.  On a tuple of
     _WEIGHT_ORDER_FROM or more coordinates that test takes them in the
-    paper's order, by ascending weight, so each r**q_i is the previous
-    power times r**(q_i - q_prev).  There the first candidate comes from
-    h, the gcd of the _HEAD first nonzero x_i in that order, not from g.
-    A hit is still exact: g | h, so iroot(h, q) >= iroot(g, q) >= d; a
-    candidate that passes is a common weighted divisor, so it is <= d;
-    so it is d.  h = 1 gives 1, as g | h.  Only on a failed test is h
+    paper's order, by ascending weight, which this entry point sorts once
+    and every step follows: each r**q_i is the previous power times
+    r**(q_i - q_prev), and the first candidate comes from h, the gcd of
+    the _HEAD first nonzero x_i in that order, not from g.  A hit is
+    still exact: g | h, so iroot(h, q) >= iroot(g, q) >= d; a candidate
+    that passes is a common weighted divisor, so it is <= d; so it is
+    d.  h = 1 gives 1, as g | h.  Only on a failed test is h
     completed to g = gcd(h, x), and g != h retested.  Otherwise trial
     division takes g's primes below 10**4, and the rest of g too when it
     is below 10**8, where it is prime.  A bigger rest is refined against
@@ -296,20 +297,18 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     the root candidate's test is `_divide_out` itself, whose quotients
     `normalize` keeps on a hit.
     """
-    return _wgcd_route(t.values, t.weights)[0]
+    return _wgcd_route(t.values, t.weights, _visit_order(t.weights))[0]
 
 
-def _wgcd_route(values, weights, order=None) -> tuple[int, Optional[list[int]]]:
+def _wgcd_route(values, weights, order) -> tuple[int, Optional[list[int]]]:
     # wgcd_gcd_factorization on plain tuples (values not all zero, weights
     # >= 1), which verify_wgcd runs on its residues without a WeightedTuple;
-    # normalize and wgcd_auto read its quotients.  order: _weight_order of
-    # a long tuple's weights, when the caller has it.
+    # normalize and wgcd_auto read its quotients.  order: the caller's
+    # _visit_order of the weights, which the root test follows.
     # Returns (d, ys): ys are the quotients x_i // d**q_i when a root
     # candidate answered, else None.
     head = values
-    if len(values) >= _WEIGHT_ORDER_FROM:
-        if order is None:
-            order = _weight_order(weights)
+    if order is not None:
         head = list(islice(filter(None, map(values.__getitem__, order)), _HEAD))
     # g is a multiple of gcd(x), and gcd(x) itself once head is all of x
     g = _gcd(head)
@@ -515,6 +514,11 @@ def _weight_order(weights) -> list[int]:
     return sorted(range(len(weights)), key=weights.__getitem__)
 
 
+def _visit_order(weights) -> Optional[list[int]]:
+    # how one call visits its tuple: a long one's _weight_order, else None
+    return _weight_order(weights) if len(weights) >= _WEIGHT_ORDER_FROM else None
+
+
 def sort_by_weight(t: WeightedTuple) -> tuple[WeightedTuple, tuple[int, ...]]:
     """Permute coordinates so the weights ascend, stably on ties.
 
@@ -575,7 +579,7 @@ def wgcd_auto(t: WeightedTuple) -> WgcdResult:
     if chain.values != cur.values:
         steps.append(_step("suffix-gcd", chain))
     with counting() as c:
-        d, ys = _wgcd_route(t.values, t.weights)
+        d, ys = _wgcd_route(t.values, t.weights, _visit_order(t.weights))
     if chain.values[0] == 1:
         steps.append(_step("fastpath-one", chain))
     elif ys is not None:
@@ -630,22 +634,18 @@ _WEIGHT_ORDER_FROM = 32
 _HEAD = 4
 
 
-def _divide_out(values, weights, b: int, order=None) -> Optional[list[int]]:
+def _divide_out(values, weights, b: int, order) -> Optional[list[int]]:
     # x_i // b**q_i for each coordinate, or None when a b**q_i does not
-    # divide its x_i.  Long tuples are visited in weight order, the given
-    # `order` or their own, so each power is the previous one times
-    # b**(q_i - q_prev); shorter ones in input order, building b**q_i
-    # afresh.  Either way a tied weight reuses the power.  Builds no power
-    # for x_i = 0, nor when b**q_i >= 2**(q_i (bitlen(b) - 1)) > |x_i|, so
-    # no power outgrows the one its coordinate needs.
-    n = len(values)
-    if order is None and n >= _WEIGHT_ORDER_FROM:
-        order = _weight_order(weights)
+    # divide its x_i, visited in the caller's _visit_order: weight order
+    # makes each power the previous one times b**(q_i - q_prev), input
+    # order (None) builds b**q_i afresh, and a tied weight reuses it.
+    # Builds no power for x_i = 0, nor when b**q_i >= 2**(q_i (bitlen(b)
+    # - 1)) > |x_i|, so no power outgrows the one its coordinate needs.
     ordered = order is not None
     lg = b.bit_length() - 1
     out = list(values)
     power, q_prev = 1, 0
-    for i in order if ordered else range(n):
+    for i in order if ordered else range(len(values)):
         x = values[i]
         if x:
             q = weights[i]
@@ -668,11 +668,12 @@ def normalize(t: WeightedTuple) -> tuple[WeightedTuple, int]:
     the quotients its test computed are the output; on a miss, d is
     worked out and then divided out.
     """
-    d, ys = _wgcd_route(t.values, t.weights)
+    order = _visit_order(t.weights)
+    d, ys = _wgcd_route(t.values, t.weights, order)
     if d == 1:
         return t, 1
     if ys is None:
-        ys = _divide_out(t.values, t.weights, d)
+        ys = _divide_out(t.values, t.weights, d, order)
     return WeightedTuple._trusted(tuple(ys), t.weights), d
 
 
@@ -686,8 +687,7 @@ def verify_wgcd(t: WeightedTuple, d: int) -> VerifyResult:
     d = operator.index(d)
     if d < 1:
         raise ValueError("claimed weighted gcd must be >= 1")
-    # the claim's division and the route share one sort of a long tuple
-    order = _weight_order(t.weights) if len(t.weights) >= _WEIGHT_ORDER_FROM else None
+    order = _visit_order(t.weights)
     residues = t.values if d == 1 else _divide_out(t.values, t.weights, d, order)
     if residues is None:
         return VerifyResult(False, "divisibility")

@@ -1058,7 +1058,7 @@ class TestNormalizeVerify:
         """The base of every `_divide_out` call made, in order."""
         bases, divide_out = [], core._divide_out
 
-        def spy(values, weights, b, order=None):
+        def spy(values, weights, b, order):
             bases.append(b)
             return divide_out(values, weights, b, order)
 
@@ -1076,25 +1076,43 @@ class TestNormalizeVerify:
         _, d = normalize(wt(SPLIT_VALUES, SPLIT_WEIGHTS))
         assert d == p and len(divisions) == 2 and divisions[1] == p
 
-    def test_verify_sorts_a_long_tuple_once(self, monkeypatch):
-        # the claim's division and the route on its residues share one
-        # weight order, for the true claim and for d / p, whose residues'
-        # gcd exceeds 1 and whose root test runs in that order too
+    def test_each_call_sorts_a_long_tuple_once(self, monkeypatch):
+        # every entry point decides the visit order once and its route and
+        # divisions share it: on a long root hit, on a long root miss,
+        # where normalize divides by d after the route, and for verify's
+        # true claim and d / p, whose residues' gcd exceeds 1.  A
+        # 3-coordinate tuple is visited in input order, with no sort
         sorts, order = [], core._weight_order
 
         def spy(weights):
             sorts.append(len(weights))
             return order(weights)
 
-        monkeypatch.setattr(core, "_weight_order", spy)
-        rng = random.Random(22)
-        for _ in range(20):
-            t, d = long_tuple(rng)
+        def calls(t, d):
+            # each entry point on t, with the answer it must give
             p = min(sympy.primefactors(d))
-            for claim, verdict in ((d, (True, None)), (d // p, (False, "maximality"))):
+            yield lambda: weighted_gcd(t.values, t.weights), d
+            yield lambda: normalize(t)[1], d
+            yield lambda: tuple(verify_wgcd(t, d)), (True, None)
+            yield lambda: tuple(verify_wgcd(t, d // p)), (False, "maximality")
+
+        def root_hit(t):
+            return core._wgcd_route(t.values, t.weights, order(t.weights))[1] is not None
+
+        rng = random.Random(22)
+        tuples = []
+        for _ in range(10):
+            hit, d = long_tuple(rng)
+            # every coordinate times a prime above the trial-division bound
+            miss = wt([x * 1000003 for x in hit.values], hit.weights)
+            assert root_hit(hit) and not root_hit(miss)
+            tuples += [(hit, d, [64]), (miss, d, [64])]
+        monkeypatch.setattr(core, "_weight_order", spy)
+        for t, d, expected in tuples + [(WORKED_TRIPLE, 4, [])]:
+            for call, answer in calls(t, d):
                 del sorts[:]
-                assert tuple(verify_wgcd(t, claim)) == verdict
-                assert sorts == [64], (t, claim)
+                assert call() == answer
+                assert sorts == expected, (t, answer)
 
     def test_normalize_worked_pair(self):
         normalized, d = normalize(wt((5760, 13824), (2, 3)))

@@ -117,7 +117,9 @@ def divide_by_definition(values, weights, b):
 @settings(max_examples=300, deadline=None)
 @given(divide_out_cases())
 def test_divide_out_matches_the_definition(case):
-    assert core._divide_out(*case) == divide_by_definition(*case)
+    # the order that every entry point passes, on either side of the threshold
+    order = core._visit_order(case[1])
+    assert core._divide_out(*case, order) == divide_by_definition(*case)
 
 
 @st.composite
