@@ -502,11 +502,12 @@ def wgcd_fold(t: WeightedTuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# reductions: each maps a valid tuple to a valid one, so none re-checks it
+# (the suffix gcds keep y_0 = gcd(x) != 0)
 
 def abs_values(t: WeightedTuple) -> WeightedTuple:
     """Coordinate-wise absolute value; the weighted gcd is sign-blind."""
-    return WeightedTuple(tuple(abs(x) for x in t.values), t.weights)
+    return WeightedTuple._trusted(tuple(abs(x) for x in t.values), t.weights)
 
 
 def _weight_order(weights) -> list[int]:
@@ -527,7 +528,7 @@ def sort_by_weight(t: WeightedTuple) -> tuple[WeightedTuple, tuple[int, ...]]:
     the weighted gcd unchanged.
     """
     perm = tuple(_weight_order(t.weights))
-    permuted = WeightedTuple(
+    permuted = WeightedTuple._trusted(
         tuple(t.values[i] for i in perm), tuple(t.weights[i] for i in perm)
     )
     return permuted, perm
@@ -540,14 +541,14 @@ def reduce_suffix_gcd(t: WeightedTuple) -> WeightedTuple:
     Needs nondecreasing weights.  The output is a divisor chain
     (y_i | y_{i+1}, hence y_0 <= ... <= y_n) with the same weighted gcd.
     """
-    if list(t.weights) != sorted(t.weights):
+    if not all(map(operator.le, t.weights, t.weights[1:])):
         raise ValueError(
             f"suffix-gcd reduction needs nondecreasing weights, got {t.weights}"
         )
     ys = [abs(x) for x in t.values]
     for i in range(len(ys) - 2, -1, -1):
         ys[i] = math.gcd(ys[i], ys[i + 1])
-    return WeightedTuple(tuple(ys), t.weights)
+    return WeightedTuple._trusted(tuple(ys), t.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +573,7 @@ def wgcd_auto(t: WeightedTuple) -> WgcdResult:
     cur = abs_values(t)
     if cur.values != t.values:
         steps.append(_step("abs", cur))
-    if list(cur.weights) != sorted(cur.weights):
+    if not all(map(operator.le, cur.weights, cur.weights[1:])):
         cur, _ = sort_by_weight(cur)
         steps.append(_step("permute", cur))
     chain = reduce_suffix_gcd(cur)

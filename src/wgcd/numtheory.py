@@ -91,9 +91,10 @@ def gcd_many(xs) -> int:
 def iroot(x: int, n: int) -> int:
     """Floor of the n-th root: the r with r**n <= x < (r+1)**n.
 
-    `math.isqrt` for n = 2; otherwise Newton iteration seeded from the bit
-    length, which always overestimates, so the iteration decreases
-    monotonically onto the root.
+    `math.isqrt` for n = 2; otherwise integer Newton iteration from
+    1 << ceil(bits/n), which is above the root s.  By AM-GM each step stays
+    >= s, and a step from any r > s goes strictly down, so the iteration
+    stops exactly on s (Cohen 1993, 1.7).
     """
     if n < 1:
         raise ValueError("root order must be positive")
@@ -113,10 +114,6 @@ def iroot(x: int, n: int) -> int:
         if t >= r:
             break
         r = t
-    while r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
     return r
 
 
@@ -434,12 +431,11 @@ def _pollard_rho_brent(
 ) -> tuple[int, int]:
     """Nontrivial factor of an odd composite n via Brent's cycle variant,
     and the running iteration count: `spent` plus the iterations run here.
+    Its one caller, `_factor_rough`, passes only n whose primes exceed 10**4.
 
     The budget is checked once per batch of m iterations, before the batch
     runs; FactorBudgetExceeded is raised when the batch would pass it.
     """
-    if n % 2 == 0:
-        return 2, spent
     m = 128
     while True:
         y = rng.randrange(1, n)

@@ -135,6 +135,11 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert "malformed claim 'abc'" in err and "list" not in err
 
+    def test_claim_list_is_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--weights", "1", "--values", "12", "--claim", "6,7")
+        assert (code, out) == (2, "")
+        assert "claim must be a single integer" in err
+
 
 class TestNormalize:
     def test_plain_format(self, capsys):

@@ -712,6 +712,8 @@ class TestSingleAndFold:
         assert wgcd_single(-7, 1) == 7
         with pytest.raises(ValueError):
             wgcd_single(0, 2)
+        with pytest.raises(ValueError, match="weight must be positive"):
+            wgcd_single(5, 0)
         for x, q in ((72, 2.0), (72.0, 2), ("72", 2), (72, "2")):
             with pytest.raises(TypeError):
                 wgcd_single(x, q)
@@ -722,6 +724,8 @@ class TestSingleAndFold:
         assert fold_merge(24, 0, 5) == 24
         with pytest.raises(ValueError):
             fold_merge(0, 99, 3)
+        with pytest.raises(ValueError, match="weight must be positive"):
+            fold_merge(4, 8, 0)
         for args in ((6, 72, 2.0), (6, 72.0, 2), (6.0, 72, 2), (6, "72", 2)):
             with pytest.raises(TypeError):
                 fold_merge(*args)
@@ -868,6 +872,38 @@ class TestAuto:
         assert built == []
         assert weighted_gcd(values, weights) == naive_wgcd(values, weights)
         assert len(built) == 1
+
+    def test_trace_checks_and_sorts_a_valid_tuple_no_more(self, monkeypatch):
+        # each reduction maps a valid tuple to a valid one, and an order
+        # test compares neighbours: only sort_by_weight and the route's
+        # visit order of a long tuple sort
+        rng = random.Random(23)
+        weights = list(range(1, 65))
+        rng.shuffle(weights)
+        long = wt([3**q * rng.randrange(1, 50) for q in weights], weights)
+        cases = [
+            (wt((-5760, 70352, 13824), (2, 1, 3)), 1),
+            (wt((70352, -5760, 13824), (2, 2, 3)), 0),
+            (long, 2),
+        ]
+        built, sorts = [], []
+        post_init = WeightedTuple.__post_init__
+
+        def counted(obj):
+            built.append(obj)
+            post_init(obj)
+
+        def spy(*args, **kwargs):
+            sorts.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(WeightedTuple, "__post_init__", counted)
+        monkeypatch.setattr(core, "sorted", spy, raising=False)
+        for t, most_sorts in cases:
+            del built[:], sorts[:]
+            assert wgcd_auto(t).d == naive_wgcd(t.values, t.weights)
+            assert built == []
+            assert len(sorts) <= most_sorts, t
 
     def test_counters_on_worked_triple(self):
         # gcd 16, root candidate iroot(16, 2) = 4: nothing is factored

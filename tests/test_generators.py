@@ -55,6 +55,10 @@ class TestKnownAnswer:
             known_answer_tuple(6, (2, 3), (5, 7))  # no unit cofactor
         with pytest.raises(ValueError):
             known_answer_tuple(6, (2, 3), (0, 1))  # zero frees a coordinate
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            known_answer_tuple(0, (2, 3), (5, 1))
+        with pytest.raises(ValueError, match="one cofactor per coordinate"):
+            known_answer_tuple(6, (2, 3), (1,))
 
     def test_non_integer_cofactors_rejected(self):
         # int() would truncate 1.7 to a unit cofactor and return (2, 12)
@@ -128,6 +132,10 @@ class TestAdversarial:
         s = spec("adversarial-deficient", (2, 2, 3), seed=11, cofactor_bits=20)
         assert gen_adversarial(s) == gen_adversarial(s)
 
+    def test_mode_guard(self):
+        with pytest.raises(ValueError, match="adversarial-deficient mode"):
+            gen_adversarial(spec("random", (2, 3)))
+
 
 class TestRandomMode:
     def test_valid_and_deterministic(self):
@@ -136,6 +144,10 @@ class TestRandomMode:
         assert t == gen_random(s)
         assert any(t.values)
         assert all(abs(v).bit_length() <= 12 for v in t.values)
+
+    def test_mode_guard(self):
+        with pytest.raises(ValueError, match="random mode"):
+            gen_random(spec("known-answer", (2, 3)))
 
     def test_generate_dispatch(self):
         t, d = generate(spec("known-answer", (2, 3), seed=1))

@@ -86,10 +86,14 @@ class TestIroot:
             n = rng.randrange(1, 8)
             assert iroot(x, n) == naive_root(x, n)
 
-    @given(st.integers(0, 10**40), st.integers(1, 12))
-    def test_bracket_invariant(self, x, n):
-        r = iroot(x, n)
-        assert r**n <= x < (r + 1) ** n
+    # n >= 3 takes Newton's iteration, which returns its stopping point
+    # with no correction afterwards
+    @settings(deadline=None)
+    @given(st.integers(0, 2**4096), st.integers(1, 2**200), st.integers(3, 64))
+    def test_bracket_invariant(self, x, r, n):
+        for y in (x, r**n - 1, r**n, r**n + 1):
+            s = iroot(y, n)
+            assert s**n <= y < (s + 1) ** n
 
     def test_exact_powers(self):
         for base in (2, 3, 10, 12345):
