@@ -14,7 +14,8 @@ nonzero coordinates.  A hit is exact all the same: g | h, so the
 candidate is at least iroot(g, min q) >= d; a candidate that passes is
 a common weighted divisor, so it is at most d; so it is d.  Only a
 failed test completes h to g.
-`verify_wgcd` runs the same route on the residues x_i / d**q_i.  The
+`weighted_gcd` runs that route on its checked arguments, with no
+`WeightedTuple` built, and `verify_wgcd` on the residues x_i / d**q_i.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  The route borrows their weight
 order on long tuples, which each entry point decides once, to pick the
@@ -29,7 +30,7 @@ import math
 import operator
 from contextvars import ContextVar
 from itertools import compress, islice
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .numtheory import (
     SECOND_TIER_LIMIT,
@@ -49,13 +50,27 @@ from .numtheory import (
 
 
 def _positive_weights(weights) -> tuple[int, ...]:
-    # the weights as a tuple of ints, at least one, each >= 1
+    # the weights as a tuple of ints, at least one, each >= 1: the weight
+    # half of _checked, which bench's specs run on their own
     q = tuple(map(operator.index, weights))
     if not q:
         raise ValueError("weight vector must not be empty")
     if min(q) < 1:
         raise ValueError(f"weights must be positive, got {q}")
     return q
+
+
+def _checked(values, weights) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (values, weights) as tuples of ints that make a valid weighted tuple,
+    # else a ValueError or TypeError: the one check of WeightedTuple and
+    # weighted_gcd
+    values = tuple(map(operator.index, values))
+    weights = _positive_weights(weights)
+    if len(values) != len(weights):
+        raise ValueError(f"{len(values)} values but {len(weights)} weights")
+    if not any(values):
+        raise ValueError("the all-zero tuple has no weighted gcd")
+    return values, weights
 
 
 class WeightedTuple(_Frozen):
@@ -65,6 +80,7 @@ class WeightedTuple(_Frozen):
     __slots__ = ("values", "weights")
 
     def __init__(self, values: tuple[int, ...], weights: tuple[int, ...]):
+        values, weights = _checked(values, weights)
         _set_field(self, "values", values)
         _set_field(self, "weights", weights)
         # looked up at each build, so a profiler can count builds by
@@ -72,16 +88,8 @@ class WeightedTuple(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        values = tuple(map(operator.index, self.values))
-        weights = _positive_weights(self.weights)
-        if len(values) != len(weights):
-            raise ValueError(
-                f"{len(values)} values but {len(weights)} weights"
-            )
-        if not any(values):
-            raise ValueError("the all-zero tuple has no weighted gcd")
-        _set_field(self, "values", values)
-        _set_field(self, "weights", weights)
+        # once per checked build, after the checks; does nothing itself
+        pass
 
     @classmethod
     def _trusted(
@@ -302,9 +310,10 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
 
 def _wgcd_route(values, weights, order) -> tuple[int, Optional[list[int]]]:
     # wgcd_gcd_factorization on plain tuples (values not all zero, weights
-    # >= 1), which verify_wgcd runs on its residues without a WeightedTuple;
-    # normalize and wgcd_auto read its quotients.  order: the caller's
-    # _visit_order of the weights, which the root test follows.
+    # >= 1), which weighted_gcd runs on its checked arguments and
+    # verify_wgcd on its residues, each without a WeightedTuple; normalize
+    # and wgcd_auto read its quotients.  order: the caller's _visit_order
+    # of the weights, which the root test follows.
     # Returns (d, ys): ys are the quotients x_i // d**q_i when a root
     # candidate answered, else None.
     head = values
@@ -515,9 +524,12 @@ def _weight_order(weights) -> list[int]:
     return sorted(range(len(weights)), key=weights.__getitem__)
 
 
-def _visit_order(weights) -> Optional[list[int]]:
-    # how one call visits its tuple: a long one's _weight_order, else None
-    return _weight_order(weights) if len(weights) >= _WEIGHT_ORDER_FROM else None
+def _visit_order(weights, perm=None) -> Optional[Sequence[int]]:
+    # how one call visits its tuple: a long one's _weight_order, else None;
+    # perm is that order when the caller has already sorted by weight
+    if len(weights) < _WEIGHT_ORDER_FROM:
+        return None
+    return _weight_order(weights) if perm is None else perm
 
 
 def sort_by_weight(t: WeightedTuple) -> tuple[WeightedTuple, tuple[int, ...]]:
@@ -573,14 +585,15 @@ def wgcd_auto(t: WeightedTuple) -> WgcdResult:
     cur = abs_values(t)
     if cur.values != t.values:
         steps.append(_step("abs", cur))
+    perm = None
     if not all(map(operator.le, cur.weights, cur.weights[1:])):
-        cur, _ = sort_by_weight(cur)
+        cur, perm = sort_by_weight(cur)
         steps.append(_step("permute", cur))
     chain = reduce_suffix_gcd(cur)
     if chain.values != cur.values:
         steps.append(_step("suffix-gcd", chain))
     with counting() as c:
-        d, ys = _wgcd_route(t.values, t.weights, _visit_order(t.weights))
+        d, ys = _wgcd_route(t.values, t.weights, _visit_order(t.weights, perm))
     if chain.values[0] == 1:
         steps.append(_step("fastpath-one", chain))
     elif ys is not None:
@@ -598,16 +611,23 @@ STRATEGIES = {
 
 
 def weighted_gcd(values, weights, strategy: str = "auto") -> int:
-    """Convenience entry point: the weighted gcd of `values` under
-    `weights` using the named strategy."""
-    t = WeightedTuple(values, weights)
+    """The weighted gcd of `values` under `weights` by the named strategy.
+
+    The arguments pass the checks a `WeightedTuple` runs, with its errors,
+    before the strategy name is looked up.  `auto` then runs its route on
+    the checked plain tuples, with no `WeightedTuple` built; the
+    cross-check strategies get one that skips the checks already made.
+    """
+    values, weights = _checked(values, weights)
+    if strategy == "auto":
+        return _wgcd_route(values, weights, _visit_order(weights))[0]
     try:
         fn = STRATEGIES[strategy]
     except KeyError:
         raise ValueError(
             f"unknown strategy {strategy!r}, expected one of {sorted(STRATEGIES)}"
         ) from None
-    return fn(t)
+    return fn(WeightedTuple._trusted(values, weights))
 
 
 # ---------------------------------------------------------------------------

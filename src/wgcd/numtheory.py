@@ -88,13 +88,29 @@ def gcd_many(xs) -> int:
     return g
 
 
+# Covers the float error of iroot's start, at most a relative 2**-43.
+_ROOT_WIDENING = 1 + 2.0**-40
+
+
 def iroot(x: int, n: int) -> int:
     """Floor of the n-th root: the r with r**n <= x < (r+1)**n.
 
-    `math.isqrt` for n = 2; otherwise integer Newton iteration from
-    1 << ceil(bits/n), which is above the root s.  By AM-GM each step stays
-    >= s, and a step from any r > s goes strictly down, so the iteration
-    stops exactly on s (Cohen 1993, 1.7).
+    `math.isqrt` for n = 2; otherwise integer Newton iteration from a float
+    root r above the root s.  By AM-GM each step stays >= s, and a step
+    from any r > s goes strictly down, so the iteration stops exactly on s
+    (Cohen 1993, 1.7).
+
+    The start, with k = (bits - 1000) // n read as 0 when negative:
+    y = x >> (n k) is x itself or at least 2**999, so x**(1/n) is below
+    (y + 1)**(1/n) 2**k, within a relative 2**-999 of y**(1/n) 2**k.  The
+    float z = 2 ** (log2(y) / n) is within a relative 2**-43 of
+    y**(1/n): its exponent is below 1000/n + 1 <= 335 and is off by a few
+    relative 2**-53.  So z (1 + 2**-40) 2**k > x**(1/n) >= s, and the
+    start r = (floor(z (1 + 2**-40) 2**j) + 1) << (k - j), j = min(k, 64),
+    exceeds it.  The 2**j keeps 64 bits of z, so r is within a relative
+    2**-39 of s, plus 2, and Newton ends in a few steps.  A start at the
+    power of two 1 << ceil(bits/n) can be twice s, which costs a big n
+    about n ln 2 steps.
     """
     if n < 1:
         raise ValueError("root order must be positive")
@@ -108,7 +124,13 @@ def iroot(x: int, n: int) -> int:
         return math.isqrt(x)
     if n >= x.bit_length():
         return 1
-    r = 1 << -(-x.bit_length() // n)
+    k = (x.bit_length() - 1000) // n
+    if k > 0:
+        j = min(k, 64)
+        z = 2.0 ** (math.log2(x >> (n * k)) / n)
+        r = (int(math.ldexp(z * _ROOT_WIDENING, j)) + 1) << (k - j)
+    else:
+        r = int(2.0 ** (math.log2(x) / n) * _ROOT_WIDENING) + 1
     while True:
         t = ((n - 1) * r + x // r ** (n - 1)) // n
         if t >= r:

@@ -92,6 +92,31 @@ class TestTypes:
         with pytest.raises(TypeError):
             weighted_gcd(values, weights)
 
+    @pytest.mark.parametrize(
+        "values, weights",
+        [
+            ((), ()),
+            ((1, 2), ()),
+            ((1, 2, 3), (2, 0, 3)),
+            ((1,), (-1,)),
+            ((1, 2), (1, 2, 3)),
+            ((0, 0), (2, 3)),
+            ((2.5, 5), (1, 1)),
+            ((8, 8), (1.9, 1)),
+            ((8, 0.0), (1, 0)),
+        ],
+    )
+    def test_weighted_gcd_rejects_as_weighted_tuple_does(self, values, weights):
+        # weighted_gcd checks its arguments without building a
+        # WeightedTuple, with the same error, and before it reads the
+        # strategy name
+        with pytest.raises((TypeError, ValueError)) as built:
+            WeightedTuple(values, weights)
+        for strategy in [*STRATEGIES, "bogus"]:
+            with pytest.raises(built.type) as called:
+                weighted_gcd(values, weights, strategy=strategy)
+            assert str(called.value) == str(built.value), strategy
+
     def test_values_from_any_iterable(self):
         # WeightedTuple reads the values once, through operator.index
         assert weighted_gcd([5760, 13824], (2, 3)) == 24
@@ -871,12 +896,51 @@ class TestAuto:
         assert STRATEGIES["auto"](t) == naive_wgcd(values, weights)
         assert built == []
         assert weighted_gcd(values, weights) == naive_wgcd(values, weights)
-        assert len(built) == 1
+        assert built == []
+
+    def test_weighted_gcd_runs_the_route_once_and_builds_no_tuple(
+        self, monkeypatch
+    ):
+        # auto answers from the checked plain tuples: one route call, and
+        # no WeightedTuple, validated or not
+        rng = random.Random(24)
+        long, d = long_tuple(rng)
+        cases = [
+            ([70352, 5760, 13824], [2, 2, 3], 4),
+            ((0, -48, 0, 144), (4, 2, 2, 1), 4),
+            ((7, 13), (2, 3), 1),
+            (SPLIT_VALUES, SPLIT_WEIGHTS, SPLIT_PRIMES[0]),
+            (long.values, long.weights, d),
+        ]
+        built, routes = [], []
+        post_init, route = WeightedTuple.__post_init__, core._wgcd_route
+        trusted = WeightedTuple._trusted
+
+        def counted(obj):
+            built.append(obj)
+            post_init(obj)
+
+        def wrapped(cls, values, weights):
+            built.append(values)
+            return trusted(values, weights)
+
+        def spy(values, weights, order):
+            routes.append((values, weights))
+            return route(values, weights, order)
+
+        monkeypatch.setattr(WeightedTuple, "__post_init__", counted)
+        monkeypatch.setattr(WeightedTuple, "_trusted", classmethod(wrapped))
+        monkeypatch.setattr(core, "_wgcd_route", spy)
+        for values, weights, answer in cases:
+            del built[:], routes[:]
+            assert weighted_gcd(values, weights) == answer
+            assert built == []
+            assert routes == [(tuple(values), tuple(weights))]
 
     def test_trace_checks_and_sorts_a_valid_tuple_no_more(self, monkeypatch):
         # each reduction maps a valid tuple to a valid one, and an order
-        # test compares neighbours: only sort_by_weight and the route's
-        # visit order of a long tuple sort
+        # test compares neighbours: only sort_by_weight sorts, and a long
+        # tuple's route visits it in that same permutation
         rng = random.Random(23)
         weights = list(range(1, 65))
         rng.shuffle(weights)
@@ -884,7 +948,7 @@ class TestAuto:
         cases = [
             (wt((-5760, 70352, 13824), (2, 1, 3)), 1),
             (wt((70352, -5760, 13824), (2, 2, 3)), 0),
-            (long, 2),
+            (long, 1),
         ]
         built, sorts = [], []
         post_init = WeightedTuple.__post_init__

@@ -12,7 +12,7 @@ from wgcd.bench import (
     generate,
     known_answer_tuple,
 )
-from wgcd.core import wgcd_auto, wgcd_bruteforce, wgcd_full_factorization
+from wgcd.core import WeightedTuple, wgcd_auto, wgcd_bruteforce, wgcd_full_factorization
 from wgcd.numtheory import gcd_many
 
 
@@ -35,6 +35,20 @@ class TestGenSpec:
             GenSpec(0, 2, (2, 3), 0, 4, "known-answer")
         with pytest.raises(ValueError):
             GenSpec(0, 2, (2, 3), 4, 4, "surprise")
+
+    @pytest.mark.parametrize("weights", [(), (2, 0, 3), (1, -1), (1.5, 2)])
+    def test_weights_rejected_as_weighted_tuple_does(self, weights):
+        # the spec and the known-answer builder run the tuple's own weight
+        # check, so a bad weight vector gets the same error everywhere
+        with pytest.raises((TypeError, ValueError)) as built:
+            WeightedTuple((1,) * len(weights), weights)
+        for make in (
+            lambda: GenSpec(0, len(weights), weights, 4, 4, "known-answer"),
+            lambda: known_answer_tuple(6, weights, (1,) * len(weights)),
+        ):
+            with pytest.raises(built.type) as made:
+                make()
+            assert str(made.value) == str(built.value)
 
     def test_json_round_trip(self):
         s = spec("random", (2, 3, 5), seed=99)

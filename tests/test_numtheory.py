@@ -95,6 +95,19 @@ class TestIroot:
             s = iroot(y, n)
             assert s**n <= y < (s + 1) ** n
 
+    def test_bracket_across_the_shifted_start(self):
+        # from about 1000 + n bits on, the float start is taken from
+        # x >> (n k) >= 2**999; orders up to 3000 leave roots of a few bits
+        rng = random.Random(24)
+        for _ in range(300):
+            bits = rng.choice((rng.randint(990, 1100), rng.randint(2, 20000)))
+            n = rng.choice((3, 5, rng.randint(3, 64), rng.randint(3, 3000)))
+            x = rng.getrandbits(bits) | 1
+            r = iroot(x, n)
+            for y in (x, r**n - 1, r**n, r**n + 1, (r + 1) ** n - 1):
+                s = iroot(y, n)
+                assert s**n <= y < (s + 1) ** n, (y, n)
+
     def test_exact_powers(self):
         for base in (2, 3, 10, 12345):
             for n in (2, 3, 7):
