@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
+from collections.abc import Sequence
 from contextvars import ContextVar
 from itertools import compress, islice
-from typing import NamedTuple, Optional, Sequence
 
 from .numtheory import (
     SECOND_TIER_LIMIT,
@@ -124,10 +125,9 @@ class Counters(_Record):
         self.gcd_calls = gcd_calls
 
 
-class TraceStep(NamedTuple):
-    rule: str
-    values: tuple[int, ...]
-    weights: tuple[int, ...]
+# one rewrite: its rule, from TRACE_RULES, and the tuple of ints and the
+# weights it leaves
+TraceStep = namedtuple("TraceStep", ("rule", "values", "weights"))
 
 
 TRACE_RULES = (
@@ -161,16 +161,15 @@ class WgcdResult(_Frozen):
         _set_field(self, "counters", counters)
 
 
-class VerifyResult(NamedTuple):
-    ok: bool
-    reason: Optional[str]  # "divisibility" or "maximality" when not ok
+# ok, a bool, and reason: None when ok, else "divisibility" or "maximality"
+VerifyResult = namedtuple("VerifyResult", ("ok", "reason"))
 
 
 # ---------------------------------------------------------------------------
 # counted kernel access
 
 # None: nothing is counted, as outside every `counting` block.
-_COUNTERS: ContextVar[Optional[Counters]] = ContextVar("counters", default=None)
+_COUNTERS: ContextVar[Counters | None] = ContextVar("counters", default=None)
 
 
 class counting:
@@ -308,7 +307,7 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     return _wgcd_route(t.values, t.weights, _visit_order(t.weights))[0]
 
 
-def _wgcd_route(values, weights, order) -> tuple[int, Optional[list[int]]]:
+def _wgcd_route(values, weights, order) -> tuple[int, list[int] | None]:
     # wgcd_gcd_factorization on plain tuples (values not all zero, weights
     # >= 1), which weighted_gcd runs on its checked arguments and
     # verify_wgcd on its residues, each without a WeightedTuple; normalize
@@ -402,7 +401,7 @@ def _share_exponent(k: int, es, qs) -> int:
     return min(k * e // q for e, q in zip(es, qs))
 
 
-def _size_share(c: int, es, qs, low: int) -> Optional[int]:
+def _size_share(c: int, es, qs, low: int) -> int | None:
     # c**f(1) when the size of c proves that every prime of c, with its k
     # copies, contributes p**(k * f(1)), else None.  c is an exact piece, no
     # perfect power, whose primes all exceed low: so a prime with k >= 2
@@ -524,7 +523,7 @@ def _weight_order(weights) -> list[int]:
     return sorted(range(len(weights)), key=weights.__getitem__)
 
 
-def _visit_order(weights, perm=None) -> Optional[Sequence[int]]:
+def _visit_order(weights, perm=None) -> Sequence[int] | None:
     # how one call visits its tuple: a long one's _weight_order, else None;
     # perm is that order when the caller has already sorted by weight
     if len(weights) < _WEIGHT_ORDER_FROM:
@@ -655,7 +654,7 @@ _WEIGHT_ORDER_FROM = 32
 _HEAD = 4
 
 
-def _divide_out(values, weights, b: int, order) -> Optional[list[int]]:
+def _divide_out(values, weights, b: int, order) -> list[int] | None:
     # x_i // b**q_i for each coordinate, or None when a b**q_i does not
     # divide its x_i, visited in the caller's _visit_order: weight order
     # makes each power the previous one times b**(q_i - q_prev), input

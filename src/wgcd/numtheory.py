@@ -8,9 +8,12 @@ primes against the product of that decade; then `_factor_rough`, which
 also serves alone a number whose primes all exceed 10**4, runs
 perfect-power detection, a primality test and Pollard rho capped at
 RHO_BUDGET iterations.
+The primes below 10**4, and the products of their decades, are built on
+first use, never at import: `import wgcd` and a call that the root test
+answers compute no prime table.
 A second tier, the product of the primes in (10**4, B) for a bound B of
-at most 10**5, is built per bound on first use, never at import; the
-`auto` route takes one gcd with it, B sized to the piece's cube root, to
+at most 10**5, is likewise built per bound on first use; the `auto`
+route takes one gcd with it, B sized to the piece's cube root, to
 prove a piece below 10**20 free of those primes, which bounds the
 multiplicity of its primes by its size, or to split off the ones it has.
 All functions are deterministic, pure and safe to call concurrently: they
@@ -23,10 +26,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import random
 from bisect import bisect_left
+from collections.abc import Iterator
 from itertools import compress
-from typing import Iterator
 
 TRIAL_DIVISION_LIMIT = 10_000
 # Once trial division is done every remaining prime factor exceeds 10**4,
@@ -45,18 +47,26 @@ def _primes_below(limit: int) -> tuple[int, ...]:
     return tuple(compress(range(limit), sieve))
 
 
-_SMALL_PRIMES = _primes_below(TRIAL_DIVISION_LIMIT)
-# Trial division takes one gcd per decade of primes, against the product
-# of that decade.  A small cofactor stops after the first decade or two,
-# so a 16-bit number never pays for a gcd with the whole 14,277-bit
-# primorial.
-_TRIAL_RANGES = tuple(
-    (primes, math.prod(primes))
-    for primes in (
-        _SMALL_PRIMES[bisect_left(_SMALL_PRIMES, lo) : bisect_left(_SMALL_PRIMES, hi)]
-        for lo, hi in ((2, 10), (10, 100), (100, 1000), (1000, TRIAL_DIVISION_LIMIT))
+@functools.cache
+def _small_primes() -> tuple[int, ...]:
+    # the 1,229 primes below 10**4
+    return _primes_below(TRIAL_DIVISION_LIMIT)
+
+
+@functools.cache
+def _trial_ranges() -> tuple[tuple[tuple[int, ...], int], ...]:
+    # Trial division takes one gcd per decade of primes, against the product
+    # of that decade.  A small cofactor stops after the first decade or two,
+    # so a 16-bit number never pays for a gcd with the whole 14,277-bit
+    # primorial.
+    primes = _small_primes()
+    bounds = (2, 10, 100, 1000, TRIAL_DIVISION_LIMIT)
+    decades = (
+        primes[bisect_left(primes, lo) : bisect_left(primes, hi)]
+        for lo, hi in zip(bounds, bounds[1:])
     )
-)
+    return tuple((decade, math.prod(decade)) for decade in decades)
+
 
 # The second tier: the primes in (10**4, 10**5).  The `auto` route takes a
 # gcd with the product of those below a bound sized to the piece, from the
@@ -69,7 +79,7 @@ SECOND_TIER_LIMIT = 10**5
 def _second_tier_product(bound: int) -> int:
     # the primes in (10**4, bound) multiplied pairwise (Bernstein 2004), in
     # a third of the time of a sequential product
-    xs = _primes_below(bound)[len(_SMALL_PRIMES) :]
+    xs = _primes_below(bound)[len(_small_primes()) :]
     while len(xs) > 1:
         xs = [*map(operator.mul, xs[::2], xs[1::2]), *xs[len(xs) & ~1 :]]
     return xs[0]
@@ -448,12 +458,11 @@ class Factorization(_Frozen):
         return len(self.entries)
 
 
-def _pollard_rho_brent(
-    n: int, rng: random.Random, budget: int, spent: int = 0
-) -> tuple[int, int]:
+def _pollard_rho_brent(n: int, rng, budget: int, spent: int = 0) -> tuple[int, int]:
     """Nontrivial factor of an odd composite n via Brent's cycle variant,
     and the running iteration count: `spent` plus the iterations run here.
-    Its one caller, `_factor_rough`, passes only n whose primes exceed 10**4.
+    Its one caller, `_factor_rough`, passes only n whose primes exceed 10**4,
+    and rng, the `random.Random` the walks are drawn from.
 
     The budget is checked once per batch of m iterations, before the batch
     runs; FactorBudgetExceeded is raised when the batch would pass it.
@@ -499,7 +508,7 @@ def _perfect_power(v: int) -> tuple[int, int]:
     """(r, k) with r**k == v for the smallest prime k that has one, else
     (v, 1).  Only for v whose prime factors all exceed 10**4."""
     bits = v.bit_length()
-    for k in _SMALL_PRIMES:
+    for k in _small_primes():
         if k * _MIN_BITS_PER_POWER > bits:
             break
         r = iroot(v, k)
@@ -516,9 +525,10 @@ def _trial_division(m: int, counts: dict[int, int]) -> int:
 
     Takes one gcd per decade of the primes against the decade's product
     and divides out only the primes of that gcd; it stops at the first
-    decade whose smallest prime squared exceeds the cofactor.
+    decade whose smallest prime squared exceeds the cofactor.  The primes
+    and the products are built by the first call, not at import.
     """
-    for primes, product in _TRIAL_RANGES:
+    for primes, product in _trial_ranges():
         if primes[0] * primes[0] > m:
             break
         # g is the product of the primes of this decade that divide m; once
@@ -590,6 +600,8 @@ def _factor_rough(m: int, power_free: bool = False) -> dict[int, int]:
             counts[v] = counts.get(v, 0) + mult
             continue
         if rng is None:
+            import random  # kept off the import path, as dataclasses is
+
             rng = random.Random(0)
         a, spent = _pollard_rho_brent(v, rng, RHO_BUDGET, spent)
         rest, e = _strip(v // a, a)

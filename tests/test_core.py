@@ -1382,6 +1382,34 @@ class TestRecords:
         with pytest.raises(TypeError):
             hash(c)
 
+    def test_verify_results_and_trace_steps_are_named_tuples(self):
+        # plain tuples with named fields: they equal, unpack, pickle and
+        # print as such
+        ok, bad = verify_wgcd(WORKED_TRIPLE, 4), verify_wgcd(WORKED_TRIPLE, 2)
+        assert ok == (True, None) and bad == (False, "maximality")
+        assert isinstance(ok, tuple) and hash(ok) == hash((True, None))
+        flag, reason = bad
+        assert (flag, reason) == (bad.ok, bad.reason) == (False, "maximality")
+        assert ok.ok is True and ok.reason is None
+        assert wgcd.VerifyResult._fields == ("ok", "reason")
+        assert bad._asdict() == {"ok": False, "reason": "maximality"}
+        assert repr(ok) == "VerifyResult(ok=True, reason=None)"
+        assert wgcd.VerifyResult(ok=True, reason=None) == ok
+        step = wgcd_auto(WORKED_TRIPLE).trace.steps[0]
+        assert step == ("suffix-gcd", (16, 1152, 13824), (2, 2, 3))
+        rule, values, weights = step
+        assert (rule, values, weights) == (step.rule, step.values, step.weights)
+        assert wgcd.TraceStep._fields == ("rule", "values", "weights")
+        assert step._asdict() == {
+            "rule": "suffix-gcd", "values": (16, 1152, 13824), "weights": (2, 2, 3),
+        }
+        assert repr(step) == (
+            "TraceStep(rule='suffix-gcd', values=(16, 1152, 13824), weights=(2, 2, 3))"
+        )
+        for r in (ok, bad, step):
+            twin = pickle.loads(pickle.dumps(r))
+            assert twin == r and type(twin) is type(r)
+
 
 # Run in a fresh isolated interpreter; the last line printed lists the
 # modules the body loaded beyond those the interpreter started with, so
@@ -1398,10 +1426,12 @@ print(" ".join(sorted(set(sys.modules) - started)))
 HEAVY_MODULES = {"dataclasses", "inspect", "statistics", "json", "csv"}
 
 
-def loaded_cold(body: str) -> set:
+def loaded_cold(body: str, site: bool = True) -> set:
+    # site=False adds -S: no `site`, so no .pth file loads a module first
     src = str(Path(wgcd.__file__).resolve().parents[1])
+    flags = ["-I"] if site else ["-I", "-S"]
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", _COLD_PROBE.format(body=body), src],
+        [sys.executable, *flags, "-c", _COLD_PROBE.format(body=body), src],
         capture_output=True, text=True, timeout=60, check=True,
     )
     return set(proc.stdout.splitlines()[-1].split())
@@ -1409,14 +1439,45 @@ def loaded_cold(body: str) -> set:
 
 class TestColdImport:
     def test_import_loads_core_and_numtheory_only(self):
+        # Under -S: a host whose `site` runs a .pth file that imports typing
+        # or random (certifi's does) has them loaded before the probe
+        # starts counting, and under -I alone their check would pass
+        # whatever wgcd imports.
         loaded = loaded_cold(
             "import wgcd\n"
-            "assert wgcd.weighted_gcd((70352, 5760, 13824), (2, 2, 3)) == 4"
+            "assert wgcd.weighted_gcd((70352, 5760, 13824), (2, 2, 3)) == 4",
+            site=False,
         )
         assert {m for m in loaded if m.startswith("wgcd")} == {
             "wgcd", "wgcd.core", "wgcd.numtheory",
         }
-        assert not loaded & HEAVY_MODULES
+        assert not loaded & {"typing", "random", *HEAVY_MODULES}
+
+    def test_trial_division_tables_are_built_on_first_use(self):
+        # the primes below 10**4 and their decade products: not at import,
+        # nor on a root hit, but once, by the first trial division
+        loaded_cold(
+            "import wgcd\n"
+            "from wgcd import numtheory\n"
+            "from wgcd.numtheory import _perfect_power\n"
+            "def built():\n"
+            "    return [f.cache_info().misses\n"
+            "            for f in (numtheory._small_primes, numtheory._trial_ranges)]\n"
+            "assert built() == [0, 0]\n"
+            "assert wgcd.weighted_gcd((70352, 5760, 13824), (2, 2, 3)) == 4\n"
+            "assert built() == [0, 0]\n"
+            "c = 10007**2 * 30011\n"
+            "assert wgcd.weighted_gcd((c, c), (1, 2)) == 10007\n"
+            "assert built() == [1, 1]\n"
+            "assert wgcd.weighted_gcd((7 * c, 49 * c), (1, 2)) == 7 * 10007\n"
+            "f = wgcd.factor(2**64 + 1)\n"
+            "assert f.entries == ((274177, 1), (67280421310721, 1))\n"
+            "assert _perfect_power(10007**5) == (10007, 5)\n"
+            "assert _perfect_power(10007**6) == (10007**3, 2)\n"
+            "assert _perfect_power(c) == (c, 1)\n"
+            "assert built() == [1, 1]",
+            site=False,
+        )
 
     def test_second_tier_is_built_on_first_use(self):
         # the products cost up to about 14 ms: not at import, nor on a miss
