@@ -15,7 +15,11 @@ candidate is at least iroot(g, min q) >= d; a candidate that passes is
 a common weighted divisor, so it is at most d; so it is d.  Only a
 failed test completes h to g.
 `weighted_gcd` runs that route on its checked arguments, with no
-`WeightedTuple` built, and `verify_wgcd` on the residues x_i / d**q_i.  The
+`WeightedTuple` built.  `verify_wgcd` uses that every common weighted
+divisor divides d: on a long tuple whose root test answers d, a claim
+is right when it is d, fails on maximality when it divides d, and on
+divisibility otherwise.  A short tuple, or a long one whose test
+misses, runs the route on the residues x_i / claim**q_i instead.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  The route borrows their weight
 order on long tuples, which each entry point decides once, to pick the
@@ -302,7 +306,8 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     every coordinate passes.  As in `_divide_out`, a power with
     q_i m (bitlen(p) - 1) >= bitlen(x_i) cannot divide and is not built;
     the root candidate's test is `_divide_out` itself, whose quotients
-    `normalize` keeps on a hit.
+    `normalize` keeps on a hit and whose answer `verify_wgcd` compares a
+    long tuple's claim with.
     """
     return _wgcd_route(t.values, t.weights, _visit_order(t.weights))[0]
 
@@ -310,32 +315,16 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
 def _wgcd_route(values, weights, order) -> tuple[int, list[int] | None]:
     # wgcd_gcd_factorization on plain tuples (values not all zero, weights
     # >= 1), which weighted_gcd runs on its checked arguments and
-    # verify_wgcd on its residues, each without a WeightedTuple; normalize
-    # and wgcd_auto read its quotients.  order: the caller's _visit_order
-    # of the weights, which the root test follows.
+    # verify_wgcd on a short tuple's residues, each without a
+    # WeightedTuple; normalize and wgcd_auto read its quotients.  order:
+    # the caller's _visit_order of the weights, which the root test
+    # follows.  The root test is _root_test, which verify_wgcd also runs on
+    # a long tuple itself; past a miss, g's primes decide d.
     # Returns (d, ys): ys are the quotients x_i // d**q_i when a root
     # candidate answered, else None.
-    head = values
-    if order is not None:
-        head = list(islice(filter(None, map(values.__getitem__, order)), _HEAD))
-    # g is a multiple of gcd(x), and gcd(x) itself once head is all of x
-    g = _gcd(head)
-    if g == 1:
-        return 1, None
-    q_min = min(compress(weights, values))
-    while True:
-        r = iroot(g, q_min)
-        ys = _divide_out(values, weights, r, order)
-        if ys is not None:
-            return r, ys
-        if head is values:
-            break
-        head, h = values, g
-        g = _gcd((h, *values))
-        if g == 1:
-            return 1, None
-        if g == h:
-            break
+    g, ys, q_min = _root_test(values, weights, order)
+    if ys is not None or g == 1:
+        return g, ys
     small: dict[int, int] = {}
     rest = _trial_division(g, small)
     d = _split_share(rest, values, weights) if rest > 1 else 1
@@ -351,6 +340,35 @@ def _wgcd_route(values, weights, order) -> tuple[int, list[int] | None]:
                     break
         d *= p**m
     return d, None
+
+
+def _root_test(values, weights, order) -> tuple[int, list[int] | None, int]:
+    # The root test of _wgcd_route: the candidate iroot(h, q_min) from the
+    # gcd h of the tuple's head, or of all of it on a short tuple, tried by
+    # _divide_out, then once more from gcd(x) when h was a head and the
+    # candidate missed.  Returns (n, ys, q_min), q_min the least weight of
+    # a nonzero x_i (0 when the head's gcd is 1): ys are the quotients
+    # x_i // n**q_i when the candidate n passed, so n is d; n = 1 with ys
+    # None means gcd(x) = 1, so d = 1; else the test missed and n = gcd(x).
+    head = values
+    if order is not None:
+        head = list(islice(filter(None, map(values.__getitem__, order)), _HEAD))
+    # g is a multiple of gcd(x), and gcd(x) itself once head is all of x
+    g = _gcd(head)
+    if g == 1:
+        return 1, None, 0
+    q_min = min(compress(weights, values))
+    while True:
+        r = iroot(g, q_min)
+        ys = _divide_out(values, weights, r, order)
+        if ys is not None:
+            return r, ys, q_min
+        if head is values:
+            return g, None, q_min
+        head, h = values, g
+        g = _gcd((h, *values))
+        if g == 1 or g == h:
+            return g, None, q_min
 
 
 # Undecided pieces below this take one gcd with the second tier's product;
@@ -646,12 +664,16 @@ _WEIGHT_ORDER_FROM = 32
 # Coordinates of a long tuple whose gcd gives the first root candidate:
 # the least-weight nonzero ones, where the candidate is smallest.  Of the
 # first 500 perfbench long-tuples inputs (stream seed 1016), the candidate
-# was d for 3, 396, 460, 484 and 498 at 1, 2, 3, 4 and 6 of them.  Per
-# call over 500 such inputs (seeds 4242-4245, best of 15-30 passes, 2
+# was d for 3, 396, 460, 484, 498 and 499 at 1, 2, 3, 4, 6 and 8 of them.
+# Per call over 500 such inputs (seeds 4242-4245, best of 15-30 passes, 2
 # shared vCPUs, Python 3.11.7), compute took 46-53 us at every value from
 # 2 to 8, with no order among 3-8 beyond the noise, against 68-73 us with
-# the gcd of all 64 coordinates; 4 keeps the head's gcd short and hits 97%.
-_HEAD = 4
+# the gcd of all 64 coordinates.  A miss costs compute and normalize the
+# full gcd and a second test, and verify also its residue pass, so 8
+# keeps misses rare: 0.20% of 3000 inputs (stream seed 7), 3.57% at 4.
+# In 4 alternating 30-s perfbench pairs against 4, no long-tuples median
+# moved beyond the noise.
+_HEAD = 8
 
 
 def _divide_out(values, weights, b: int, order) -> list[int] | None:
@@ -700,14 +722,29 @@ def normalize(t: WeightedTuple) -> tuple[WeightedTuple, int]:
 def verify_wgcd(t: WeightedTuple, d: int) -> VerifyResult:
     """Check that d is the weighted gcd of t.
 
-    Divisibility: d**q_i | x_i for every i.  Maximality: once that holds,
-    wgcd(x) = d * wgcd(x_i / d**q_i), so d is the weighted gcd exactly when
-    the `auto` route returns 1 on the residues x_i / d**q_i.
+    Divisibility: d**q_i | x_i for every i.  Maximality: no larger d
+    passes.  Every common weighted divisor e divides the weighted gcd D:
+    e**q_i | x_i gives v_p(e) <= min over i of floor(v_p(x_i) / q_i) =
+    v_p(D).  So once D is known, d is right exactly when d = D, fails on
+    maximality when d | D, and on divisibility otherwise.  A tuple of
+    _WEIGHT_ORDER_FROM or more coordinates first runs the `auto` route's
+    root test on itself, and its verdict comes from D when the test
+    answers, with one pass over the tuple whatever the claim.  Otherwise,
+    and on every shorter tuple, where the claim's own pass costs less than
+    the root test, d is divided out; once that holds, wgcd(x) = d *
+    wgcd(x_i / d**q_i), so d is the weighted gcd exactly when the `auto`
+    route returns 1 on the residues x_i / d**q_i.
     """
     d = operator.index(d)
     if d < 1:
         raise ValueError("claimed weighted gcd must be >= 1")
     order = _visit_order(t.weights)
+    if order is not None:
+        answer, ys, _ = _root_test(t.values, t.weights, order)
+        if ys is not None or answer == 1:
+            if d == answer:
+                return VerifyResult(True, None)
+            return VerifyResult(False, "divisibility" if answer % d else "maximality")
     residues = t.values if d == 1 else _divide_out(t.values, t.weights, d, order)
     if residues is None:
         return VerifyResult(False, "divisibility")

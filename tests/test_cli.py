@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import time_limit
-from wgcd import numtheory
+import wgcd
+from wgcd import WeightedTuple, numtheory, verify_wgcd
 from wgcd.bench import DEFAULT_STRATEGIES
 from wgcd.cli import main
 from wgcd.selftest import CORPUS
@@ -192,6 +196,20 @@ class TestVerify:
         assert code == 1
         assert json.loads(out) == {"ok": False, "reason": "divisibility"}
 
+    def test_long_tuple_verdicts(self, capsys):
+        # 64 coordinates d**q * (2q + 1) under the weights 64 down to 1,
+        # but d itself at weight 1, so the weighted gcd is d = 2**2 * 1009
+        d = 4036
+        weights = tuple(range(64, 0, -1))
+        values = tuple(d**q * (2 * q + 1) if q > 1 else d for q in weights)
+        args = ("--weights", ",".join(map(str, weights)),
+                "--values", ",".join(map(str, values)))
+        for claim, reason in ((d, None), (d // 2, "maximality"), (d * 2, "divisibility")):
+            ok = reason is None
+            assert verify_wgcd(WeightedTuple(values, weights), claim) == (ok, reason)
+            code, out, _ = run(capsys, "verify", "--claim", str(claim), *args)
+            assert (code, out) == (0 if ok else 1, f"{reason or 'ok'}\n")
+
     def test_zero_claim_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--claim", "0", "--weights", "2", "--values", "4"
@@ -244,6 +262,18 @@ class TestSelftest:
         assert code == 0
         payload = json.loads(out)
         assert all(entry["passed"] for entry in payload)
+
+    def test_runs_as_a_module(self):
+        # python -m wgcd is the wgcd command
+        src = str(Path(wgcd.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "wgcd", "selftest"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        lines = proc.stdout.splitlines()
+        assert proc.returncode == 0, proc.stderr
+        assert len(lines) == 21 and all(line.startswith("PASS") for line in lines)
 
 
 class TestBench:

@@ -383,11 +383,17 @@ class TestRootAndSplit:
             assert weighted_gcd((p**4, -(p**5)), (1, 2), strategy) == p**2
 
     def test_verify_matches_the_per_prime_loop(self):
+        # the seeded corpus, then long tuples whose root test answers and
+        # the same tuples times a prime past trial division, where it misses
         rng = random.Random(9)
-        for t in seeded_corpus():
+        long = []
+        for _ in range(4):
+            hit, _ = long_tuple(rng)
+            long += [hit, wt([x * 1000003 for x in hit.values], hit.weights)]
+        for t in seeded_corpus() + long:
             d = wgcd_full_factorization(t)
             p = rng.choice(sympy.primefactors(math.gcd(*t.values)) or [2])
-            claims = {d, d * p, d * 2, d + 1}
+            claims = {d, d * p, d * 2, d + 1, 1}
             claims.update(d // q for q in sympy.primefactors(d))
             for claim in claims:
                 assert tuple(verify_wgcd(t, claim)) == loop_verdict(t, claim), (
@@ -1180,7 +1186,7 @@ class TestNormalizeVerify:
         # every entry point decides the visit order once and its route and
         # divisions share it: on a long root hit, on a long root miss,
         # where normalize divides by d after the route, and for verify's
-        # true claim and d / p, whose residues' gcd exceeds 1.  A
+        # true claim and d / p, which a miss sends on to the residues.  A
         # 3-coordinate tuple is visited in input order, with no sort
         sorts, order = [], core._weight_order
 
@@ -1213,6 +1219,30 @@ class TestNormalizeVerify:
                 del sorts[:]
                 assert call() == answer
                 assert sorts == expected, (t, answer)
+
+    def test_long_root_hit_verifies_in_one_division(self, divisions):
+        # a long tuple's verdict comes from its root test's answer d, so
+        # the true claim and d / p each take that test's one pass and no
+        # pass of their own
+        t, d = long_tuple(random.Random(23))
+        p = min(sympy.primefactors(d))
+        assert verify_wgcd(t, d) == (True, None)
+        assert verify_wgcd(t, d // p) == (False, "maximality")
+        assert divisions == [d, d]
+
+    def test_long_root_miss_rejects_a_non_divisor_unfactored(self, monkeypatch):
+        # where the root test misses, a claim that fails divisibility is
+        # still rejected by its own pass, before any of g is factored
+        def refuse(n, small):
+            raise AssertionError("trial division ran")
+
+        monkeypatch.setattr(core, "_trial_division", refuse)
+        rng = random.Random(22)
+        for _ in range(10):
+            hit, d = long_tuple(rng)
+            miss = wt([x * 1000003 for x in hit.values], hit.weights)
+            for claim in (d + 1, d * 1000003):
+                assert verify_wgcd(miss, claim) == (False, "divisibility")
 
     def test_normalize_worked_pair(self):
         normalized, d = normalize(wt((5760, 13824), (2, 3)))

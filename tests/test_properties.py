@@ -133,7 +133,7 @@ def head_candidate_cases(draw):
     |x_i| ** (1 / q_i) stays below about 2000, so naive_wgcd is quick."""
     n = draw(st.integers(32, 80))
     q_low = draw(st.integers(1, 3))
-    light = draw(st.integers(1, 8))
+    light = draw(st.integers(1, 2 * core._HEAD))
     d = draw(st.one_of(st.just(1), st.integers(2, 10)))
     e = draw(st.sampled_from((1, 2, 3, 5, 6, 7)))
     j = draw(st.integers(1, q_low))
@@ -184,11 +184,11 @@ def signed_head_case(head, head_weight, rest, rest_weight, n=32):
 @settings(max_examples=100, deadline=None)
 @given(head_candidate_cases())
 # the head's candidate 6 misses and gcd(x) = 3 gives d = 3
-@example(signed_head_case([6, 0, 6, 6, 6], 1, [9, 45], 2))
+@example(signed_head_case([6, 0] + [6] * core._HEAD, 1, [9, 45], 2))
 # the head's gcd is 2, gcd(x) is 1
-@example(signed_head_case([2, 2, 0, 4, 2], 1, [1, 3], 2))
+@example(signed_head_case([2, 2, 0, 4] + [2] * core._HEAD, 1, [1, 3], 2))
 # iroot(2, 2) = 1 answers d = 1 from the head
-@example(signed_head_case([2, 0, 2, 6, 2], 2, [3], 3))
+@example(signed_head_case([2, 0, 2, 6] + [2] * core._HEAD, 2, [3], 3))
 def test_head_candidate_matches_the_definition(t):
     d = naive_wgcd(t.values, t.weights)
     assert weighted_gcd(t.values, t.weights) == d
