@@ -26,7 +26,7 @@ print()
 print("auto factors at most gcd(x), here nothing: iroot(gcd(x), 2) = 4 already")
 print("divides with every weight.  The paper's reduction, traced, ends in gcd(x):")
 result = wgcd_auto(t)
-for step in result.trace.steps:
+for step in result.trace:
     print(f"  {step.rule}: {step.values}")
 print(f"  d = {result.d}")
 

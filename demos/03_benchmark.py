@@ -14,7 +14,6 @@ from wgcd import GenSpec, bench_report, bench_run
 specs = [
     GenSpec(
         seed=seed,
-        n_plus_1=3,
         weights=(2, 2, 3),
         d_bits=16,
         cofactor_bits=96,

@@ -15,7 +15,6 @@ first use.
 from .core import (
     STRATEGIES,
     Counters,
-    ReductionTrace,
     TraceStep,
     VerifyResult,
     WeightedTuple,
@@ -90,7 +89,6 @@ __all__ = [
     "FactorBudgetExceeded",
     "Factorization",
     "GenSpec",
-    "ReductionTrace",
     "STRATEGIES",
     "StrategyDisagreement",
     "StrategyRun",

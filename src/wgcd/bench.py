@@ -39,7 +39,6 @@ class GenSpec:
     """Parameters of one generated trial."""
 
     seed: int
-    n_plus_1: int
     weights: tuple[int, ...]
     d_bits: int
     cofactor_bits: int
@@ -48,10 +47,6 @@ class GenSpec:
     def __post_init__(self):
         weights = _positive_weights(self.weights)
         object.__setattr__(self, "weights", weights)
-        if self.n_plus_1 != len(weights):
-            raise ValueError(
-                f"tuple length {self.n_plus_1} does not match {len(weights)} weights"
-            )
         if self.d_bits < 1 or self.cofactor_bits < 1:
             raise ValueError("bit parameters must be >= 1")
         if self.mode not in MODES:
@@ -60,7 +55,7 @@ class GenSpec:
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "n": self.n_plus_1,
+            "n": len(self.weights),
             "weights": list(self.weights),
             "d_bits": self.d_bits,
             "cofactor_bits": self.cofactor_bits,
@@ -69,8 +64,9 @@ class GenSpec:
 
     @classmethod
     def from_json_dict(cls, obj) -> "GenSpec":
-        """Inverse of to_json_dict.  Raises ValueError naming the field
-        that is missing or of the wrong JSON type."""
+        """Inverse of to_json_dict, which ignores its derived "n".  Raises
+        ValueError naming the field that is missing or of the wrong JSON
+        type."""
         if not isinstance(obj, dict):
             raise ValueError(f"spec must be a JSON object, got {type(obj).__name__}")
 
@@ -90,7 +86,6 @@ class GenSpec:
 
         return cls(
             seed=field("seed", is_int, "an integer"),
-            n_plus_1=field("n", is_int, "an integer"),
             weights=tuple(field("weights", is_int_list, "a list of integers")),
             d_bits=field("d_bits", is_int, "an integer"),
             cofactor_bits=field("cofactor_bits", is_int, "an integer"),
@@ -172,13 +167,13 @@ def gen_known(spec: GenSpec) -> tuple[WeightedTuple, int]:
         try:
             cofactors = [
                 _random_cofactor(rng, spec.cofactor_bits, d)
-                for _ in range(spec.n_plus_1)
+                for _ in range(len(spec.weights))
             ]
         except ValueError:
             # tiny cofactor spaces can be exhausted by d's primes
             # (e.g. 2 bits against a multiple of 6); redraw d
             continue
-        cofactors[rng.randrange(spec.n_plus_1)] = 1
+        cofactors[rng.randrange(len(spec.weights))] = 1
         return known_answer_tuple(d, spec.weights, cofactors), d
     raise ValueError(f"no cofactors of {spec.cofactor_bits} bits fit any d for {spec}")
 
@@ -224,7 +219,7 @@ def gen_random(spec: GenSpec) -> WeightedTuple:
     while True:
         values = tuple(
             (1 - 2 * rng.randint(0, 1)) * rng.getrandbits(spec.cofactor_bits)
-            for _ in range(spec.n_plus_1)
+            for _ in range(len(spec.weights))
         )
         if any(values):
             return WeightedTuple(values, spec.weights)

@@ -91,22 +91,21 @@ def _run_verify(args) -> int:
 def _run_explain(args) -> int:
     t = _tuple_from_args(args)
     result = wgcd_auto(t)
-    steps = result.trace.steps
     obj = {
         "d": str(result.d),
-        "strategy": result.strategy,
+        "strategy": "auto",
         "steps": [
             {
                 "rule": step.rule,
                 "values": [str(v) for v in step.values],
                 "weights": list(step.weights),
             }
-            for step in steps
+            for step in result.trace
         ],
         "counters": result.counters._asdict(),
     }
-    lines = [f"d={result.d} strategy={result.strategy}"]
-    for step in steps:
+    lines = [f"d={result.d} strategy=auto"]
+    for step in result.trace:
         values = ",".join(str(v) for v in step.values)
         weights = ",".join(str(q) for q in step.weights)
         lines.append(f"  {step.rule}: values={values} weights={weights}")

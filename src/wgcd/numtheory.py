@@ -266,8 +266,9 @@ def _exact_pieces(xs, ys) -> list[tuple[int, list[int]]]:
     return out
 
 
-def _miller_rabin_round(n: int, d: int, s: int, a: int) -> bool:
-    x = pow(a, d, n)
+def _miller_rabin_round(n: int, d: int, s: int) -> bool:
+    # the strong probable-prime test to base 2 of odd n = d * 2**s + 1
+    x = pow(2, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -338,7 +339,7 @@ def is_prime(n: int) -> bool:
         return True
     d = n - 1
     s = (d & -d).bit_length() - 1
-    return _miller_rabin_round(n, d >> s, s, 2) and _strong_lucas(n)
+    return _miller_rabin_round(n, d >> s, s) and _strong_lucas(n)
 
 
 class FactorBudgetExceeded(ArithmeticError):

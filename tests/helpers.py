@@ -6,7 +6,9 @@ package internals, so agreement is a real cross-check.
 
 from __future__ import annotations
 
+import faulthandler
 import signal
+import sys
 from contextlib import contextmanager
 
 import sympy
@@ -22,20 +24,34 @@ SPLIT_WEIGHTS = (10**7, 2, 3, 3)
 del p, r1, r2
 
 
+# Where time_limit's backstop writes its traceback: stderr, or the copy of
+# it that conftest.py takes before pytest captures file descriptor 2.
+backstop_file = sys.__stderr__
+
+
 @contextmanager
-def time_limit(seconds: float):
+def time_limit(seconds: float, grace: float = 30):
     """Raise TimeoutError in the enclosed block once `seconds` of wall time
     pass, so a hang fails its test instead of stalling the suite.  Uses
-    SIGALRM, so it only works in the main thread."""
+    SIGALRM, so it only works in the main thread.
+
+    A Python signal handler runs only between bytecodes, so one long C
+    call that does not check for signals, such as `math.gcd` of two
+    numbers of millions of bits, holds off the TimeoutError until it
+    returns.  As a backstop, faulthandler prints every thread's traceback to
+    `backstop_file` and ends the process with exit code 1 once `grace`
+    more seconds pass."""
 
     def expire(signum, frame):
         raise TimeoutError(f"still running after the {seconds} s time limit")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
+    faulthandler.dump_traceback_later(seconds + grace, exit=True, file=backstop_file)
     try:
         yield
     finally:
+        faulthandler.cancel_dump_traceback_later()
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 

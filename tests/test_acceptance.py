@@ -210,7 +210,6 @@ def test_criterion_7_speedup_evidence():
     specs = [
         GenSpec(
             seed=1000 + i,
-            n_plus_1=len(weight_mix[i % len(weight_mix)]),
             weights=weight_mix[i % len(weight_mix)],
             d_bits=16,
             cofactor_bits=128,
@@ -245,7 +244,6 @@ def test_criterion_8_known_answer_soundness():
         weights = weight_mix[i % len(weight_mix)]
         spec = GenSpec(
             seed=rng.getrandbits(32),
-            n_plus_1=len(weights),
             weights=weights,
             d_bits=rng.randint(1, 8),
             cofactor_bits=rng.randint(1, 6),

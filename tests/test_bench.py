@@ -25,10 +25,10 @@ def counts(c: Counters) -> tuple[int, int, int]:
 
 def small_specs():
     return [
-        GenSpec(1, 2, (2, 3), 6, 5, "known-answer"),
-        GenSpec(2, 3, (2, 2, 3), 5, 6, "known-answer"),
-        GenSpec(3, 2, (1, 2), 4, 8, "random"),
-        GenSpec(4, 2, (2, 3), 5, 20, "adversarial-deficient"),
+        GenSpec(1, (2, 3), 6, 5, "known-answer"),
+        GenSpec(2, (2, 2, 3), 5, 6, "known-answer"),
+        GenSpec(3, (1, 2), 4, 8, "random"),
+        GenSpec(4, (2, 3), 5, 20, "adversarial-deficient"),
     ]
 
 
@@ -58,7 +58,7 @@ class TestBenchRun:
 
     def test_counter_contrast_on_wide_cofactors(self):
         # the full strategy must chew the raw coordinates; auto only the gcd
-        spec = GenSpec(7, 2, (2, 3), 16, 128, "known-answer")
+        spec = GenSpec(7, (2, 3), 16, 128, "known-answer")
         tup, _ = bench_mod.generate(spec)
         records = bench_run([spec], strategies=("auto", "full-factor"), repetitions=1)
         by_name = {r.strategy: r for r in records[0].results}
@@ -115,7 +115,7 @@ class TestBenchRun:
         # deficient noise inflates the gcd yet the auto strategy still
         # factors strictly less than the full-factorization baseline
         for seed, weights in ((1, (2, 3)), (2, (2, 2)), (3, (2, 2, 3))):
-            spec = GenSpec(seed, len(weights), weights, 8, 64, "adversarial-deficient")
+            spec = GenSpec(seed, weights, 8, 64, "adversarial-deficient")
             records = bench_run([spec], strategies=("auto", "full-factor"),
                                 repetitions=1)
             by_name = {r.strategy: r for r in records[0].results}
@@ -143,17 +143,29 @@ class TestSpecParsing:
         assert spec == small_specs()[0]
         assert spec.to_json_dict() == VALID_SPEC
 
+    def test_n_is_derived_from_the_weights(self):
+        # a spec file need not carry "n", and every report still does
+        obj = {k: v for k, v in VALID_SPEC.items() if k != "n"}
+        obj["weights"] = [2, 2, 3]
+        spec = GenSpec.from_json_dict(obj)
+        assert spec.weights == (2, 2, 3)
+        records = bench_run([spec], repetitions=1)
+        entry, = json.loads(bench_report(records, "json"))
+        assert entry["spec"]["n"] == 3
+        rows = list(csv.DictReader(io.StringIO(bench_report(records, "csv").decode())))
+        assert len(rows) == len(DEFAULT_STRATEGIES)
+        assert all(row["n"] == "3" for row in rows)
+
     @pytest.mark.parametrize(
         "obj, message",
         [
-            ({"seed": 1}, "field 'n' is missing"),
+            ({"seed": 1}, "field 'weights' is missing"),
             (5, "must be a JSON object"),
             ([VALID_SPEC], "must be a JSON object"),
             (dict(VALID_SPEC, weights="23"), "field 'weights' must be a list of integers"),
             (dict(VALID_SPEC, weights=[2, 3.0]), "field 'weights' must be a list of integers"),
             (dict(VALID_SPEC, seed=1.9), "field 'seed' must be an integer"),
             (dict(VALID_SPEC, seed=True), "field 'seed' must be an integer"),
-            (dict(VALID_SPEC, n="2"), "field 'n' must be an integer"),
             (dict(VALID_SPEC, mode=None), "field 'mode' must be a string"),
         ],
     )

@@ -338,7 +338,7 @@ class TestBench:
     @pytest.mark.parametrize(
         "specs, message",
         [
-            ([{"seed": 1}], "'n' is missing"),
+            ([{"seed": 1}], "'weights' is missing"),
             ([5], "must be a JSON object"),
             ([{"seed": 1, "n": 2, "weights": "23", "d_bits": 6,
                "cofactor_bits": 5, "mode": "random"}], "'weights'"),
@@ -358,7 +358,7 @@ class TestBench:
         from wgcd.core import Counters
 
         def explode(*args, **kwargs):
-            spec = bench_mod.GenSpec(1, 1, (2,), 4, 4, "random")
+            spec = bench_mod.GenSpec(1, (2,), 4, 4, "random")
             run = StrategyRun("auto", 0, Counters(), 7)
             raise StrategyDisagreement(BenchRecord(spec, (run,), False))
 

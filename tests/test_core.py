@@ -23,7 +23,9 @@ from wgcd.core import (
     STRATEGIES,
     Counters,
     TRACE_RULES,
+    TraceStep,
     WeightedTuple,
+    WgcdResult,
     abs_values,
     counting,
     fold_merge,
@@ -239,7 +241,7 @@ def seeded_corpus() -> list[WeightedTuple]:
         n = rng.randint(2, 5)
         weights = tuple(rng.randint(1, 6) for _ in range(n))
         spec = GenSpec(
-            rng.getrandbits(32), n, weights, rng.randint(6, 30),
+            rng.getrandbits(32), weights, rng.randint(6, 30),
             rng.randint(8, 40), mode,
         )
         values = list(generate(spec)[0].values)
@@ -441,7 +443,7 @@ class TestRootAndSplit:
         assert expected == 3 * 10007**2 * 1048583 * 549755813911
         monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
         with time_limit(1):
-            assert "fastpath-root" not in {s.rule for s in wgcd_auto(t).trace.steps}
+            assert "fastpath-root" not in {s.rule for s in wgcd_auto(t).trace}
             with counting() as c:
                 assert wgcd_gcd_factorization(t) == expected
         assert c == Counters(factor_calls=0, max_factored_bits=0, gcd_calls=2)
@@ -856,7 +858,7 @@ class TestAuto:
         for t in cases:
             result = wgcd_auto(t)
             cur = t
-            for step in result.trace.steps:
+            for step in result.trace:
                 if step.rule == "abs":
                     cur = abs_values(cur)
                 elif step.rule == "permute":
@@ -871,11 +873,20 @@ class TestAuto:
                 assert step.values == cur.values
                 assert step.weights == cur.weights
 
+    def test_trace_is_a_tuple_of_steps(self):
+        # the result holds its steps itself, and no strategy name: auto is
+        # the only strategy wgcd_auto runs
+        trace = wgcd_auto(wt((-70352, 5760, 13824), (3, 2, 2))).trace
+        assert type(trace) is tuple
+        assert all(type(step) is TraceStep for step in trace)
+        assert [step.rule for step in trace] == ["abs", "permute", "suffix-gcd"]
+        assert WgcdResult.__slots__ == ("d", "trace", "counters")
+
     def test_trace_on_big_first_is_suffix_gcd_only(self):
         result = wgcd_auto(wt((70352, 13824), (2, 3)))
-        rules = [s.rule for s in result.trace.steps]
+        rules = [s.rule for s in result.trace]
         assert rules == ["suffix-gcd", "fastpath-root"]
-        assert result.trace.steps[0].values == (16, 13824)
+        assert result.trace[0].values == (16, 13824)
         assert result.d == 4
 
     @pytest.mark.parametrize(
@@ -986,7 +997,7 @@ class TestAuto:
     def test_fastpath_one(self):
         result = wgcd_auto(wt((7, 13), (2, 3)))
         assert result.d == 1
-        assert result.trace.steps[-1].rule == "fastpath-one"
+        assert result.trace[-1].rule == "fastpath-one"
         assert result.counters.factor_calls == 0
 
     def test_big_pair_remainder_path(self):
@@ -1004,7 +1015,7 @@ class TestAuto:
         # factoring route like any others, and no fast path is named
         result = wgcd_auto(wt((48, 144), (2, 2)))
         assert result.d == 4
-        assert not any(s.rule.startswith("fastpath-") for s in result.trace.steps)
+        assert not any(s.rule.startswith("fastpath-") for s in result.trace)
 
     def test_equal_weights_semiprime_gcd_is_not_factored(self, monkeypatch):
         # a 130-bit semiprime gcd that rho would need about 2**32
@@ -1311,7 +1322,7 @@ class TestWideKnownAnswer:
     @pytest.mark.parametrize("d_bits", [32, 48, 64])
     @pytest.mark.parametrize("strategy", ["auto", "full-factor"])
     def test_known_d(self, d_bits, strategy):
-        t, d = gen_known(GenSpec(1, 3, (2, 3, 5), d_bits, 256, "known-answer"))
+        t, d = gen_known(GenSpec(1, (2, 3, 5), d_bits, 256, "known-answer"))
         with time_limit(10), counting() as counters:
             assert STRATEGIES[strategy](t) == d
         if strategy == "auto":
@@ -1388,7 +1399,7 @@ class TestRecords:
 
     def records(self):
         result = wgcd_auto(WORKED_TRIPLE)
-        return [WORKED_TRIPLE, result.trace, result, factor(360)]
+        return [WORKED_TRIPLE, result, factor(360)]
 
     def test_frozen_records_compare_hash_copy_and_pickle_by_fields(self):
         for r in self.records():
@@ -1425,7 +1436,7 @@ class TestRecords:
         assert bad._asdict() == {"ok": False, "reason": "maximality"}
         assert repr(ok) == "VerifyResult(ok=True, reason=None)"
         assert wgcd.VerifyResult(ok=True, reason=None) == ok
-        step = wgcd_auto(WORKED_TRIPLE).trace.steps[0]
+        step = wgcd_auto(WORKED_TRIPLE).trace[0]
         assert step == ("suffix-gcd", (16, 1152, 13824), (2, 2, 3))
         rule, values, weights = step
         assert (rule, values, weights) == (step.rule, step.values, step.weights)

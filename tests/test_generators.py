@@ -19,7 +19,6 @@ from wgcd.numtheory import gcd_many
 def spec(mode, weights, seed=0, d_bits=6, cofactor_bits=6):
     return GenSpec(
         seed=seed,
-        n_plus_1=len(weights),
         weights=weights,
         d_bits=d_bits,
         cofactor_bits=cofactor_bits,
@@ -30,11 +29,9 @@ def spec(mode, weights, seed=0, d_bits=6, cofactor_bits=6):
 class TestGenSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GenSpec(0, 3, (2, 3), 4, 4, "known-answer")
+            GenSpec(0, (2, 3), 0, 4, "known-answer")
         with pytest.raises(ValueError):
-            GenSpec(0, 2, (2, 3), 0, 4, "known-answer")
-        with pytest.raises(ValueError):
-            GenSpec(0, 2, (2, 3), 4, 4, "surprise")
+            GenSpec(0, (2, 3), 4, 4, "surprise")
 
     @pytest.mark.parametrize("weights", [(), (2, 0, 3), (1, -1), (1.5, 2)])
     def test_weights_rejected_as_weighted_tuple_does(self, weights):
@@ -43,7 +40,7 @@ class TestGenSpec:
         with pytest.raises((TypeError, ValueError)) as built:
             WeightedTuple((1,) * len(weights), weights)
         for make in (
-            lambda: GenSpec(0, len(weights), weights, 4, 4, "known-answer"),
+            lambda: GenSpec(0, weights, 4, 4, "known-answer"),
             lambda: known_answer_tuple(6, weights, (1,) * len(weights)),
         ):
             with pytest.raises(built.type) as made:

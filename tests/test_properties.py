@@ -200,7 +200,7 @@ def test_head_candidate_matches_the_definition(t):
     claims.update(d // p for p in range(2, d + 1) if d % p == 0)
     for claim in claims:
         assert tuple(verify_wgcd(t, claim)) == verdict_by_definition(t, claim, d)
-    steps = wgcd_auto(t).trace.steps
+    steps = wgcd_auto(t).trace
     fast = steps[-1].rule if steps and steps[-1].rule.startswith("fastpath") else None
     assert fast == fast_path_by_definition(t)
 
@@ -225,7 +225,7 @@ def test_scalar_action(t, lam):
 @settings(max_examples=150, deadline=None)
 @given(tuples(), st.randoms(use_true_random=False))
 def test_permutation_invariance(t, rnd):
-    idx = list(range(len(t)))
+    idx = list(range(len(t.values)))
     rnd.shuffle(idx)
     shuffled = WeightedTuple(
         tuple(t.values[i] for i in idx),
@@ -302,7 +302,7 @@ def test_divisor_chain(t):
 @settings(max_examples=100, deadline=None)
 @given(tuples())
 def test_all_ones_weights_reduce_to_gcd(t):
-    ones = WeightedTuple(t.values, (1,) * len(t))
+    ones = WeightedTuple(t.values, (1,) * len(t.weights))
     assert wgcd_auto(ones).d == gcd_many(t.values)
 
 
