@@ -8,8 +8,6 @@ both report formats take its fields in `Counters.__slots__` order: a CSV
 row is a JSON result flattened beside its spec.
 """
 
-from __future__ import annotations
-
 import contextvars
 import csv
 import io

@@ -4,8 +4,6 @@ Exit codes: 0 success, 1 verification or selftest failure, 2 invalid input,
 3 a factorization gave up after numtheory.RHO_BUDGET Pollard rho iterations.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 
@@ -35,6 +33,9 @@ def _parse_int_list(text: str, what: str, single: bool = False) -> list[int]:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for i, p in enumerate(parts):
         digits = p.lstrip("+-")
+        # int() takes one `_` between two digits, and counts only the digits
+        if not (digits.startswith("_") or digits.endswith("_") or "__" in digits):
+            digits = digits.replace("_", "")
         if limit and digits.isdigit() and len(digits) > limit:
             raise ValueError(
                 f"{what} entry {i} has {len(digits)} digits, over the {limit}-digit"

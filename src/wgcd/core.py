@@ -28,13 +28,10 @@ A `with counting() as c:` block counts the gcd and factor calls made
 inside it, and how many bits the largest factored number had.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import namedtuple
 from collections.abc import Sequence
-from contextvars import ContextVar
 from itertools import compress, islice
 
 from .numtheory import (
@@ -160,33 +157,44 @@ VerifyResult = namedtuple("VerifyResult", ("ok", "reason"))
 # ---------------------------------------------------------------------------
 # counted kernel access
 
-# None: nothing is counted, as outside every `counting` block.
-_COUNTERS: ContextVar[Counters | None] = ContextVar("counters", default=None)
+# The ContextVar of the `counting` blocks, once the first block has opened;
+# empty until then, so nothing is counted and `contextvars` is not loaded.
+# Two threads that open their first blocks at once may each append one:
+# every reader takes [0], so all blocks share the first.  The var holds
+# None outside every block.
+_COUNTERS = []
 
 
 class counting:
     """`with counting() as c:` counts the gcd and factor calls made in the
     block, in this thread or task, into the Counters `c`.  A block inside
-    another joins the outer one and yields its Counters."""
+    another joins the outer one and yields its Counters.  `contextvars` is
+    imported by the first block, not by `import wgcd`."""
 
     def __enter__(self) -> Counters:
-        c = _COUNTERS.get()
+        if not _COUNTERS:
+            from contextvars import ContextVar
+
+            _COUNTERS.append(ContextVar("counters", default=None))
+        var = _COUNTERS[0]
+        c = var.get()
         if c is None:
             c = Counters()
-            self._token = _COUNTERS.set(c)
+            self._token = var.set(c)
         else:
             self._token = None
         return c
 
     def __exit__(self, *exc) -> None:
         if self._token is not None:
-            _COUNTERS.reset(self._token)
+            _COUNTERS[0].reset(self._token)
 
 
 def _gcd(xs) -> int:
-    c = _COUNTERS.get()
-    if c is not None:
-        c.gcd_calls += 1
+    if _COUNTERS:
+        c = _COUNTERS[0].get()
+        if c is not None:
+            c.gcd_calls += 1
     return math.gcd(*xs)
 
 
@@ -194,12 +202,13 @@ def _factor(n: int, rough: bool = False):
     # factor(n) as (prime, exponent) pairs, counted.  rough: every prime of
     # n exceeds 10**4 and n is no perfect power, so trial division and the
     # perfect-power test are skipped
-    c = _COUNTERS.get()
-    if c is not None:
-        c.factor_calls += 1
-        bits = n.bit_length()
-        if bits > c.max_factored_bits:
-            c.max_factored_bits = bits
+    if _COUNTERS:
+        c = _COUNTERS[0].get()
+        if c is not None:
+            c.factor_calls += 1
+            bits = n.bit_length()
+            if bits > c.max_factored_bits:
+                c.max_factored_bits = bits
     return _factor_rough(n, power_free=True).items() if rough else factor(n)
 
 

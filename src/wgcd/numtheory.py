@@ -21,8 +21,6 @@ read no context, and the cap is the module constant at the time of the
 call.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator

@@ -5,8 +5,6 @@ selftest and as the exactness gate of the test suite.  It also pins two
 reduction intermediates and one weight-sort permutation.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Optional
 
 from .core import (

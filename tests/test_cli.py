@@ -128,6 +128,21 @@ class TestCompute:
             assert f"{limit}-digit limit" in err
             assert "malformed" not in err and len(err) < 200
 
+    def test_digit_limit_skips_underscores(self, capsys):
+        # the limit counts digits only, as int() does; a `_` that int()
+        # refuses leaves the entry malformed
+        limit = sys.get_int_max_str_digits()
+        long = "1" + "_1" * (limit + 100)
+        with time_limit(1):
+            code, out, err = run(capsys, "compute", "--weights", "1,1", "--values", long + ",3")
+        assert (code, out) == (2, "")
+        assert f"values entry 0 has {limit + 101} digits" in err
+        assert f"{limit}-digit limit" in err and "malformed" not in err
+        for entry in ("1__1", "_1", "1_", "-_1"):
+            code, out, err = run(capsys, "compute", "--weights", "1,1", "--values", entry + ",3")
+            assert (code, out) == (2, "")
+            assert f"malformed values list '{entry},3'" in err, entry
+
     def test_malformed_list_echo_is_cut(self, capsys):
         values = "x," + "1," * 1000 + "2"
         code, _, err = run(capsys, "compute", "--weights", "1", "--values", values)

@@ -1572,3 +1572,80 @@ class TestColdImport:
             "assert all(names[n] is getattr(wgcd, n) for n in wgcd.__all__)"
         )
         assert {"wgcd.bench", "wgcd.selftest"} <= loaded
+
+    def test_import_loads_no_future_nor_contextvars(self):
+        # annotations are evaluated at definition on Python 3.10+, and the
+        # counting blocks' ContextVar is made by the first block
+        loaded = loaded_cold(
+            "import wgcd\n"
+            "assert wgcd.weighted_gcd((70352, 5760, 13824), (2, 2, 3)) == 4",
+            site=False,
+        )
+        assert not loaded & {"__future__", "contextvars", "_contextvars"}
+
+    def test_contextvars_loads_with_the_first_block(self):
+        loaded = loaded_cold(
+            "import sys\n"
+            "import wgcd\n"
+            "from wgcd.core import STRATEGIES, counting\n"
+            "t = wgcd.WeightedTuple((70352, 5760, 13824), (2, 2, 3))\n"
+            "for fn in STRATEGIES.values():\n"
+            "    assert fn(t) == 4\n"
+            "assert 'contextvars' not in sys.modules\n"
+            f"for name, expected in {WORKED_COUNTS!r}.items():\n"
+            "    with counting() as c:\n"
+            "        assert 'contextvars' in sys.modules\n"
+            "        assert STRATEGIES[name](t) == 4\n"
+            "    assert (c.factor_calls, c.max_factored_bits, c.gcd_calls) == expected, name",
+            site=False,
+        )
+        assert "contextvars" in loaded
+
+    def test_first_blocks_of_two_threads_share_one_var(self):
+        # Both threads open their first blocks at once, and the ContextVar
+        # constructor holds the first caller until the second arrives, so
+        # each finds no var and makes one.  Each block must still count
+        # exactly what the same calls count serially.
+        loaded_cold(
+            "import contextvars, sys, threading\n"
+            "from wgcd.core import STRATEGIES, WeightedTuple, counting\n"
+            "t = WeightedTuple((70352, 5760, 13824), (2, 2, 3))\n"
+            "make = contextvars.ContextVar\n"
+            "both_making = threading.Barrier(2, timeout=2)\n"
+            "def make_late(*args, **kwargs):\n"
+            "    try:\n"
+            "        both_making.wait()\n"
+            "    except threading.BrokenBarrierError:\n"
+            "        pass\n"
+            "    return make(*args, **kwargs)\n"
+            "contextvars.ContextVar = make_late\n"
+            "start = threading.Barrier(2, timeout=10)\n"
+            "jobs = (('full-factor', 40), ('lcm-power', 60))\n"
+            "seen = {}\n"
+            "def run(name, reps):\n"
+            "    start.wait()\n"
+            "    with counting() as c:\n"
+            "        for _ in range(reps):\n"
+            "            STRATEGIES[name](t)\n"
+            "    seen[name] = (c.factor_calls, c.max_factored_bits, c.gcd_calls)\n"
+            "threads = [threading.Thread(target=run, args=job) for job in jobs]\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "for th in threads:\n"
+            "    th.start()\n"
+            "for th in threads:\n"
+            "    th.join(timeout=30)\n"
+            "contextvars.ContextVar = make\n"
+            "for name, reps in jobs:\n"
+            "    with counting() as c:\n"
+            "        for _ in range(reps):\n"
+            "            STRATEGIES[name](t)\n"
+            "    assert seen[name] == (c.factor_calls, c.max_factored_bits, c.gcd_calls), name\n"
+            "    assert c.factor_calls == reps * (1 if name == 'lcm-power' else 3)"
+        )
+
+    def test_cli_bench_and_selftest_load_no_future(self):
+        loaded = loaded_cold(
+            "import wgcd.cli, wgcd.bench, wgcd.selftest", site=False
+        )
+        assert {"wgcd.cli", "wgcd.bench", "wgcd.selftest"} <= loaded
+        assert "__future__" not in loaded
