@@ -37,7 +37,6 @@ from .core import (
 )
 from .numtheory import (
     FactorBudgetExceeded,
-    Factorization,
     factor,
     gcd_many,
     iroot,
@@ -45,9 +44,9 @@ from .numtheory import (
     valuation,
 )
 # Names served on first use (PEP 562), so `import wgcd` loads only `core`
-# and `numtheory`: the bench harness pulls in `statistics`, `json`, `csv`
-# and `dataclasses`, and a weighted gcd needs neither it nor the selftest
-# corpus.
+# and `numtheory`: the bench harness pulls in `statistics`, `json` and
+# `csv`, though neither `dataclasses` nor `typing`, and a weighted gcd
+# needs neither it nor the selftest corpus.
 _LAZY = {
     "BenchRecord": "bench",
     "GenSpec": "bench",
@@ -87,7 +86,6 @@ __all__ = [
     "CORPUS",
     "Counters",
     "FactorBudgetExceeded",
-    "Factorization",
     "GenSpec",
     "STRATEGIES",
     "StrategyDisagreement",

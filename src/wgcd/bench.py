@@ -17,11 +17,11 @@ import operator
 import random
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import core, numtheory
-from .core import Counters, WeightedTuple, _positive_weights, counting
+from .core import Counters, WeightedTuple, _Frozen, _positive_weights, _set_field, counting
 
 MODES = ("known-answer", "random", "adversarial-deficient")
 
@@ -32,23 +32,21 @@ DEFAULT_STRATEGIES = ("auto", "full-factor", "lcm-power", "fold")
 _COFACTOR_PRIME_BITS = (18, 28)  # keeps the slow strategies desk-scale
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters of one generated trial."""
+class GenSpec(_Frozen):
+    """Parameters of one generated trial, checked at every construction,
+    a copy or an unpickling included."""
 
-    seed: int
-    weights: tuple[int, ...]
-    d_bits: int
-    cofactor_bits: int
-    mode: str
+    __slots__ = ("seed", "weights", "d_bits", "cofactor_bits", "mode")
 
-    def __post_init__(self):
-        weights = _positive_weights(self.weights)
-        object.__setattr__(self, "weights", weights)
-        if self.d_bits < 1 or self.cofactor_bits < 1:
+    def __init__(self, seed: int, weights, d_bits: int, cofactor_bits: int, mode: str):
+        weights = _positive_weights(weights)
+        if d_bits < 1 or cofactor_bits < 1:
             raise ValueError("bit parameters must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+        fields = (seed, weights, d_bits, cofactor_bits, mode)
+        for name, value in zip(self.__slots__, fields):
+            _set_field(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,7 +221,7 @@ def gen_random(spec: GenSpec) -> WeightedTuple:
             return WeightedTuple(values, spec.weights)
 
 
-def generate(spec: GenSpec) -> tuple[WeightedTuple, Optional[int]]:
+def generate(spec: GenSpec) -> tuple[WeightedTuple, int | None]:
     """Dispatch on mode; the expected answer is only known for
     known-answer specs."""
     if spec.mode == "known-answer":
@@ -236,19 +234,12 @@ def generate(spec: GenSpec) -> tuple[WeightedTuple, Optional[int]]:
 # ---------------------------------------------------------------------------
 # harness
 
-@dataclass(frozen=True)
-class StrategyRun:
-    strategy: str
-    ns_median: int
-    counters: Counters
-    d: int
+# one strategy's median time over the repetitions, the Counters of its
+# counted run, and its answer
+StrategyRun = namedtuple("StrategyRun", ("strategy", "ns_median", "counters", "d"))
 
-
-@dataclass(frozen=True)
-class BenchRecord:
-    spec: GenSpec
-    results: tuple[StrategyRun, ...]
-    agreement: bool
+# a spec's StrategyRuns, and whether their answers agree
+BenchRecord = namedtuple("BenchRecord", ("spec", "results", "agreement"))
 
 
 class StrategyDisagreement(RuntimeError):

@@ -32,11 +32,13 @@ def _parse_int_list(text: str, what: str, single: bool = False) -> list[int]:
     # Python 3.11+ refuses to parse decimals longer than this many digits
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for i, p in enumerate(parts):
-        digits = p.lstrip("+-")
-        # int() takes one `_` between two digits, and counts only the digits
+        # int() takes one sign, one `_` between two digits, and decimal
+        # digits of any script (not `²`, which isdigit() accepts); it
+        # counts only the digits
+        digits = p[1:] if p[:1] in "+-" else p
         if not (digits.startswith("_") or digits.endswith("_") or "__" in digits):
             digits = digits.replace("_", "")
-        if limit and digits.isdigit() and len(digits) > limit:
+        if limit and digits.isdecimal() and len(digits) > limit:
             raise ValueError(
                 f"{what} entry {i} has {len(digits)} digits, over the {limit}-digit"
                 " limit of sys.get_int_max_str_digits()"

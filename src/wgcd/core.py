@@ -39,11 +39,8 @@ from .numtheory import (
     TRIAL_DIVISION_LIMIT,
     _exact_pieces,
     _factor_rough,
-    _Frozen,
     _perfect_power,
-    _Record,
     _second_tier_product,
-    _set_field,
     _trial_division,
     factor,
     iroot,
@@ -73,6 +70,62 @@ def _checked(values, weights) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not any(values):
         raise ValueError("the all-zero tuple has no weighted gcd")
     return values, weights
+
+
+class _Record:
+    """Base of the package's validated or mutable records: `WeightedTuple`,
+    `Counters` and `bench.GenSpec`; a plain result is a namedtuple.  The
+    `__slots__` of a subclass are its fields, in declaration order; two
+    records of the same class are equal when their fields are."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._astuple()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+# object.__setattr__ under one global name: it sets a _Frozen field past
+# the refusing __setattr__, and saves an attribute lookup per field on
+# every WeightedTuple built
+_set_field = object.__setattr__
+
+
+class _Frozen(_Record):
+    """A record whose own code sets each field once through `_set_field`;
+    assigning or deleting a field afterwards raises
+    `dataclasses.FrozenInstanceError`.  It hashes as its field tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # kept off the import path
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default would restore each slot with the refused __setattr__;
+        # this rebuilds through __init__, so its checks run again
+        return type(self), self._astuple()
 
 
 class WeightedTuple(_Frozen):
@@ -137,17 +190,9 @@ TRACE_RULES = (
 )
 
 
-class WgcdResult(_Frozen):
-    """`wgcd_auto`'s answer d, its trace, the ordered TraceSteps whose
-    replay from the input reproduces each intermediate tuple, and its
-    Counters."""
-
-    __slots__ = ("d", "trace", "counters")
-
-    def __init__(self, d: int, trace: tuple[TraceStep, ...], counters: Counters):
-        _set_field(self, "d", d)
-        _set_field(self, "trace", trace)
-        _set_field(self, "counters", counters)
+# `wgcd_auto`'s answer d, its trace, the ordered TraceSteps whose replay
+# from the input reproduces each intermediate tuple, and its Counters
+WgcdResult = namedtuple("WgcdResult", ("d", "trace", "counters"))
 
 
 # ok, a bool, and reason: None when ok, else "divisibility" or "maximality"
@@ -247,10 +292,11 @@ def wgcd_full_factorization(t: WeightedTuple) -> int:
     for f, q in factored[1:]:
         if not exps:
             break
+        f = dict(f)
         exps = {
-            p: min(e_min, f.exponent(p) // q)
+            p: min(e_min, f.get(p, 0) // q)
             for p, e_min in exps.items()
-            if f.exponent(p) >= q
+            if f.get(p, 0) >= q
         }
     d = 1
     for p, e in exps.items():

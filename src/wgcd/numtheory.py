@@ -3,6 +3,8 @@
 Everything the weighted-gcd strategies stand on: gcd folds, floor roots,
 p-adic valuations, factor refinement into a coprime base and into pieces
 with exact exponents, Baillie-PSW primality, and integer factorization.
+It holds functions on ints only, no record classes: `factor` returns
+plain (prime, exponent) pairs.
 Factorization runs trial division below 10**4, as one gcd per decade of
 primes against the product of that decade; then `_factor_rough`, which
 also serves alone a number whose primes all exceed 10**4, runs
@@ -25,7 +27,6 @@ import functools
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import Iterator
 from itertools import compress
 
 TRIAL_DIVISION_LIMIT = 10_000
@@ -358,105 +359,6 @@ class FactorBudgetExceeded(ArithmeticError):
 RHO_BUDGET = 1 << 22
 
 
-class _Record:
-    """Base of the package's small record classes.  The `__slots__` of a
-    subclass are its fields, in declaration order; two records of the
-    same class are equal when their fields are."""
-
-    __slots__ = ()
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def _asdict(self) -> dict:
-        return dict(zip(self.__slots__, self._astuple()))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
-        return f"{type(self).__qualname__}({fields})"
-
-
-# object.__setattr__ under one global name: it sets a _Frozen field past
-# the refusing __setattr__, and saves an attribute lookup per field on
-# every WeightedTuple built
-_set_field = object.__setattr__
-
-
-class _Frozen(_Record):
-    """A record whose own code sets each field once through `_set_field`;
-    assigning or deleting a field afterwards raises
-    `dataclasses.FrozenInstanceError`.  It hashes as its field tuple."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError  # kept off the import path
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # the default would restore each slot with the refused __setattr__
-        return type(self), self._astuple()
-
-
-class Factorization(_Frozen):
-    """Multiset of (prime, exponent) pairs, ascending by prime.
-
-    The empty factorization represents 1.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
-        entries = tuple((operator.index(p), operator.index(e)) for p, e in entries)
-        for i, (p, e) in enumerate(entries):
-            if p < 2 or not is_prime(p):
-                raise ValueError(f"factor {p} is not a prime")
-            if e < 1:
-                raise ValueError(f"exponent {e} of {p} must be positive")
-            if i > 0 and entries[i - 1][0] >= p:
-                raise ValueError("entries must be strictly ascending by prime")
-        _set_field(self, "entries", entries)
-
-    @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Factorization":
-        """Wrap entries `factor` has already proved valid, skipping the checks."""
-        f = object.__new__(cls)
-        _set_field(f, "entries", entries)
-        return f
-
-    def value(self) -> int:
-        n = 1
-        for p, e in self.entries:
-            n *= p**e
-        return n
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.entries:
-            if q == p:
-                return e
-        return 0
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _pollard_rho_brent(n: int, rng, budget: int, spent: int = 0) -> tuple[int, int]:
     """Nontrivial factor of an odd composite n via Brent's cycle variant,
     and the running iteration count: `spent` plus the iterations run here.
@@ -551,8 +453,9 @@ def _trial_division(m: int, counts: dict[int, int]) -> int:
     return m
 
 
-def factor(n: int) -> Factorization:
-    """Prime factorization of n >= 1.  Pollard rho draws its walks from a
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1, as (prime, exponent) pairs in
+    ascending prime order; () for 1.  Pollard rho draws its walks from a
     fixed-seed generator, so the rho iterations a call runs depend on n
     alone.
 
@@ -572,7 +475,7 @@ def factor(n: int) -> Factorization:
     m = _trial_division(n, counts)
     if m > 1:
         counts.update(_factor_rough(m))
-    return Factorization._trusted(tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def _factor_rough(m: int, power_free: bool = False) -> dict[int, int]:
@@ -599,7 +502,7 @@ def _factor_rough(m: int, power_free: bool = False) -> dict[int, int]:
             counts[v] = counts.get(v, 0) + mult
             continue
         if rng is None:
-            import random  # kept off the import path, as dataclasses is
+            import random  # kept off the import path
 
             rng = random.Random(0)
         a, spent = _pollard_rho_brent(v, rng, RHO_BUDGET, spent)

@@ -5,7 +5,7 @@ selftest and as the exactness gate of the test suite.  It also pins two
 reduction intermediates and one weight-sort permutation.
 """
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .core import (
     STRATEGIES,
@@ -15,10 +15,7 @@ from .core import (
 )
 
 
-class CorpusCase(NamedTuple):
-    weights: tuple[int, ...]
-    values: tuple[int, ...]
-    expected: int
+CorpusCase = namedtuple("CorpusCase", ("weights", "values", "expected"))
 
 
 CORPUS: tuple[CorpusCase, ...] = (
@@ -65,10 +62,8 @@ SORT_CASE = (
 )
 
 
-class SelftestResult(NamedTuple):
-    label: str
-    passed: bool
-    detail: Optional[str]
+# detail: None when passed, else what went wrong
+SelftestResult = namedtuple("SelftestResult", ("label", "passed", "detail"))
 
 
 def _case_label(case: CorpusCase) -> str:

@@ -143,6 +143,21 @@ class TestCompute:
             assert (code, out) == (2, "")
             assert f"malformed values list '{entry},3'" in err, entry
 
+    def test_digit_limit_needs_one_sign_and_decimal_digits(self, capsys):
+        # int() refuses a second sign and a `²` at any length, so neither
+        # is named against the limit; a decimal digit of another script
+        # counts toward it, as int() counts it
+        limit = sys.get_int_max_str_digits()
+        for long in ("+-" + "1" * (limit + 700), "\u00b2" * (limit + 700)):
+            with time_limit(1):
+                code, out, err = run(capsys, "compute", "--weights", "1,1", "--values", long + ",3")
+            assert (code, out) == (2, "")
+            assert "malformed values list" in err and "limit" not in err
+        long = "\u0663" * (limit + 700)  # ARABIC-INDIC DIGIT THREE
+        code, out, err = run(capsys, "compute", "--weights", "1,1", "--values", long + ",3")
+        assert (code, out) == (2, "")
+        assert f"values entry 0 has {limit + 700} digits" in err and "malformed" not in err
+
     def test_malformed_list_echo_is_cut(self, capsys):
         values = "x," + "1," * 1000 + "2"
         code, _, err = run(capsys, "compute", "--weights", "1", "--values", values)
@@ -406,6 +421,32 @@ class TestParser:
     def test_no_command_takes_a_seed(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--seed", "1")
         assert code == 2 and out == "" and "unrecognized arguments: --seed 1" in err
+
+
+class TestCallsInSequence:
+    # main() called again in one process, after a good call and after a
+    # usage error, prints what the same call prints in a fresh process
+    CALLS = (
+        ["compute", "--weights", "3,2,2", "--values", "-70352,5760,13824", "--json"],
+        ["compute", *TUPLE_ARGS, "--strategy", "fastest"],
+        ["normalize", *TUPLE_ARGS],
+        ["explain", "--weights", "3,2,2", "--values", "-70352,5760,13824", "--json"],
+    )
+
+    def test_each_call_prints_what_a_fresh_process_prints(self, capsys, monkeypatch):
+        # argparse wraps its usage to COLUMNS, which the child inherits
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(wgcd.__file__).resolve().parents[1])
+        got = [run(capsys, *argv) for argv in self.CALLS]
+        for argv, (code, out, err) in zip(self.CALLS, got):
+            proc = subprocess.run(
+                [sys.executable, "-m", "wgcd", *argv],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert [code for code, _, _ in got] == [0, 2, 0, 0]
+        assert "invalid choice: 'fastest'" in got[1][2]
 
 
 class TestExplainComputeAgreement:

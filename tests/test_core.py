@@ -880,7 +880,7 @@ class TestAuto:
         assert type(trace) is tuple
         assert all(type(step) is TraceStep for step in trace)
         assert [step.rule for step in trace] == ["abs", "permute", "suffix-gcd"]
-        assert WgcdResult.__slots__ == ("d", "trace", "counters")
+        assert WgcdResult._fields == ("d", "trace", "counters")
 
     def test_trace_on_big_first_is_suffix_gcd_only(self):
         result = wgcd_auto(wt((70352, 13824), (2, 3)))
@@ -1395,24 +1395,60 @@ def test_no_public_callable_takes_a_seed():
 
 
 class TestRecords:
-    """The record classes keep the behaviour of the dataclasses they were."""
+    """Two kinds of record: a class where construction checks the input or
+    the fields change, frozen ones keeping the behaviour of the dataclasses
+    they were, and a named tuple for every plain result."""
 
-    def records(self):
-        result = wgcd_auto(WORKED_TRIPLE)
-        return [WORKED_TRIPLE, result, factor(360)]
+    SPEC = GenSpec(7, (2, 3), 8, 12, "known-answer")
 
     def test_frozen_records_compare_hash_copy_and_pickle_by_fields(self):
-        for r in self.records():
+        for r in (WORKED_TRIPLE, self.SPEC):
             for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
-                assert twin == r and twin is not r
+                assert twin == r and twin is not r and hash(twin) == hash(r)
             name = type(r).__slots__[0]
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(r, name, None)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(r, name)
         assert hash(WORKED_TRIPLE) == hash((WORKED_TRIPLE.values, WORKED_TRIPLE.weights))
-        assert repr(factor(12)) == "Factorization(entries=((2, 2), (3, 1)))"
         assert WORKED_TRIPLE != (WORKED_TRIPLE.values, WORKED_TRIPLE.weights)
+        spec = GenSpec(seed=7, weights=[2, 3], d_bits=8, cofactor_bits=12, mode="known-answer")
+        assert spec == self.SPEC != GenSpec(8, (2, 3), 8, 12, "known-answer")
+        assert hash(spec) == hash((7, (2, 3), 8, 12, "known-answer"))
+        assert repr(spec) == (
+            "GenSpec(seed=7, weights=(2, 3), d_bits=8, cofactor_bits=12, mode='known-answer')"
+        )
+
+    def test_factor_returns_prime_exponent_pairs(self):
+        assert factor(360) == ((2, 3), (3, 2), (5, 1))
+        assert factor(1) == ()
+
+    def test_results_are_named_tuples(self):
+        # as VerifyResult and TraceStep below: they equal, unpack, pickle
+        # and print as tuples with named fields
+        from wgcd.bench import bench_run
+        from wgcd.selftest import CORPUS, run_selftest
+
+        [record] = bench_run([self.SPEC], strategies=("auto",), repetitions=1)
+        for r, fields in (
+            (wgcd_auto(WORKED_TRIPLE), ("d", "trace", "counters")),
+            (record, ("spec", "results", "agreement")),
+            (record.results[0], ("strategy", "ns_median", "counters", "d")),
+            (CORPUS[0], ("weights", "values", "expected")),
+            (run_selftest()[0], ("label", "passed", "detail")),
+        ):
+            values = tuple(getattr(r, name) for name in fields)
+            assert isinstance(r, tuple) and type(r)._fields == fields
+            assert r == values and tuple(r) == values
+            assert r._asdict() == dict(zip(fields, values))
+            shown = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values))
+            assert repr(r) == f"{type(r).__name__}({shown})"
+            twin = pickle.loads(pickle.dumps(r))
+            assert twin == r and type(twin) is type(r)
+        d, trace, counters = wgcd_auto(WORKED_TRIPLE)
+        assert d == 4 and [step.rule for step in trace] == ["suffix-gcd", "fastpath-root"]
+        assert CORPUS[0] == ((2, 2, 3), (70352, 5760, 13824), 4)
+        assert run_selftest()[0] == ("wgcd[2,2,3](70352,5760,13824) = 4", True, None)
 
     def test_counters_are_mutable_and_unhashable(self):
         c = Counters(gcd_calls=2)
@@ -1511,8 +1547,7 @@ class TestColdImport:
             "assert wgcd.weighted_gcd((c, c), (1, 2)) == 10007\n"
             "assert built() == [1, 1]\n"
             "assert wgcd.weighted_gcd((7 * c, 49 * c), (1, 2)) == 7 * 10007\n"
-            "f = wgcd.factor(2**64 + 1)\n"
-            "assert f.entries == ((274177, 1), (67280421310721, 1))\n"
+            "assert wgcd.factor(2**64 + 1) == ((274177, 1), (67280421310721, 1))\n"
             "assert _perfect_power(10007**5) == (10007, 5)\n"
             "assert _perfect_power(10007**6) == (10007**3, 2)\n"
             "assert _perfect_power(c) == (c, 1)\n"
@@ -1649,3 +1684,14 @@ class TestColdImport:
         )
         assert {"wgcd.cli", "wgcd.bench", "wgcd.selftest"} <= loaded
         assert "__future__" not in loaded
+
+    def test_bench_loads_no_dataclasses_inspect_nor_typing(self):
+        # GenSpec is a frozen record class, and the harness's results are
+        # named tuples
+        loaded = loaded_cold("import wgcd.bench", site=False)
+        assert "wgcd.bench" in loaded
+        assert not loaded & {"dataclasses", "inspect", "typing"}
+
+    def test_selftest_loads_no_typing(self):
+        loaded = loaded_cold("import wgcd.selftest", site=False)
+        assert "wgcd.selftest" in loaded and "typing" not in loaded
