@@ -22,6 +22,7 @@ from .core import (
     abs_values,
     counting,
     fold_merge,
+    gcd_many,
     normalize,
     reduce_suffix_gcd,
     sort_by_weight,
@@ -38,7 +39,6 @@ from .core import (
 from .numtheory import (
     FactorBudgetExceeded,
     factor,
-    gcd_many,
     iroot,
     is_prime,
     valuation,

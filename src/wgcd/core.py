@@ -163,8 +163,8 @@ class WeightedTuple(_Frozen):
 class Counters(_Record):
     """Instrumentation for one `counting` block: the calls of `factor`,
     the bit length of the largest number factored, and the calls of
-    `math.gcd`, where a gcd of many values counts once.  `__slots__` is
-    the field order every report follows."""
+    `gcd_many`, one per gcd however many values it takes.  `__slots__`
+    is the field order every report follows."""
 
     __slots__ = ("factor_calls", "max_factored_bits", "gcd_calls")
 
@@ -235,7 +235,12 @@ class counting:
             _COUNTERS[0].reset(self._token)
 
 
-def _gcd(xs) -> int:
+def gcd_many(xs) -> int:
+    """The gcd of a nonempty sequence of ints, by one `math.gcd` call;
+    the package's one gcd fold, counted once in an open `counting`
+    block."""
+    if not xs:
+        raise ValueError("gcd_many needs at least one integer")
     if _COUNTERS:
         c = _COUNTERS[0].get()
         if c is not None:
@@ -397,7 +402,7 @@ def _root_test(values, weights, order) -> tuple[int, list[int] | None, int]:
     if order is not None:
         head = list(islice(filter(None, map(values.__getitem__, order)), _HEAD))
     # g is a multiple of gcd(x), and gcd(x) itself once head is all of x
-    g = _gcd(head)
+    g = gcd_many(head)
     if g == 1:
         return 1, None, 0
     q_min = min(compress(weights, values))
@@ -409,7 +414,7 @@ def _root_test(values, weights, order) -> tuple[int, list[int] | None, int]:
         if head is values:
             return g, None, q_min
         head, h = values, g
-        g = _gcd((h, *values))
+        g = gcd_many((h, *values))
         if g == 1 or g == h:
             return g, None, q_min
 
@@ -439,7 +444,7 @@ def _split_share(rest: int, values, weights) -> int:
             # primes of c all above bound, with bound**3 >= c, leave no
             # room for a square: the gcd needs only the primes below bound
             bound = min(1 << -(-c.bit_length() // 3), SECOND_TIER_LIMIT)
-            h = _gcd((c, _second_tier_product(bound)))
+            h = gcd_many((c, _second_tier_product(bound)))
             if h > 1:
                 for b, bes in _exact_pieces([c, h], xs):
                     if h % b:  # b is coprime to h: its primes exceed bound
@@ -502,7 +507,7 @@ def wgcd_lcm_power(t: WeightedTuple) -> int:
             f"lcm-power would build a {bits}-bit power, over its"
             f" {LCM_POWER_BITS}-bit budget"
         )
-    g_pow = _gcd([abs(x) ** (m // q) for x, q in t.pairs() if x])
+    g_pow = gcd_many([abs(x) ** (m // q) for x, q in t.pairs() if x])
     if g_pow == 1:
         return 1
     d = 1
@@ -544,7 +549,7 @@ def fold_merge(d_acc: int, x: int, q: int) -> int:
         return d_acc
     a = abs(x)
     if q == 1:
-        return _gcd((d_acc, a))
+        return gcd_many((d_acc, a))
     d = 1
     for p, e in _factor(d_acc):
         d *= p ** min(e, valuation(p, a) // q)

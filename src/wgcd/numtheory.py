@@ -1,10 +1,11 @@
 """Arbitrary-precision integer primitives.
 
-Everything the weighted-gcd strategies stand on: gcd folds, floor roots,
-p-adic valuations, factor refinement into a coprime base and into pieces
-with exact exponents, Baillie-PSW primality, and integer factorization.
+Everything the weighted-gcd strategies stand on: floor roots, p-adic
+valuations, factor refinement into a coprime base and into pieces with
+exact exponents, Baillie-PSW primality, and integer factorization.
 It holds functions on ints only, no record classes: `factor` returns
-plain (prime, exponent) pairs.
+plain (prime, exponent) pairs, and `factor`, `is_prime`, `iroot` and
+`valuation` refuse a non-integer with TypeError.
 Factorization runs trial division below 10**4, as one gcd per decade of
 primes against the product of that decade; then `_factor_rough`, which
 also serves alone a number whose primes all exceed 10**4, runs
@@ -84,19 +85,6 @@ def _second_tier_product(bound: int) -> int:
     return xs[0]
 
 
-def gcd_many(xs) -> int:
-    """Left fold of gcd over a nonempty sequence."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("gcd_many needs at least one integer")
-    g = abs(xs[0])
-    for x in xs[1:]:
-        g = math.gcd(g, x)
-        if g == 1:
-            break
-    return g
-
-
 # Covers the float error of iroot's start, at most a relative 2**-43.
 _ROOT_WIDENING = 1 + 2.0**-40
 
@@ -121,6 +109,7 @@ def iroot(x: int, n: int) -> int:
     power of two 1 << ceil(bits/n) can be twice s, which costs a big n
     about n ln 2 steps.
     """
+    x, n = operator.index(x), operator.index(n)
     if n < 1:
         raise ValueError("root order must be positive")
     if x < 0:
@@ -202,6 +191,7 @@ def valuation(p: int, x: int) -> int:
     few, then repeated squaring, so a valuation of e takes O(log e) big
     divisions and `valuation(3, 3**(10**5) * 7)` stays in milliseconds.
     """
+    p, x = operator.index(p), operator.index(x)
     if p < 2:
         raise ValueError("valuation needs p >= 2")
     if x == 0:
@@ -327,6 +317,7 @@ def is_prime(n: int) -> bool:
     Miller-Rabin round to base 2, then a strong Lucas test (Baillie &
     Wagstaff, "Lucas pseudoprimes", 1980).  Exact for n < 2**64, with no
     known counterexample above, and the answer depends on n alone."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -469,6 +460,7 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     The rho iterations of the whole call are capped at RHO_BUDGET, and
     FactorBudgetExceeded is raised past the cap.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("factor expects n >= 1")
     counts: dict[int, int] = {}

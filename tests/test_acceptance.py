@@ -8,6 +8,7 @@ import math
 import random
 import time
 
+from wgcd import gcd_many
 from wgcd.bench import GenSpec, bench_run, gen_known, generate
 from wgcd.core import (
     STRATEGIES,
@@ -20,7 +21,7 @@ from wgcd.core import (
     wgcd_bruteforce,
     wgcd_lcm_power,
 )
-from wgcd.numtheory import gcd_many, iroot
+from wgcd.numtheory import iroot
 from wgcd.selftest import run_selftest
 
 # ---------------------------------------------------------------------------

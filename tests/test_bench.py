@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wgcd import bench as bench_mod
+from wgcd import gcd_many
 from wgcd.bench import (
     DEFAULT_STRATEGIES,
     GenSpec,
@@ -14,7 +15,6 @@ from wgcd.bench import (
 )
 from wgcd.cli import main
 from wgcd.core import Counters, WeightedTuple, counting, wgcd_auto
-from wgcd.numtheory import gcd_many
 
 COUNTER_NAMES = list(Counters.__slots__)
 

@@ -158,6 +158,17 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert f"values entry 0 has {limit + 700} digits" in err and "malformed" not in err
 
+    def test_digit_limit_skips_entries_int_refuses_at_any_length(self, capsys):
+        # int() raises its own digit-limit error on the first two, so the
+        # verdict "malformed" cannot come from int()'s message
+        limit = sys.get_int_max_str_digits()
+        digits = "1" * (limit + 700)
+        for long in (digits + "x", digits + ".0", "0x" + digits):
+            with time_limit(1):
+                code, out, err = run(capsys, "compute", "--weights", "1,1", "--values", long + ",3")
+            assert (code, out) == (2, "")
+            assert "malformed values list" in err and "limit" not in err
+
     def test_malformed_list_echo_is_cut(self, capsys):
         values = "x," + "1," * 1000 + "2"
         code, _, err = run(capsys, "compute", "--weights", "1", "--values", values)

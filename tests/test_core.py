@@ -29,6 +29,7 @@ from wgcd.core import (
     abs_values,
     counting,
     fold_merge,
+    gcd_many,
     normalize,
     reduce_suffix_gcd,
     sort_by_weight,
@@ -453,14 +454,14 @@ class TestRootAndSplit:
         # with 64-bit cofactors coprime to d.  The candidate from the gcd of
         # the core._HEAD least-weight coordinates answers, and that gcd is
         # the only one taken
-        sizes, gcd = [], core._gcd
+        sizes, gcd = [], core.gcd_many
 
         def spy(xs):
             xs = list(xs)
             sizes.append(len(xs))
             return gcd(xs)
 
-        monkeypatch.setattr(core, "_gcd", spy)
+        monkeypatch.setattr(core, "gcd_many", spy)
         t, d = long_tuple(random.Random(21))
         with counting() as c:
             assert wgcd_gcd_factorization(t) == d
@@ -510,7 +511,7 @@ class TestPieceShares:
     def second_tier(self, monkeypatch):
         """The bound B of each gcd of a piece c with the second tier's
         product, checked against the B that c's size calls for."""
-        calls, checked, product, gcd = [], [], core._second_tier_product, core._gcd
+        calls, checked, product, gcd = [], [], core._second_tier_product, core.gcd_many
 
         def spy(bound):
             calls.append(bound)
@@ -525,7 +526,7 @@ class TestPieceShares:
             return gcd(xs)
 
         monkeypatch.setattr(core, "_second_tier_product", spy)
-        monkeypatch.setattr(core, "_gcd", gcd_spy)
+        monkeypatch.setattr(core, "gcd_many", gcd_spy)
         return calls
 
     def test_matches_full_factor_and_sympy_on_mid_size_primes(self):
@@ -1076,6 +1077,16 @@ class TestCounting:
             wgcd_lcm_power(WORKED_TRIPLE)
         assert result.counters is outer
         assert counts(outer) == (1, 13, 3)
+
+    def test_gcd_many_is_the_counted_fold(self):
+        # the route's gcds, lcm-power's and fold_merge's all go through it
+        with counting() as c:
+            assert gcd_many([12, 18]) == 6
+        assert counts(c) == (0, 0, 1)
+        with pytest.raises(TypeError):
+            gcd_many([2.0])
+        with pytest.raises(ValueError, match="at least one integer"):
+            gcd_many([])
 
     def test_strategies_run_outside_any_block(self):
         for fn in STRATEGIES.values():

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from helpers import naive_wgcd
+from wgcd import gcd_many
 from wgcd.bench import (
     GenSpec,
     gen_adversarial,
@@ -13,7 +14,6 @@ from wgcd.bench import (
     known_answer_tuple,
 )
 from wgcd.core import WeightedTuple, wgcd_auto, wgcd_bruteforce, wgcd_full_factorization
-from wgcd.numtheory import gcd_many
 
 
 def spec(mode, weights, seed=0, d_bits=6, cofactor_bits=6):

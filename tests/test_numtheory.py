@@ -14,7 +14,7 @@ from helpers import (
     time_limit,
     trial_division_scan,
 )
-from wgcd import numtheory
+from wgcd import gcd_many, numtheory
 from wgcd.numtheory import (
     _SINGLE_COPIES,
     FactorBudgetExceeded,
@@ -22,12 +22,15 @@ from wgcd.numtheory import (
     _trial_division,
     coprime_base,
     factor,
-    gcd_many,
     iroot,
     is_prime,
     _strip,
     valuation,
 )
+
+
+# what the exported functions refuse with TypeError, as operator.index does
+NON_INTEGERS = (2.0, 2.5, "7", None)
 
 
 def gcd(a: int, b: int) -> int:
@@ -132,6 +135,13 @@ class TestIroot:
         with pytest.raises(ValueError):
             iroot(-1, 2)
 
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            iroot(bad, 3)
+        with pytest.raises(TypeError):
+            iroot(27, bad)
+
 
 class TestValuation:
     def test_worked_exponents(self):
@@ -153,6 +163,13 @@ class TestValuation:
             valuation(2, 0)
         with pytest.raises(ValueError):
             valuation(1, 12)
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            valuation(3, bad)
+        with pytest.raises(TypeError):
+            valuation(bad, 9)
 
     @pytest.mark.parametrize("p", [3, 65537, 18446744073709551557])
     def test_strip_matches_the_per_copy_loop(self, p):
@@ -183,6 +200,11 @@ class TestIsPrime:
         assert not is_prime(13824)
         assert not is_prime(0)
         assert is_prime(2)
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            is_prime(bad)
 
     def test_sieve_agreement_to_one_million(self):
         flags = sieve_flags(10**6)
@@ -333,6 +355,11 @@ class TestFactor:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factor(0)
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            factor(bad)
 
     def test_deterministic(self):
         n = (2**61 - 1) * (2**31 - 1) * 12345

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import SPLIT_VALUES, SPLIT_WEIGHTS, naive_root, naive_wgcd, time_limit
-from wgcd import core
+from wgcd import core, gcd_many
 from wgcd.bench import known_answer_tuple
 from wgcd.core import (
     STRATEGIES,
@@ -21,7 +21,6 @@ from wgcd.core import (
     wgcd_auto,
     wgcd_bruteforce,
 )
-from wgcd.numtheory import gcd_many
 
 
 @st.composite
