@@ -9,7 +9,7 @@ ground truth.
 
 import json
 
-from wgcd import GenSpec, bench_report, bench_run
+from wgcd.bench import GenSpec, bench_report, bench_run
 
 specs = [
     GenSpec(

@@ -39,6 +39,7 @@ class GenSpec(_Frozen):
     __slots__ = ("seed", "weights", "d_bits", "cofactor_bits", "mode")
 
     def __init__(self, seed: int, weights, d_bits: int, cofactor_bits: int, mode: str):
+        seed, d_bits, cofactor_bits = map(operator.index, (seed, d_bits, cofactor_bits))
         weights = _positive_weights(weights)
         if d_bits < 1 or cofactor_bits < 1:
             raise ValueError("bit parameters must be >= 1")

@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--values", required=True, metavar="X0,X1,...",
             help="comma-separated integers of up to sys.get_int_max_str_digits() "
-                 "digits (4300 by default)",
+                 "digits (4300 by default); Linux caps one argument at 131072 "
+                 "bytes, about 30 values at that limit",
         )
         if with_strategy:
             p.add_argument(

@@ -516,62 +516,31 @@ def wgcd_lcm_power(t: WeightedTuple) -> int:
     return d
 
 
-def wgcd_single(x: int, q: int) -> int:
-    """Weighted gcd of a single coordinate: product of p ** floor(e/q)
-    over the factorization of |x|."""
-    x, q = operator.index(x), operator.index(q)
-    if x == 0:
-        raise ValueError("wgcd of a single zero coordinate is undefined")
-    if q < 1:
-        raise ValueError("weight must be positive")
-    a = abs(x)
-    if q == 1:
-        return a
-    d = 1
-    for p, e in _factor(a):
-        d *= p ** (e // q)
-    return d
-
-
-def fold_merge(d_acc: int, x: int, q: int) -> int:
-    """Weighted gcd of the pair (d_acc, x) under weights (1, q).
-
-    Only primes of d_acc survive: each contributes
-    min(valuation in d_acc, floor(valuation in x / q)).  x = 0 imposes no
-    constraint and returns d_acc unchanged.
-    """
-    d_acc, x, q = map(operator.index, (d_acc, x, q))
-    if d_acc < 1:
-        raise ValueError("accumulator must be >= 1")
-    if q < 1:
-        raise ValueError("weight must be positive")
-    if x == 0 or d_acc == 1:
-        return d_acc
-    a = abs(x)
-    if q == 1:
-        return gcd_many((d_acc, a))
-    d = 1
-    for p, e in _factor(d_acc):
-        d *= p ** min(e, valuation(p, a) // q)
-    return d
-
-
 def wgcd_fold(t: WeightedTuple) -> int:
     """Peel one coordinate at a time: fully factor a single start
     coordinate, then merge the rest pairwise under weights (1, q_i).
 
     The start coordinate is the nonzero one minimizing bit-length / weight,
-    the cheapest full factorization on offer.
+    the cheapest full factorization on offer; under weight q its |x|
+    gives the product of p ** floor(e/q) over its factorization.  A merge
+    of the running d with (x, q) keeps only d's primes, each at
+    min(its exponent in d, floor(valuation in x / q)): one gcd when q = 1.
+    x = 0 imposes no constraint, and d = 1 ends the fold.
     """
     nonzero = [(i, abs(x)) for i, x in enumerate(t.values) if x]
-    start, x0 = min(nonzero, key=lambda iv: iv[1].bit_length() / t.weights[iv[0]])
-    d = wgcd_single(x0, t.weights[start])
+    start, d = min(nonzero, key=lambda iv: iv[1].bit_length() / t.weights[iv[0]])
+    q0 = t.weights[start]
+    if q0 > 1:
+        d = math.prod(p ** (e // q0) for p, e in _factor(d))
     for i, (x, q) in enumerate(t.pairs()):
-        if i == start:
-            continue
         if d == 1:
             break
-        d = fold_merge(d, x, q)
+        if i == start or x == 0:
+            continue
+        if q == 1:
+            d = gcd_many((d, abs(x)))
+        else:
+            d = math.prod(p ** min(e, valuation(p, abs(x)) // q) for p, e in _factor(d))
     return d
 
 

@@ -17,7 +17,7 @@ import sympy
 
 from helpers import SPLIT_PRIMES, SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd, time_limit
 import wgcd
-from wgcd import core, numtheory
+from wgcd import bench, core, numtheory, selftest
 from wgcd.bench import MODES, GenSpec, gen_known, generate
 from wgcd.core import (
     STRATEGIES,
@@ -28,7 +28,6 @@ from wgcd.core import (
     WgcdResult,
     abs_values,
     counting,
-    fold_merge,
     gcd_many,
     normalize,
     reduce_suffix_gcd,
@@ -41,7 +40,6 @@ from wgcd.core import (
     wgcd_full_factorization,
     wgcd_gcd_factorization,
     wgcd_lcm_power,
-    wgcd_single,
 )
 from wgcd.numtheory import FactorBudgetExceeded, factor
 
@@ -718,7 +716,7 @@ class TestLcmPower:
         assert wgcd_lcm_power(wt((8, 4), (2, 3))) == 1
 
     def test_singleton(self):
-        assert wgcd_lcm_power(wt((13824,), (3,))) == wgcd_single(13824, 3) == 24
+        assert wgcd_lcm_power(wt((13824,), (3,))) == wgcd_fold(wt((13824,), (3,))) == 24
 
     def test_power_over_budget_rejected_before_building(self):
         # lcm(1009, 1013, 1019) / 1009 is about 10**6: 20-bit values would
@@ -740,29 +738,33 @@ class TestLcmPower:
 
 
 class TestSingleAndFold:
+    # Each case's counts show which branch ran: the start coordinate is
+    # factored unless its weight is 1, a weight-1 merge is one gcd, a
+    # heavier merge factors the running d, and a zero is skipped.
+
     def test_single_examples(self):
-        assert wgcd_single(13824, 3) == 24
-        assert wgcd_single(5760, 2) == 24
-        assert wgcd_single(-7, 1) == 7
-        with pytest.raises(ValueError):
-            wgcd_single(0, 2)
-        with pytest.raises(ValueError, match="weight must be positive"):
-            wgcd_single(5, 0)
-        for x, q in ((72, 2.0), (72.0, 2), ("72", 2), (72, "2")):
-            with pytest.raises(TypeError):
-                wgcd_single(x, q)
+        for values, weights, d, factored in (
+            ((13824,), (3,), 24, 1),
+            ((5760,), (2,), 24, 1),
+            ((-7,), (1,), 7, 0),  # weight 1: |x| itself, nothing factored
+        ):
+            with counting() as c:
+                assert wgcd_fold(wt(values, weights)) == d
+            assert counts(c)[0::2] == (factored, 0), values
 
     def test_fold_merge_examples(self):
-        assert fold_merge(24, 70352, 2) == 4
-        assert fold_merge(1, 99, 3) == 1
-        assert fold_merge(24, 0, 5) == 24
-        with pytest.raises(ValueError):
-            fold_merge(0, 99, 3)
-        with pytest.raises(ValueError, match="weight must be positive"):
-            fold_merge(4, 8, 0)
-        for args in ((6, 72, 2.0), (6, 72.0, 2), (6.0, 72, 2), (6, "72", 2)):
-            with pytest.raises(TypeError):
-                fold_merge(*args)
+        # 13824 = 24**3 is the start in each: 14 bits / 3 is the least
+        for values, weights, d, expected in (
+            ((13824, 70352), (3, 2), 4, (2, 0)),  # 70352 = 2**4 * 4397
+            ((13824, 36), (3, 1), 12, (1, 1)),  # one gcd(24, 36)
+            ((13824, 0), (3, 5), 24, (1, 0)),  # the zero is skipped
+            # 5**20 is prime to 24: d reaches 1, and the last coordinate,
+            # which would keep 24, is never read
+            ((13824, 5**20, 2**40 * 3**30), (3, 2, 3), 1, (2, 0)),
+        ):
+            with counting() as c:
+                assert wgcd_fold(wt(values, weights)) == d
+            assert counts(c)[0::2] == expected, values
 
     def test_fold_strategy(self):
         assert wgcd_fold(WORKED_TRIPLE) == 4
@@ -1079,7 +1081,7 @@ class TestCounting:
         assert counts(outer) == (1, 13, 3)
 
     def test_gcd_many_is_the_counted_fold(self):
-        # the route's gcds, lcm-power's and fold_merge's all go through it
+        # the route's gcds, lcm-power's and the fold's all go through it
         with counting() as c:
             assert gcd_many([12, 18]) == 6
         assert counts(c) == (0, 0, 1)
@@ -1386,23 +1388,25 @@ class TestDefaultBudgets:
 
 def test_all_lists_every_public_name():
     # a removed name must leave __all__, and a new one must join it
-    # dir, not vars: the bench and selftest names load on first access
     public = {
-        name for name in dir(wgcd)
-        if not name.startswith("_") and not inspect.ismodule(getattr(wgcd, name))
+        name for name, obj in vars(wgcd).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
     }
     assert sorted(wgcd.__all__) == sorted(public)
 
 
 def test_no_public_callable_takes_a_seed():
     # factoring always draws from seed 0; GenSpec's seed picks an input
-    checked = 0
-    for name in wgcd.__all__:
-        obj = getattr(wgcd, name)
-        if callable(obj) and name != "GenSpec":
-            assert "seed" not in inspect.signature(obj).parameters, name
-            checked += 1
-    assert checked > 20
+    checked = [getattr(wgcd, name) for name in wgcd.__all__]
+    for module in (bench, selftest):
+        checked += [
+            obj for name, obj in vars(module).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+        ]
+    checked = [obj for obj in checked if callable(obj) and obj is not GenSpec]
+    for obj in checked:
+        assert "seed" not in inspect.signature(obj).parameters, obj.__qualname__
+    assert len(checked) > 30
 
 
 class TestRecords:
@@ -1608,16 +1612,18 @@ class TestColdImport:
         assert "wgcd.cli" in loaded
         assert not loaded & {"wgcd.bench", "wgcd.selftest", *HEAVY_MODULES}
 
-    def test_lazy_names_resolve(self):
+    def test_root_exports_the_library_only(self):
+        # the harness and the selftest are reached by module path alone
         loaded = loaded_cold(
             "import wgcd\n"
-            "assert set(wgcd.__all__) <= set(dir(wgcd))\n"
-            "assert wgcd.gen_known.__module__ == 'wgcd.bench'\n"
+            "assert not hasattr(wgcd, 'GenSpec')\n"
             "names = {}\n"
             "exec('from wgcd import *', names)\n"
-            "assert all(names[n] is getattr(wgcd, n) for n in wgcd.__all__)"
+            "assert all(names[n] is getattr(wgcd, n) for n in wgcd.__all__)\n"
+            "assert not {'wgcd.bench', 'wgcd.selftest'} & set(sys.modules)\n"
+            "from wgcd.bench import GenSpec"
         )
-        assert {"wgcd.bench", "wgcd.selftest"} <= loaded
+        assert "wgcd.bench" in loaded
 
     def test_import_loads_no_future_nor_contextvars(self):
         # annotations are evaluated at definition on Python 3.10+, and the

@@ -47,6 +47,14 @@ class TestGenSpec:
                 make()
             assert str(made.value) == str(built.value)
 
+    @pytest.mark.parametrize("bad", [None, 1.5, 8.0, "7"])
+    @pytest.mark.parametrize("field", ["seed", "d_bits", "cofactor_bits"])
+    def test_integer_fields_rejected_at_construction(self, field, bad):
+        # a None seed would draw from the OS, and float bits failed only
+        # inside generate
+        with pytest.raises(TypeError):
+            spec("random", (2, 3), **{field: bad})
+
     def test_json_round_trip(self):
         s = spec("random", (2, 3, 5), seed=99)
         assert GenSpec.from_json_dict(s.to_json_dict()) == s
