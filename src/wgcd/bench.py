@@ -1,11 +1,13 @@
-"""Known-answer tuple generators and the instrumented benchmark harness.
+"""Known-answer tuple generation and the instrumented benchmark harness.
 
-Generators pin ground truth by construction instead of trusting any
-strategy; the harness times strategies against each other, counts one
-run of each in its own `counting` block, and refuses to report anything
-when they disagree.  A run's record keeps that block's `core.Counters`;
-both report formats take its fields in `Counters.__slots__` order: a CSV
-row is a JSON result flattened beside its spec.
+`generate` builds a spec's tuple by its mode and returns the answer the
+construction fixes, so ground truth never comes from a strategy; the
+harness times strategies against each other, counts one run of each in
+its own `counting` block, and refuses to report anything when they
+disagree with each other or with that answer.  A run's record keeps
+that block's `core.Counters`; both report formats take its fields in
+`Counters.__slots__` order: a CSV row is a JSON result flattened beside
+its spec.
 """
 
 import contextvars
@@ -22,8 +24,6 @@ from collections.abc import Sequence
 
 from . import core, numtheory
 from .core import Counters, WeightedTuple, _Frozen, _positive_weights, _set_field, counting
-
-MODES = ("known-answer", "random", "adversarial-deficient")
 
 # The oracle is excluded by default: its scan bound is astronomical on
 # benchmark-scale inputs; pass it explicitly for small specs.
@@ -91,9 +91,8 @@ class GenSpec(_Frozen):
 
 
 def _random_bits(rng: random.Random, bits: int) -> int:
-    """Uniform integer with exactly `bits` bits."""
-    if bits == 1:
-        return 1
+    """Uniform integer with exactly `bits` bits; one bit gives 1 and
+    draws nothing."""
     return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
 
 
@@ -103,7 +102,7 @@ def _random_prime(rng: random.Random, bits: int) -> int:
     if bits == 2:
         return rng.choice((2, 3))
     while True:
-        cand = (1 << (bits - 1)) | rng.getrandbits(bits - 1) | 1
+        cand = _random_bits(rng, bits) | 1
         if numtheory.is_prime(cand):
             return cand
 
@@ -111,8 +110,6 @@ def _random_prime(rng: random.Random, bits: int) -> int:
 def _random_cofactor(rng: random.Random, bits: int, d: int) -> int:
     """Integer with exactly `bits` bits, coprime to d, built as a product
     of moderately sized primes so it stays factorable at desk scale."""
-    if bits == 1:
-        return 1
     lo, hi = _COFACTOR_PRIME_BITS
     attempts = 512 if bits <= 16 else 100_000
     for _ in range(attempts):
@@ -149,15 +146,10 @@ def known_answer_tuple(d: int, weights, cofactors) -> WeightedTuple:
     return WeightedTuple(values, w)
 
 
-def gen_known(spec: GenSpec) -> tuple[WeightedTuple, int]:
-    """Draw a known-answer tuple and its exact weighted gcd.
-
-    A unit cofactor forces the cofactor part of the tuple to carry no
+def _gen_known(spec: GenSpec) -> tuple[WeightedTuple, int]:
+    """A unit cofactor forces the cofactor part of the tuple to carry no
     weighted gcd, and the cofactors share no prime with d, so the answer
-    is d by construction.
-    """
-    if spec.mode != "known-answer":
-        raise ValueError(f"gen_known expects known-answer mode, got {spec.mode!r}")
+    is d by construction."""
     rng = random.Random(spec.seed)
     for _ in range(10_000):
         d = _random_bits(rng, spec.d_bits)
@@ -175,7 +167,7 @@ def gen_known(spec: GenSpec) -> tuple[WeightedTuple, int]:
     raise ValueError(f"no cofactors of {spec.cofactor_bits} bits fit any d for {spec}")
 
 
-def gen_adversarial(spec: GenSpec) -> WeightedTuple:
+def _gen_adversarial(spec: GenSpec) -> tuple[WeightedTuple, int]:
     """Prime-power-heavy tuple plus deficient-exponent noise.
 
     The base is p**q_i for a fresh prime p, so the weighted gcd is p.
@@ -183,10 +175,6 @@ def gen_adversarial(spec: GenSpec) -> WeightedTuple:
     the weight in one coordinate, so they inflate the plain gcd while
     contributing nothing to the weighted gcd.
     """
-    if spec.mode != "adversarial-deficient":
-        raise ValueError(
-            f"gen_adversarial expects adversarial-deficient mode, got {spec.mode!r}"
-        )
     rng = random.Random(spec.seed)
     weights = spec.weights
     p = _random_prime(rng, max(spec.d_bits, 2))
@@ -205,13 +193,11 @@ def gen_adversarial(spec: GenSpec) -> WeightedTuple:
                 e = rng.randint(1, q - 1) if i == k else q
                 noise[i] *= r**e
         values = [v * n for v, n in zip(values, noise)]
-    return WeightedTuple(tuple(values), spec.weights)
+    return WeightedTuple(tuple(values), spec.weights), p
 
 
-def gen_random(spec: GenSpec) -> WeightedTuple:
+def _gen_random(spec: GenSpec) -> tuple[WeightedTuple, None]:
     """Unstructured signed tuple; magnitudes bounded by cofactor_bits."""
-    if spec.mode != "random":
-        raise ValueError(f"gen_random expects random mode, got {spec.mode!r}")
     rng = random.Random(spec.seed)
     while True:
         values = tuple(
@@ -219,17 +205,22 @@ def gen_random(spec: GenSpec) -> WeightedTuple:
             for _ in range(len(spec.weights))
         )
         if any(values):
-            return WeightedTuple(values, spec.weights)
+            return WeightedTuple(values, spec.weights), None
+
+
+_GENERATORS = {
+    "known-answer": _gen_known,
+    "random": _gen_random,
+    "adversarial-deficient": _gen_adversarial,
+}
+MODES = tuple(_GENERATORS)
 
 
 def generate(spec: GenSpec) -> tuple[WeightedTuple, int | None]:
-    """Dispatch on mode; the expected answer is only known for
-    known-answer specs."""
-    if spec.mode == "known-answer":
-        return gen_known(spec)
-    if spec.mode == "adversarial-deficient":
-        return gen_adversarial(spec), None
-    return gen_random(spec), None
+    """The spec's tuple and the weighted gcd its mode constructs: d for
+    known-answer, the base prime p for adversarial-deficient, and None
+    for random, whose answer nothing fixes."""
+    return _GENERATORS[spec.mode](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +235,17 @@ BenchRecord = namedtuple("BenchRecord", ("spec", "results", "agreement"))
 
 
 class StrategyDisagreement(RuntimeError):
-    """Strategies returned different answers: a correctness bug, so the
-    whole run aborts rather than report meaningless timings."""
+    """Strategies returned different answers, or one differs from the
+    answer the generator constructed (`expected`, None when the mode fixes
+    none): a correctness bug, so the whole run aborts rather than report
+    meaningless timings."""
 
-    def __init__(self, record: BenchRecord):
+    def __init__(self, record: BenchRecord, expected: int | None):
         self.record = record
+        self.expected = expected
         answers = ", ".join(f"{r.strategy}={r.d}" for r in record.results)
+        if expected is not None:
+            answers += f"; constructed answer {expected}"
         super().__init__(f"strategy disagreement on {record.spec}: {answers}")
 
 
@@ -268,8 +264,8 @@ def bench_run(
     an empty `contextvars.Context`, so a caller's `counting` block counts
     only the timed repetitions and changes no record.
 
-    Known-answer specs additionally check every strategy against the
-    constructed answer.  Aborts on any disagreement.
+    Every strategy is also checked against the answer the spec's mode
+    constructs, when it fixes one.  Aborts on any disagreement.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -295,7 +291,7 @@ def bench_run(
             answers.add(d)
         record = BenchRecord(spec, tuple(runs), len(answers) == 1)
         if not record.agreement:
-            raise StrategyDisagreement(record)
+            raise StrategyDisagreement(record, expected)
         records.append(record)
     return records
 

@@ -176,18 +176,9 @@ class Counters(_Record):
         self.gcd_calls = gcd_calls
 
 
-# one rewrite: its rule, from TRACE_RULES, and the tuple of ints and the
-# weights it leaves
+# one rewrite: its rule ("abs", "permute", "suffix-gcd", "fastpath-one" or
+# "fastpath-root"), and the tuple of ints and the weights it leaves
 TraceStep = namedtuple("TraceStep", ("rule", "values", "weights"))
-
-
-TRACE_RULES = (
-    "abs",
-    "permute",
-    "suffix-gcd",
-    "fastpath-one",
-    "fastpath-root",
-)
 
 
 # `wgcd_auto`'s answer d, its trace, the ordered TraceSteps whose replay

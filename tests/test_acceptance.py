@@ -9,7 +9,7 @@ import random
 import time
 
 from wgcd import gcd_many
-from wgcd.bench import GenSpec, bench_run, gen_known, generate
+from wgcd.bench import GenSpec, bench_run, generate
 from wgcd.core import (
     STRATEGIES,
     WeightedTuple,
@@ -250,6 +250,6 @@ def test_criterion_8_known_answer_soundness():
             cofactor_bits=rng.randint(1, 6),
             mode="known-answer",
         )
-        t, expected = gen_known(spec)
+        t, expected = generate(spec)
         assert wgcd_bruteforce(t) == expected, spec
     print("criterion 8 (known-answer soundness): PASS on 1000 generated tuples")

@@ -132,6 +132,28 @@ class TestBenchRun:
             bench_run(small_specs()[:1], strategies=("auto", "fold"), repetitions=1)
         assert not exc.value.record.agreement
 
+    @pytest.mark.parametrize("spec", [small_specs()[0], small_specs()[3]])
+    def test_one_lying_strategy_meets_the_constructed_answer(self, monkeypatch, spec):
+        # a single strategy has nothing to disagree with but the generator's
+        # answer, on known-answer and adversarial specs alike
+        lying = dict(bench_mod.core.STRATEGIES)
+        lying["auto"] = lambda t: 5
+        monkeypatch.setattr(bench_mod.core, "STRATEGIES", lying)
+        expected = bench_mod.generate(spec)[1]
+        with pytest.raises(StrategyDisagreement) as exc:
+            bench_run([spec], strategies=("auto",), repetitions=1)
+        assert exc.value.expected == expected
+        assert str(exc.value).endswith(f": auto=5; constructed answer {expected}")
+
+    def test_random_spec_message_names_no_answer(self, monkeypatch):
+        lying = dict(bench_mod.core.STRATEGIES)
+        lying["fold"] = lambda t: 1_000_003
+        monkeypatch.setattr(bench_mod.core, "STRATEGIES", lying)
+        with pytest.raises(StrategyDisagreement) as exc:
+            bench_run(small_specs()[2:3], strategies=("auto", "fold"), repetitions=1)
+        assert exc.value.expected is None
+        assert "constructed answer" not in str(exc.value)
+
 
 VALID_SPEC = {"seed": 1, "n": 2, "weights": [2, 3], "d_bits": 6,
               "cofactor_bits": 5, "mode": "known-answer"}

@@ -401,7 +401,7 @@ class TestBench:
         def explode(*args, **kwargs):
             spec = bench_mod.GenSpec(1, (2,), 4, 4, "random")
             run = StrategyRun("auto", 0, Counters(), 7)
-            raise StrategyDisagreement(BenchRecord(spec, (run,), False))
+            raise StrategyDisagreement(BenchRecord(spec, (run,), False), None)
 
         monkeypatch.setattr(bench_mod, "bench_run", explode)
         code, out, err = run(

@@ -18,11 +18,10 @@ import sympy
 from helpers import SPLIT_PRIMES, SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd, time_limit
 import wgcd
 from wgcd import bench, core, numtheory, selftest
-from wgcd.bench import MODES, GenSpec, gen_known, generate
+from wgcd.bench import MODES, GenSpec, generate
 from wgcd.core import (
     STRATEGIES,
     Counters,
-    TRACE_RULES,
     TraceStep,
     WeightedTuple,
     WgcdResult,
@@ -872,7 +871,13 @@ class TestAuto:
                     pass
                 else:
                     pytest.fail(f"unexpected rule {step.rule}")
-                assert step.rule in TRACE_RULES
+                assert step.rule in {
+                    "abs",
+                    "permute",
+                    "suffix-gcd",
+                    "fastpath-one",
+                    "fastpath-root",
+                }
                 assert step.values == cur.values
                 assert step.weights == cur.weights
 
@@ -1335,7 +1340,7 @@ class TestWideKnownAnswer:
     @pytest.mark.parametrize("d_bits", [32, 48, 64])
     @pytest.mark.parametrize("strategy", ["auto", "full-factor"])
     def test_known_d(self, d_bits, strategy):
-        t, d = gen_known(GenSpec(1, (2, 3, 5), d_bits, 256, "known-answer"))
+        t, d = generate(GenSpec(1, (2, 3, 5), d_bits, 256, "known-answer"))
         with time_limit(10), counting() as counters:
             assert STRATEGIES[strategy](t) == d
         if strategy == "auto":

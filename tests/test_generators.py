@@ -5,15 +5,14 @@ import pytest
 
 from helpers import naive_wgcd
 from wgcd import gcd_many
-from wgcd.bench import (
-    GenSpec,
-    gen_adversarial,
-    gen_known,
-    gen_random,
-    generate,
-    known_answer_tuple,
+from wgcd.bench import MODES, GenSpec, generate, known_answer_tuple
+from wgcd.core import (
+    WeightedTuple,
+    weighted_gcd,
+    wgcd_auto,
+    wgcd_bruteforce,
+    wgcd_full_factorization,
 )
-from wgcd.core import WeightedTuple, wgcd_auto, wgcd_bruteforce, wgcd_full_factorization
 
 
 def spec(mode, weights, seed=0, d_bits=6, cofactor_bits=6):
@@ -88,16 +87,12 @@ class TestKnownAnswer:
 
     def test_deterministic(self):
         s = spec("known-answer", (2, 3), seed=42)
-        assert gen_known(s) == gen_known(s)
-
-    def test_mode_guard(self):
-        with pytest.raises(ValueError):
-            gen_known(spec("random", (2, 3)))
+        assert generate(s) == generate(s)
 
     def test_unit_cofactor_and_coprimality(self):
         for seed in range(30):
             s = spec("known-answer", (2, 2, 3), seed=seed, d_bits=9, cofactor_bits=8)
-            t, d = gen_known(s)
+            t, d = generate(s)
             cofactors = [x // d**q for x, q in t.pairs()]
             assert 1 in cofactors
             assert all(gcd(c, d) == 1 for c in cofactors)
@@ -106,17 +101,17 @@ class TestKnownAnswer:
     def test_oracle_confirms_within_reach(self):
         for seed in range(60):
             s = spec("known-answer", (1, 2), seed=seed, d_bits=7, cofactor_bits=6)
-            t, d = gen_known(s)
+            t, d = generate(s)
             assert wgcd_bruteforce(t) == d
 
     def test_unit_d(self):
-        t, d = gen_known(spec("known-answer", (2, 3), d_bits=1, cofactor_bits=5))
+        t, d = generate(spec("known-answer", (2, 3), d_bits=1, cofactor_bits=5))
         assert d == 1
         assert wgcd_bruteforce(t) == 1
 
     def test_wide_cofactors_exact_bits(self):
         s = spec("known-answer", (2, 3), seed=5, d_bits=16, cofactor_bits=128)
-        t, d = gen_known(s)
+        t, d = generate(s)
         cofactors = [x // dd**q for x, dd, q in ((x, d, q) for x, q in t.pairs())]
         assert sorted(c.bit_length() for c in cofactors) == [1, 128]
         assert wgcd_auto(t).d == d
@@ -126,8 +121,7 @@ class TestAdversarial:
     def test_base_prime_powers(self):
         # all weights 1: deficiency impossible, base tuple comes back
         s = spec("adversarial-deficient", (1, 1), d_bits=5)
-        t = gen_adversarial(s)
-        p = t.values[0]
+        t, p = generate(s)
         assert t.values == (p, p)
 
     def test_deficient_noise_adds_nothing(self):
@@ -135,9 +129,8 @@ class TestAdversarial:
             s = spec(
                 "adversarial-deficient", (2, 3), seed=seed, d_bits=6, cofactor_bits=24
             )
-            t = gen_adversarial(s)
-            d = wgcd_auto(t).d
-            assert wgcd_full_factorization(t) == d
+            t, d = generate(s)
+            assert wgcd_auto(t).d == wgcd_full_factorization(t) == d
             # the answer is the base prime itself: noise stays deficient
             assert d > 1 and all(x % d**q == 0 for x, q in t.pairs())
             assert gcd_many(t.values) > d**2  # the plain gcd got inflated
@@ -149,24 +142,35 @@ class TestAdversarial:
 
     def test_deterministic(self):
         s = spec("adversarial-deficient", (2, 2, 3), seed=11, cofactor_bits=20)
-        assert gen_adversarial(s) == gen_adversarial(s)
+        assert generate(s) == generate(s)
 
-    def test_mode_guard(self):
-        with pytest.raises(ValueError, match="adversarial-deficient mode"):
-            gen_adversarial(spec("random", (2, 3)))
+    def test_answer_is_the_weighted_gcd(self):
+        # all-weight-1 vectors get no noise; the rest get deficient noise
+        rng = random.Random(33)
+        for seed in range(40):
+            n = rng.randint(1, 4)
+            weights = (1,) * n if seed % 4 == 0 else tuple(
+                rng.choice((1, 1, 2, 3, 4)) for _ in range(n)
+            )
+            s = spec(
+                "adversarial-deficient",
+                weights,
+                seed=seed,
+                d_bits=rng.randint(1, 12),
+                cofactor_bits=rng.randint(1, 24),
+            )
+            t, p = generate(s)
+            assert weighted_gcd(t.values, t.weights) == wgcd_full_factorization(t) == p
 
 
 class TestRandomMode:
     def test_valid_and_deterministic(self):
         s = spec("random", (2, 3, 4), seed=3, cofactor_bits=12)
-        t = gen_random(s)
-        assert t == gen_random(s)
+        t, d = generate(s)
+        assert (t, d) == generate(s)
+        assert d is None
         assert any(t.values)
         assert all(abs(v).bit_length() <= 12 for v in t.values)
-
-    def test_mode_guard(self):
-        with pytest.raises(ValueError, match="random mode"):
-            gen_random(spec("known-answer", (2, 3)))
 
     def test_generate_dispatch(self):
         t, d = generate(spec("known-answer", (2, 3), seed=1))
@@ -174,4 +178,28 @@ class TestRandomMode:
         t, d = generate(spec("random", (2, 3), seed=1))
         assert d is None
         t, d = generate(spec("adversarial-deficient", (2, 3), seed=1))
-        assert d is None
+        assert d == 37 and wgcd_auto(t).d == d
+
+
+# Tuples drawn with one-bit parameters, pinned so that the bit drawing
+# keeps its stream: a one-bit d is 1 and a one-bit cofactor is 1, and
+# neither consumes a draw.
+ONE_BIT_TUPLES = [
+    ("known-answer", 1, 4, (1, 11, 13), 1),
+    ("known-answer", 4, 1, (10, 100, 1000), 10),
+    ("known-answer", 1, 1, (1, 1, 1), 1),
+    ("random", 1, 4, (-15, 6, 1), None),
+    ("random", 4, 1, (-1, 0, 0), None),
+    ("random", 1, 1, (-1, 0, 0), None),
+    ("adversarial-deficient", 1, 4, (615561, 1846683, 233245508511803481), 3),
+    ("adversarial-deficient", 4, 1, (2257057, 24827627, 11498139697378164193), 11),
+    ("adversarial-deficient", 1, 1, (615561, 1846683, 233245508511803481), 3),
+]
+
+
+def test_one_bit_tuples_pinned():
+    assert {case[0] for case in ONE_BIT_TUPLES} == set(MODES)
+    for mode, d_bits, cofactor_bits, values, d in ONE_BIT_TUPLES:
+        s = spec(mode, (1, 2, 3), seed=7, d_bits=d_bits, cofactor_bits=cofactor_bits)
+        t, got = generate(s)
+        assert (t.values, got) == (values, d), (mode, d_bits, cofactor_bits)
