@@ -3,10 +3,10 @@
 The weighted gcd of (x_0, ..., x_n) under weights (q_0, ..., q_n) is the
 largest d with d**q_i | x_i for every i.  Four independent routes compute
 it, plus the default `auto`, which factors at most gcd(x); they must
-always agree.
+always agree.  `weighted_gcd` runs each one by its name in `STRATEGIES`.
 """
 
-from wgcd import STRATEGIES, WeightedTuple, counting, wgcd_auto
+from wgcd import STRATEGIES, WeightedTuple, counting, weighted_gcd, wgcd_auto
 
 t = WeightedTuple((70352, 5760, 13824), (2, 2, 3))
 print(f"values  {t.values}")
@@ -16,7 +16,7 @@ print()
 print(f"{'strategy':<12} {'d':>4}  factor_calls  max_factored_bits")
 for name in sorted(STRATEGIES):
     with counting() as counters:
-        d = STRATEGIES[name](t)
+        d = weighted_gcd(t.values, t.weights, name)
     print(
         f"{name:<12} {d:>4}  {counters.factor_calls:>12}  "
         f"{counters.max_factored_bits:>17}"

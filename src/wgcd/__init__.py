@@ -2,15 +2,16 @@
 
 The weighted gcd of (x_0, ..., x_n) under positive weights (q_0, ..., q_n)
 is the largest integer d with d**q_i dividing x_i for every coordinate.
-This package computes it through several cross-checkable strategies,
-exposes the paper's three wgcd-preserving tuple reductions (absolute
-values, a sort by weight, suffix gcds) that `wgcd_auto` traces to
-explain the default route, counts the gcd and factor calls of
-any strategy inside a `counting()` block, and ships known-answer
-generators plus an instrumented benchmark harness.  The package root
-exports the library, from `core` and `numtheory`, and `import wgcd`
-loads only those two; the harness and the selftest are imported by
-module path, as `wgcd.bench` and `wgcd.selftest`.
+This package computes it through five strategies, each run by name as
+`weighted_gcd(values, weights, strategy)`, exposes the paper's three
+wgcd-preserving tuple reductions (absolute values, a sort by weight,
+suffix gcds) that `wgcd_auto` traces to explain the default route,
+counts the gcd and factor calls of any strategy inside a `counting()`
+block, and ships known-answer generators plus an instrumented
+benchmark harness.  The package root exports the library, from `core`
+and `numtheory`, and `import wgcd` loads only those two; the harness
+and the selftest are imported by module path, as `wgcd.bench` and
+`wgcd.selftest`.
 """
 
 from .core import (
@@ -29,11 +30,6 @@ from .core import (
     verify_wgcd,
     weighted_gcd,
     wgcd_auto,
-    wgcd_bruteforce,
-    wgcd_fold,
-    wgcd_full_factorization,
-    wgcd_gcd_factorization,
-    wgcd_lcm_power,
 )
 from .numtheory import (
     FactorBudgetExceeded,
@@ -66,9 +62,4 @@ __all__ = [
     "verify_wgcd",
     "weighted_gcd",
     "wgcd_auto",
-    "wgcd_bruteforce",
-    "wgcd_fold",
-    "wgcd_full_factorization",
-    "wgcd_gcd_factorization",
-    "wgcd_lcm_power",
 ]

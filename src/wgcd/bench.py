@@ -97,8 +97,7 @@ def _random_bits(rng: random.Random, bits: int) -> int:
 
 
 def _random_prime(rng: random.Random, bits: int) -> int:
-    if bits < 2:
-        raise ValueError("primes need at least 2 bits")
+    # every caller asks for at least 2 bits
     if bits == 2:
         return rng.choice((2, 3))
     while True:
@@ -249,9 +248,9 @@ class StrategyDisagreement(RuntimeError):
         super().__init__(f"strategy disagreement on {record.spec}: {answers}")
 
 
-def _counted_run(fn, t):
+def _counted_run(fn, *args):
     with counting() as counters:
-        return counters, fn(t)
+        return counters, fn(*args)
 
 
 def bench_run(
@@ -277,15 +276,16 @@ def bench_run(
     records = []
     for spec in specs:
         t, expected = generate(spec)
+        args = t.values, t.weights
         runs = []
         answers = set() if expected is None else {expected}
         for name in strategies:
-            fn = core.STRATEGIES[name]
-            counters, d = contextvars.Context().run(_counted_run, fn, t)
+            fn = core._STRATEGIES[name]
+            counters, d = contextvars.Context().run(_counted_run, fn, *args)
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter_ns()
-                fn(t)
+                fn(*args)
                 times.append(time.perf_counter_ns() - t0)
             runs.append(StrategyRun(name, int(statistics.median(times)), counters, d))
             answers.add(d)

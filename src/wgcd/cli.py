@@ -13,6 +13,7 @@ from .core import (
     counting,
     normalize,
     verify_wgcd,
+    weighted_gcd,
     wgcd_auto,
 )
 from .numtheory import FactorBudgetExceeded
@@ -48,10 +49,11 @@ def _parse_int_list(text: str, what: str, single: bool = False) -> list[int]:
     raise ValueError(f"malformed {what}{noun} {echo!r}")
 
 
-def _tuple_from_args(args) -> WeightedTuple:
+def _parse_tuple(args) -> tuple[list[int], list[int]]:
+    # (values, weights) of --values and --weights, the weights parsed first
     weights = _parse_int_list(args.weights, "weights")
     values = _parse_int_list(args.values, "values")
-    return WeightedTuple(tuple(values), tuple(weights))
+    return values, weights
 
 
 def _print(args, obj, text: str) -> None:
@@ -64,16 +66,16 @@ def _print(args, obj, text: str) -> None:
 
 
 def _run_compute(args) -> int:
-    t = _tuple_from_args(args)
+    values, weights = _parse_tuple(args)
     with counting() as counters:
-        d = STRATEGIES[args.strategy](t)
+        d = weighted_gcd(values, weights, args.strategy)
     obj = {"d": str(d), "strategy": args.strategy, "counters": counters._asdict()}
     _print(args, obj, str(d))
     return 0
 
 
 def _run_normalize(args) -> int:
-    t = _tuple_from_args(args)
+    t = WeightedTuple(*_parse_tuple(args))
     normalized, d = normalize(t)
     values = [str(v) for v in normalized.values]
     _print(args, {"values": values, "d": str(d)}, f"{','.join(values)} d={d}")
@@ -81,7 +83,7 @@ def _run_normalize(args) -> int:
 
 
 def _run_verify(args) -> int:
-    t = _tuple_from_args(args)
+    t = WeightedTuple(*_parse_tuple(args))
     claim, *rest = _parse_int_list(args.claim, "claim", single=True)
     if rest:
         raise ValueError("claim must be a single integer")
@@ -92,7 +94,7 @@ def _run_verify(args) -> int:
 
 
 def _run_explain(args) -> int:
-    t = _tuple_from_args(args)
+    t = WeightedTuple(*_parse_tuple(args))
     result = wgcd_auto(t)
     obj = {
         "d": str(result.d),
@@ -132,9 +134,12 @@ def _run_selftest(args) -> int:
 def _run_bench(args) -> int:
     # imported here, so the other commands do not load the harness
     import json
+    import os
 
     from . import bench as bench_mod
 
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.spec, args.out):
+        raise ValueError(f"--out {args.out} is the spec file; the report would overwrite it")
     with open(args.spec, "rb") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):

@@ -3,18 +3,19 @@
 A weighted tuple assigns a positive integer weight q_i to each coordinate
 x_i; `WeightedTuple` holds both as tuples of ints.  Its weighted gcd is
 the largest d with d**q_i dividing x_i for every i.  This module
-provides that quantity through several independent, cross-checkable
-strategies, plus normalization and verification.  The default route,
-`auto`, factors at most g = gcd(x), the same way for every weight
-vector: it first tries a root candidate iroot(h, min q), which often
-answers with nothing factored; on a miss, trial division and coprime
-pieces with exact exponents decide most of d unfactored.  h is g on a
-short tuple; on a long one it is the gcd of only its least-weight
-nonzero coordinates.  A hit is exact all the same: g | h, so the
-candidate is at least iroot(g, min q) >= d; a candidate that passes is
-a common weighted divisor, so it is at most d; so it is d.  Only a
-failed test completes h to g.
-`weighted_gcd` runs that route on its checked arguments, with no
+computes it through five strategies, named in `STRATEGIES` and run by
+`weighted_gcd`, plus normalization and verification.  Four are
+independent cross-checks.  The default route, `auto`, factors at most
+g = gcd(x), the same way for every weight vector: it first tries a
+root candidate iroot(h, min q), which often answers with nothing
+factored; on a miss, trial division and coprime pieces with exact
+exponents decide most of d unfactored.  h is g on a short tuple; on a
+long one it is the gcd of only its least-weight nonzero coordinates.
+A hit is exact all the same: g | h, so the candidate is at least
+iroot(g, min q) >= d; a candidate that passes is a common weighted
+divisor, so it is at most d; so it is d.  Only a failed test completes
+h to g.
+`weighted_gcd` runs every strategy on its checked arguments, with no
 `WeightedTuple` built.  `verify_wgcd` uses that every common weighted
 divisor divides d: on a long tuple whose root test answers d, a claim
 is right when it is d, fails on maximality when it divides d, and on
@@ -156,9 +157,6 @@ class WeightedTuple(_Frozen):
         _set_field(t, "weights", weights)
         return t
 
-    def pairs(self):
-        return zip(self.values, self.weights)
-
 
 class Counters(_Record):
     """Instrumentation for one `counting` block: the calls of `factor`,
@@ -259,30 +257,30 @@ def _factor(n: int, rough: bool = False):
 ORACLE_SCAN_LIMIT = 10**6
 
 
-def wgcd_bruteforce(t: WeightedTuple) -> int:
+def _oracle(values, weights) -> int:
     """Definition-level oracle: scan d downward from the root bound.
 
     The bound is min over nonzero coordinates of floor(|x_i| ** (1/q_i));
     zero coordinates impose no constraint.  A bound past ORACLE_SCAN_LIMIT
     candidates raises ValueError naming the limit before any is examined.
     """
-    upper = min(iroot(abs(x), q) for x, q in t.pairs() if x)
+    constraints = [(abs(x), q) for x, q in zip(values, weights) if x]
+    upper = min(iroot(x, q) for x, q in constraints)
     if upper - 1 > ORACLE_SCAN_LIMIT:
         raise ValueError(
             f"oracle scan of {upper - 1} candidates exceeds the"
             f" {ORACLE_SCAN_LIMIT} budget"
         )
-    constraints = [(abs(x), q) for x, q in t.pairs() if x]
     for d in range(upper, 1, -1):
         if all(x % d**q == 0 for x, q in constraints):
             return d
     return 1
 
 
-def wgcd_full_factorization(t: WeightedTuple) -> int:
+def _full_factor(values, weights) -> int:
     """Product formula over the factorization of every nonzero coordinate:
     each prime contributes min over coordinates of floor(valuation/weight)."""
-    factored = [(_factor(abs(x)), q) for x, q in t.pairs() if x]
+    factored = [(_factor(abs(x)), q) for x, q in zip(values, weights) if x]
     first, first_q = factored[0]
     exps = {p: e // first_q for p, e in first if e >= first_q}
     for f, q in factored[1:]:
@@ -300,17 +298,29 @@ def wgcd_full_factorization(t: WeightedTuple) -> int:
     return d
 
 
-def wgcd_gcd_factorization(t: WeightedTuple) -> int:
-    """Factor at most g = gcd of the values; this is the `auto` strategy.
-    Any valid d divides every x_i (the weights are >= 1), hence d | g, so
-    g's primes are the only candidates.
+def _auto(values, weights) -> int:
+    """The default strategy: `_wgcd_route` in the weights' `_visit_order`."""
+    return _wgcd_route(values, weights, _visit_order(weights))[0]
+
+
+def _wgcd_route(values, weights, order) -> tuple[int, list[int] | None]:
+    """The `auto` route on plain tuples (values not all zero, weights >= 1):
+    (d, ys), ys the quotients x_i // d**q_i when a root candidate
+    answered, else None.  `weighted_gcd` runs it on its checked
+    arguments, `verify_wgcd` on a short tuple's residues, and `normalize`
+    and `wgcd_auto` read its quotients.  order is the caller's
+    `_visit_order` of the weights.
+
+    It factors at most g = gcd of the values.  Any valid d divides every
+    x_i (the weights are >= 1), hence d | g, so g's primes are the only
+    candidates.
 
     Let q be the least weight of a nonzero x_i; d**q | g bounds d by the
     root candidate r = iroot(g, q).  So g = 1 gives 1, and r is the answer
     when every r**q_i | x_i, with nothing factored.  On a tuple of
     _WEIGHT_ORDER_FROM or more coordinates that test takes them in the
-    paper's order, by ascending weight, which this entry point sorts once
-    and every step follows: each r**q_i is the previous power times
+    paper's order, by ascending weight, which the caller sorts once and
+    every step follows: each r**q_i is the previous power times
     r**(q_i - q_prev), and the first candidate comes from h, the gcd of
     the _HEAD first nonzero x_i in that order, not from g.  A hit is
     still exact: g | h, so iroot(h, q) >= iroot(g, q) >= d; a candidate
@@ -348,19 +358,6 @@ def wgcd_gcd_factorization(t: WeightedTuple) -> int:
     `normalize` keeps on a hit and whose answer `verify_wgcd` compares a
     long tuple's claim with.
     """
-    return _wgcd_route(t.values, t.weights, _visit_order(t.weights))[0]
-
-
-def _wgcd_route(values, weights, order) -> tuple[int, list[int] | None]:
-    # wgcd_gcd_factorization on plain tuples (values not all zero, weights
-    # >= 1), which weighted_gcd runs on its checked arguments and
-    # verify_wgcd on a short tuple's residues, each without a
-    # WeightedTuple; normalize and wgcd_auto read its quotients.  order:
-    # the caller's _visit_order of the weights, which the root test
-    # follows.  The root test is _root_test, which verify_wgcd also runs on
-    # a long tuple itself; past a miss, g's primes decide d.
-    # Returns (d, ys): ys are the quotients x_i // d**q_i when a root
-    # candidate answered, else None.
     g, ys, q_min = _root_test(values, weights, order)
     if ys is not None or g == 1:
         return g, ys
@@ -481,7 +478,7 @@ def _size_share(c: int, es, qs, low: int) -> int | None:
 LCM_POWER_BITS = 1 << 16
 
 
-def wgcd_lcm_power(t: WeightedTuple) -> int:
+def _lcm_power(values, weights) -> int:
     """With m = lcm of the weights, return the largest d with d**m dividing
     G = gcd over nonzero coordinates of |x_i| ** (m / q_i).
 
@@ -491,14 +488,15 @@ def wgcd_lcm_power(t: WeightedTuple) -> int:
     as (8, 4) with weights (2, 3).  Raises ValueError, before building any
     power, when bitlen(x_i) * (m / q_i) exceeds LCM_POWER_BITS.
     """
-    m = math.lcm(*t.weights)
-    bits = max(abs(x).bit_length() * (m // q) for x, q in t.pairs() if x)
+    m = math.lcm(*weights)
+    nonzero = [(abs(x), m // q) for x, q in zip(values, weights) if x]
+    bits = max(x.bit_length() * k for x, k in nonzero)
     if bits > LCM_POWER_BITS:
         raise ValueError(
             f"lcm-power would build a {bits}-bit power, over its"
             f" {LCM_POWER_BITS}-bit budget"
         )
-    g_pow = gcd_many([abs(x) ** (m // q) for x, q in t.pairs() if x])
+    g_pow = gcd_many([x**k for x, k in nonzero])
     if g_pow == 1:
         return 1
     d = 1
@@ -507,7 +505,7 @@ def wgcd_lcm_power(t: WeightedTuple) -> int:
     return d
 
 
-def wgcd_fold(t: WeightedTuple) -> int:
+def _fold(values, weights) -> int:
     """Peel one coordinate at a time: fully factor a single start
     coordinate, then merge the rest pairwise under weights (1, q_i).
 
@@ -518,12 +516,12 @@ def wgcd_fold(t: WeightedTuple) -> int:
     min(its exponent in d, floor(valuation in x / q)): one gcd when q = 1.
     x = 0 imposes no constraint, and d = 1 ends the fold.
     """
-    nonzero = [(i, abs(x)) for i, x in enumerate(t.values) if x]
-    start, d = min(nonzero, key=lambda iv: iv[1].bit_length() / t.weights[iv[0]])
-    q0 = t.weights[start]
+    nonzero = [(i, abs(x)) for i, x in enumerate(values) if x]
+    start, d = min(nonzero, key=lambda iv: iv[1].bit_length() / weights[iv[0]])
+    q0 = weights[start]
     if q0 > 1:
         d = math.prod(p ** (e // q0) for p, e in _factor(d))
-    for i, (x, q) in enumerate(t.pairs()):
+    for i, (x, q) in enumerate(zip(values, weights)):
         if d == 1:
             break
         if i == start or x == 0:
@@ -626,33 +624,40 @@ def wgcd_auto(t: WeightedTuple) -> WgcdResult:
     return WgcdResult(d, tuple(steps), c)
 
 
-STRATEGIES = {
-    "auto": wgcd_gcd_factorization,
-    "oracle": wgcd_bruteforce,
-    "full-factor": wgcd_full_factorization,
-    "lcm-power": wgcd_lcm_power,
-    "fold": wgcd_fold,
+# Each strategy by name, as fn(values, weights) on plain tuples that
+# `_checked` has passed; `weighted_gcd` is the one public way to run one.
+_STRATEGIES = {
+    "auto": _auto,
+    "oracle": _oracle,
+    "full-factor": _full_factor,
+    "lcm-power": _lcm_power,
+    "fold": _fold,
 }
+STRATEGIES = tuple(_STRATEGIES)
 
 
 def weighted_gcd(values, weights, strategy: str = "auto") -> int:
-    """The weighted gcd of `values` under `weights` by the named strategy.
+    """The weighted gcd of `values` under `weights` by the named strategy,
+    one of `STRATEGIES`.
 
     The arguments pass the checks a `WeightedTuple` runs, with its errors,
-    before the strategy name is looked up.  `auto` then runs its route on
-    the checked plain tuples, with no `WeightedTuple` built; the
-    cross-check strategies get one that skips the checks already made.
+    before the strategy name is looked up; the strategy then runs on the
+    checked plain tuples, with no `WeightedTuple` built.
     """
     values, weights = _checked(values, weights)
     if strategy == "auto":
+        # _auto's body, one call frame short: through the table, small-tuples
+        # compute_p50_us read 6.11-6.31 us against 6.05-6.11 without it, worse
+        # in 3 of 3 alternating 30-s perfbench pairs (2 shared vCPUs, Python
+        # 3.11.7)
         return _wgcd_route(values, weights, _visit_order(weights))[0]
     try:
-        fn = STRATEGIES[strategy]
+        fn = _STRATEGIES[strategy]
     except KeyError:
         raise ValueError(
             f"unknown strategy {strategy!r}, expected one of {sorted(STRATEGIES)}"
         ) from None
-    return fn(WeightedTuple._trusted(values, weights))
+    return fn(values, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from .core import (
     WeightedTuple,
     reduce_suffix_gcd,
     sort_by_weight,
+    weighted_gcd,
 )
 
 
@@ -76,10 +77,9 @@ def run_selftest() -> list[SelftestResult]:
     """Run the corpus through every strategy plus the pinned reductions."""
     results = []
     for case in CORPUS:
-        t = WeightedTuple(case.values, case.weights)
         mismatches = []
         for name in sorted(STRATEGIES):
-            d = STRATEGIES[name](t)
+            d = weighted_gcd(case.values, case.weights, name)
             if d != case.expected:
                 mismatches.append(f"{name} -> {d}")
         results.append(

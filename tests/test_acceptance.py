@@ -17,12 +17,16 @@ from wgcd.core import (
     normalize,
     reduce_suffix_gcd,
     sort_by_weight,
+    weighted_gcd,
     wgcd_auto,
-    wgcd_bruteforce,
-    wgcd_lcm_power,
 )
 from wgcd.numtheory import iroot
 from wgcd.selftest import run_selftest
+
+def oracle(t: WeightedTuple) -> int:
+    # the definition-level scan, the ground truth of every criterion
+    return weighted_gcd(t.values, t.weights, "oracle")
+
 
 # ---------------------------------------------------------------------------
 # randomized tuple builders (bounds fixed by the criteria; the mix keeps the
@@ -95,8 +99,8 @@ def test_criterion_1_worked_example_exactness():
     )
     for weights, values, expected in worked:
         t = WeightedTuple(values, weights)
-        for name, fn in STRATEGIES.items():
-            assert fn(t) == expected, (name, values, weights)
+        for name in STRATEGIES:
+            assert weighted_gcd(values, weights, name) == expected, (name, values, weights)
 
     assert reduce_suffix_gcd(
         WeightedTuple((70352, 5760, 13824), (2, 2, 3))
@@ -120,9 +124,9 @@ def test_criterion_2_oracle_equivalence():
     rng = random.Random(20260811)
     cases = _oracle_domain_cases(rng, 10_000)
     for t in cases:
-        expected = wgcd_bruteforce(t)
-        for name, fn in STRATEGIES.items():
-            got = fn(t)
+        expected = oracle(t)
+        for name in STRATEGIES:
+            got = weighted_gcd(t.values, t.weights, name)
             assert got == expected, (name, t.values, t.weights, got, expected)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
@@ -138,13 +142,13 @@ def test_criterion_3_reduction_invariance():
 
     for _ in range(rounds):
         t = _random_tuple(rng)
-        assert wgcd_bruteforce(abs_values(t)) == wgcd_bruteforce(t)
+        assert oracle(abs_values(t)) == oracle(t)
 
         t = _random_tuple(rng)
-        assert wgcd_bruteforce(sort_by_weight(t)[0]) == wgcd_bruteforce(t)
+        assert oracle(sort_by_weight(t)[0]) == oracle(t)
 
         t, _ = sort_by_weight(_random_tuple(rng))
-        assert wgcd_bruteforce(reduce_suffix_gcd(t)) == wgcd_bruteforce(t)
+        assert oracle(reduce_suffix_gcd(t)) == oracle(t)
 
         # the paper's pair lemmas, written out: gcd prefix, then on a pair
         # with q0 < q1 the remainder x0 mod x1 (x0 >= x1) and gcd(x0, x1)
@@ -152,16 +156,16 @@ def test_criterion_3_reduction_invariance():
         prefixed = WeightedTuple(
             (math.gcd(*t.values),) + tuple(abs(x) for x in t.values[1:]), t.weights
         )
-        assert wgcd_bruteforce(prefixed) == wgcd_bruteforce(t)
+        assert oracle(prefixed) == oracle(t)
 
         q0 = rng.randint(1, 4)
         q1 = rng.randint(q0 + 1, 5)
         x0, x1 = rng.randint(1, 5000), rng.randint(1, 5000)
-        before = wgcd_bruteforce(WeightedTuple((x0, x1), (q0, q1)))
+        before = oracle(WeightedTuple((x0, x1), (q0, q1)))
         y0 = x0 % x1 if x0 >= x1 else x0  # 0 is unconstrained
-        assert wgcd_bruteforce(WeightedTuple((y0, x1), (q0, q1))) == before
+        assert oracle(WeightedTuple((y0, x1), (q0, q1))) == before
         g0 = math.gcd(x0, x1)
-        assert wgcd_bruteforce(WeightedTuple((g0, x1), (q0, q1))) == before
+        assert oracle(WeightedTuple((g0, x1), (q0, q1))) == before
 
     print(f"criterion 3 (reduction invariance): PASS on {rounds} inputs per op")
 
@@ -182,10 +186,10 @@ def test_criterion_5_lcm_power_equivalence():
     rng = random.Random(5)
     # the pair where the printed d**m = G equation has no solution
     awkward = WeightedTuple((8, 4), (2, 3))
-    assert wgcd_lcm_power(awkward) == wgcd_bruteforce(awkward) == 1
+    assert weighted_gcd(awkward.values, awkward.weights, "lcm-power") == oracle(awkward) == 1
     for _ in range(1000):
         t = _random_tuple(rng, max_abs=3000)
-        assert wgcd_lcm_power(t) == wgcd_bruteforce(t), (t.values, t.weights)
+        assert weighted_gcd(t.values, t.weights, "lcm-power") == oracle(t), (t.values, t.weights)
     print("criterion 5 (lcm-power equivalence): PASS on 1000 tuples plus (8,4)")
 
 
@@ -195,11 +199,11 @@ def test_criterion_6_scalar_action_and_normalization():
         t = _random_tuple(rng, max_abs=500)
         lam = rng.randint(1, 20)
         scaled = WeightedTuple(
-            tuple(lam**q * x for x, q in t.pairs()), t.weights
+            tuple(lam**q * x for x, q in zip(t.values, t.weights)), t.weights
         )
         assert wgcd_auto(scaled).d == lam * wgcd_auto(t).d
         if i % 20 == 0 and lam <= 4 and all(abs(x) <= 50 for x in t.values):
-            assert wgcd_auto(scaled).d == wgcd_bruteforce(scaled)
+            assert wgcd_auto(scaled).d == oracle(scaled)
         normalized, _ = normalize(t)
         assert wgcd_auto(normalized).d == 1
     print("criterion 6 (scalar action, normalization): PASS on 1000 tuples")
@@ -251,5 +255,5 @@ def test_criterion_8_known_answer_soundness():
             mode="known-answer",
         )
         t, expected = generate(spec)
-        assert wgcd_bruteforce(t) == expected, spec
+        assert oracle(t) == expected, spec
     print("criterion 8 (known-answer soundness): PASS on 1000 generated tuples")

@@ -125,9 +125,9 @@ class TestBenchRun:
             )
 
     def test_disagreement_aborts(self, monkeypatch):
-        lying = dict(bench_mod.core.STRATEGIES)
-        lying["fold"] = lambda t: 1_000_003
-        monkeypatch.setattr(bench_mod.core, "STRATEGIES", lying)
+        lying = dict(bench_mod.core._STRATEGIES)
+        lying["fold"] = lambda values, weights: 1_000_003
+        monkeypatch.setattr(bench_mod.core, "_STRATEGIES", lying)
         with pytest.raises(StrategyDisagreement) as exc:
             bench_run(small_specs()[:1], strategies=("auto", "fold"), repetitions=1)
         assert not exc.value.record.agreement
@@ -136,9 +136,9 @@ class TestBenchRun:
     def test_one_lying_strategy_meets_the_constructed_answer(self, monkeypatch, spec):
         # a single strategy has nothing to disagree with but the generator's
         # answer, on known-answer and adversarial specs alike
-        lying = dict(bench_mod.core.STRATEGIES)
-        lying["auto"] = lambda t: 5
-        monkeypatch.setattr(bench_mod.core, "STRATEGIES", lying)
+        lying = dict(bench_mod.core._STRATEGIES)
+        lying["auto"] = lambda values, weights: 5
+        monkeypatch.setattr(bench_mod.core, "_STRATEGIES", lying)
         expected = bench_mod.generate(spec)[1]
         with pytest.raises(StrategyDisagreement) as exc:
             bench_run([spec], strategies=("auto",), repetitions=1)
@@ -146,9 +146,9 @@ class TestBenchRun:
         assert str(exc.value).endswith(f": auto=5; constructed answer {expected}")
 
     def test_random_spec_message_names_no_answer(self, monkeypatch):
-        lying = dict(bench_mod.core.STRATEGIES)
-        lying["fold"] = lambda t: 1_000_003
-        monkeypatch.setattr(bench_mod.core, "STRATEGIES", lying)
+        lying = dict(bench_mod.core._STRATEGIES)
+        lying["fold"] = lambda values, weights: 1_000_003
+        monkeypatch.setattr(bench_mod.core, "_STRATEGIES", lying)
         with pytest.raises(StrategyDisagreement) as exc:
             bench_run(small_specs()[2:3], strategies=("auto", "fold"), repetitions=1)
         assert exc.value.expected is None

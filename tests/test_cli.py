@@ -10,7 +10,7 @@ import pytest
 
 from helpers import time_limit
 import wgcd
-from wgcd import WeightedTuple, numtheory, verify_wgcd
+from wgcd import WeightedTuple, core, numtheory, selftest, verify_wgcd
 from wgcd.bench import DEFAULT_STRATEGIES
 from wgcd.cli import main
 from wgcd.selftest import CORPUS
@@ -304,6 +304,19 @@ class TestSelftest:
         payload = json.loads(out)
         assert all(entry["passed"] for entry in payload)
 
+    def test_a_wrong_strategy_fails_every_corpus_row(self, capsys, monkeypatch):
+        # a fold that always answers 7, which no corpus case expects, fails
+        # every case, and the selftest exits 1
+        assert 7 not in {case.expected for case in CORPUS}
+        monkeypatch.setitem(core._STRATEGIES, "fold", lambda values, weights: 7)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[: len(CORPUS)] == [
+            f"FAIL {selftest._case_label(case)}: fold -> 7" for case in CORPUS
+        ]
+        assert all(line.startswith("PASS") for line in lines[len(CORPUS) :])
+
     def test_runs_as_a_module(self):
         # python -m wgcd is the wgcd command
         src = str(Path(wgcd.__file__).resolve().parents[1])
@@ -365,6 +378,23 @@ class TestBench:
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("seed,n,weights")
         assert len(lines) == 1 + 2 * len(DEFAULT_STRATEGIES)
+
+    def test_report_over_its_own_spec_is_refused(self, capsys, tmp_path, monkeypatch):
+        # --out naming the spec file, by the same path or another, exits 2
+        # before any run and leaves the spec as it was
+        from wgcd import bench as bench_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("bench_run called")
+
+        monkeypatch.setattr(bench_mod, "bench_run", no_run)
+        spec = self.spec_file(tmp_path, self.small_specs())
+        before = Path(spec).read_bytes()
+        for out_path in (spec, str(tmp_path / "." / "specs.json")):
+            code, out, err = run(capsys, "bench", "--spec", spec, "--out", out_path)
+            assert code == 2 and out == ""
+            assert out_path in err and "spec file" in err
+        assert Path(spec).read_bytes() == before
 
     def test_missing_spec_file(self, capsys):
         code, _, err = run(capsys, "bench", "--spec", "/nonexistent.json")

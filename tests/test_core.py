@@ -34,11 +34,6 @@ from wgcd.core import (
     verify_wgcd,
     weighted_gcd,
     wgcd_auto,
-    wgcd_bruteforce,
-    wgcd_fold,
-    wgcd_full_factorization,
-    wgcd_gcd_factorization,
-    wgcd_lcm_power,
 )
 from wgcd.numtheory import FactorBudgetExceeded, factor
 
@@ -71,7 +66,8 @@ class TestTypes:
         t = wt([8, 16, 32], [4, 6, 10])
         assert t.weights == (4, 6, 10) and type(t.weights) is tuple
         assert len(t.weights) == 3 and t.weights[1] == 6
-        assert list(t.pairs()) == [(8, 4), (16, 6), (32, 10)]
+        assert list(zip(t.values, t.weights)) == [(8, 4), (16, 6), (32, 10)]
+        assert not hasattr(t, "pairs")
 
     def test_weighted_tuple_validation(self):
         with pytest.raises(ValueError):
@@ -130,42 +126,42 @@ class TestTypes:
 
 class TestBruteforce:
     def test_worked_pair(self):
-        assert wgcd_bruteforce(wt((5760, 13824), (2, 3))) == 24
+        assert weighted_gcd((5760, 13824), (2, 3), "oracle") == 24
 
     def test_all_weights_one_is_gcd(self):
-        assert wgcd_bruteforce(wt((12, 18), (1, 1))) == 6
+        assert weighted_gcd((12, 18), (1, 1), "oracle") == 6
 
     def test_zero_coordinate_unconstrained(self):
-        assert wgcd_bruteforce(wt((0, 13824), (2, 3))) == 24
+        assert weighted_gcd((0, 13824), (2, 3), "oracle") == 24
 
     def test_scan_budget(self, monkeypatch):
         monkeypatch.setattr(core, "ORACLE_SCAN_LIMIT", 10**7)
         with pytest.raises(ValueError):
-            wgcd_bruteforce(wt((10**14,), (1,)))
-        assert wgcd_bruteforce(wt((13824,), (3,))) == 24
+            weighted_gcd((10**14,), (1,), "oracle")
+        assert weighted_gcd((13824,), (3,), "oracle") == 24
 
 
 class TestFullFactorization:
     def test_reversed_worked_pair(self):
-        assert wgcd_full_factorization(wt((13824, 5760), (2, 3))) == 4
+        assert weighted_gcd((13824, 5760), (2, 3), "full-factor") == 4
 
     def test_prime_square_cube(self):
         for p in (2, 3, 5):
-            assert wgcd_full_factorization(wt((p**2, p**3), (2, 3))) == p
+            assert weighted_gcd((p**2, p**3), (2, 3), "full-factor") == p
 
     def test_worked_triple(self):
-        assert wgcd_full_factorization(WORKED_TRIPLE) == 4
+        assert weighted_gcd(WORKED_TRIPLE.values, WORKED_TRIPLE.weights, "full-factor") == 4
 
 
 class TestGcdFactorization:
     def test_reduced_worked_triple(self):
-        assert wgcd_gcd_factorization(wt((16, 1152, 13824), (2, 2, 3))) == 4
+        assert weighted_gcd((16, 1152, 13824), (2, 2, 3), "auto") == 4
 
     def test_unit_coordinate(self):
-        assert wgcd_gcd_factorization(wt((1, 13824, 5760), (2, 2, 3))) == 1
+        assert weighted_gcd((1, 13824, 5760), (2, 2, 3), "auto") == 1
 
     def test_remainder_reduced_pair(self):
-        assert wgcd_gcd_factorization(wt((2304, 13824), (2, 3))) == 24
+        assert weighted_gcd((2304, 13824), (2, 3), "auto") == 24
 
     @staticmethod
     def reference(values, weights):
@@ -194,14 +190,14 @@ class TestGcdFactorization:
             if n > 1 and rng.random() < 0.2:
                 values[rng.randrange(n)] = 0
             t = wt(values, weights)
-            assert wgcd_gcd_factorization(t) == self.reference(values, weights), t
+            assert weighted_gcd(t.values, t.weights, "auto") == self.reference(values, weights), t
 
     def test_late_coordinate_sets_the_cap(self):
         # g = 2**12 * 3**6 starts the bounds at 12 and 6; only the last
         # coordinate, of weight 5, lowers them, to 2 and 1
         values = (2**12 * 3**6, -(2**40) * 3**18 * 5, 0, 2**12 * 3**9)
         weights = (1, 3, 7, 5)
-        assert wgcd_gcd_factorization(wt(values, weights)) == 2**2 * 3
+        assert weighted_gcd(values, weights, "auto") == 2**2 * 3
         assert self.reference(values, weights) == 2**2 * 3
 
     def test_bit_length_guard_edge(self):
@@ -209,16 +205,16 @@ class TestGcdFactorization:
         # q*m*(bitlen(2) - 1) = 40 < bitlen(x) = 41 builds it, and it
         # divides 2**40 but not 3 * 2**39; at bitlen(x) = 40 the guard
         # answers without building it
-        assert wgcd_gcd_factorization(wt((2**20, 2**40), (20, 40))) == 2
-        assert wgcd_gcd_factorization(wt((2**20, 3 * 2**39), (20, 40))) == 1
-        assert wgcd_gcd_factorization(wt((2**20, 2**39), (20, 40))) == 1
-        assert wgcd_gcd_factorization(wt((2**20, -(2**39)), (20, 39))) == 2
+        assert weighted_gcd((2**20, 2**40), (20, 40), "auto") == 2
+        assert weighted_gcd((2**20, 3 * 2**39), (20, 40), "auto") == 1
+        assert weighted_gcd((2**20, 2**39), (20, 40), "auto") == 1
+        assert weighted_gcd((2**20, -(2**39)), (20, 39), "auto") == 2
 
     def test_huge_weight_on_a_nonzero_coordinate_builds_no_power(self):
         # 3 ** (10**7) alone takes seconds to build
         with time_limit(1):
-            assert wgcd_gcd_factorization(wt((9, 3), (1, 10**7))) == 1
-            assert wgcd_gcd_factorization(wt((9, 3**50), (2, 10**7))) == 1
+            assert weighted_gcd((9, 3), (1, 10**7), "auto") == 1
+            assert weighted_gcd((9, 3**50), (2, 10**7), "auto") == 1
 
     @pytest.mark.parametrize("strategy", ["auto", "fold"])
     def test_huge_coordinates_are_fast(self, strategy):
@@ -295,7 +291,7 @@ def loop_verdict(t: WeightedTuple, d: int) -> tuple:
     # d**q_i, then whether some prime of the residues' gcd still divides
     # every residue with its full weight
     residues = []
-    for x, q in t.pairs():
+    for x, q in zip(t.values, t.weights):
         if x % d**q:
             return (False, "divisibility")
         residues.append(x // d**q)
@@ -333,11 +329,11 @@ class TestRootAndSplit:
             g = math.gcd(*t.values)
             seen = len(splits)
             with counting() as c:
-                d = wgcd_gcd_factorization(t)
+                d = core._STRATEGIES["auto"](t.values, t.weights)
             if g > 1:
-                q = min(q for x, q in t.pairs() if x)
+                q = min(q for x, q in zip(t.values, t.weights) if x)
                 r = sympy.integer_nthroot(g, q)[0]
-                hits.append(all(x % r**q_i == 0 for x, q_i in t.pairs()))
+                hits.append(all(x % r**q_i == 0 for x, q_i in zip(t.values, t.weights)))
                 # a miss splits the part of g whose primes exceed 10**4,
                 # passed first, when it is at least 10**8 (below, it is 1 or
                 # one prime); a hit factors nothing
@@ -349,7 +345,7 @@ class TestRootAndSplit:
                     [rough] if split else []
                 ), t
                 assert not hits[-1] or c.factor_calls == 0, t
-            assert d == wgcd_full_factorization(t), t
+            assert d == weighted_gcd(t.values, t.weights, "full-factor"), t
             assert d == TestGcdFactorization.reference(t.values, t.weights), t
         # every path ran: root hits, root misses, and the split
         assert any(hits) and not all(hits)
@@ -357,7 +353,7 @@ class TestRootAndSplit:
 
     def test_split_pieces_are_coprime_and_cover_the_gcd(self, splits):
         for t in seeded_corpus():
-            wgcd_gcd_factorization(t)
+            weighted_gcd(t.values, t.weights, "auto")
         assert len(splits) > 20
         for rest, pieces in splits:
             assert rest >= 10**8  # below it trial division leaves a prime
@@ -391,7 +387,7 @@ class TestRootAndSplit:
             hit, _ = long_tuple(rng)
             long += [hit, wt([x * 1000003 for x in hit.values], hit.weights)]
         for t in seeded_corpus() + long:
-            d = wgcd_full_factorization(t)
+            d = weighted_gcd(t.values, t.weights, "full-factor")
             p = rng.choice(sympy.primefactors(math.gcd(*t.values)) or [2])
             claims = {d, d * p, d * 2, d + 1, 1}
             claims.update(d // q for q in sympy.primefactors(d))
@@ -437,13 +433,13 @@ class TestRootAndSplit:
             for q in weights
         ]
         t = wt(values, weights)
-        expected = wgcd_full_factorization(t)
+        expected = weighted_gcd(t.values, t.weights, "full-factor")
         assert expected == 3 * 10007**2 * 1048583 * 549755813911
         monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
         with time_limit(1):
             assert "fastpath-root" not in {s.rule for s in wgcd_auto(t).trace}
             with counting() as c:
-                assert wgcd_gcd_factorization(t) == expected
+                assert core._STRATEGIES["auto"](t.values, t.weights) == expected
         assert c == Counters(factor_calls=0, max_factored_bits=0, gcd_calls=2)
 
     def test_long_root_hit_takes_the_head_gcd_only(self, monkeypatch):
@@ -461,7 +457,7 @@ class TestRootAndSplit:
         monkeypatch.setattr(core, "gcd_many", spy)
         t, d = long_tuple(random.Random(21))
         with counting() as c:
-            assert wgcd_gcd_factorization(t) == d
+            assert core._STRATEGIES["auto"](t.values, t.weights) == d
         assert c == Counters(factor_calls=0, max_factored_bits=0, gcd_calls=1)
         assert sizes == [core._HEAD]
 
@@ -539,8 +535,8 @@ class TestPieceShares:
             values = [math.prod(p ** rng.randint(0, 12) for p in primes) for _ in weights]
             t = wt(values, weights)
             with counting() as c:
-                d = wgcd_gcd_factorization(t)
-            assert d == wgcd_full_factorization(t), t
+                d = core._STRATEGIES["auto"](t.values, t.weights)
+            assert d == weighted_gcd(t.values, t.weights, "full-factor"), t
             assert d == TestGcdFactorization.reference(values, weights), t
             if math.gcd(*values) >= 10**8:
                 factored += c.factor_calls > 0
@@ -604,7 +600,7 @@ class TestPieceShares:
         c = a**2 * b
         assert 10**12 <= c < 10**15
         t = wt((c, c), (1, 2))
-        expected = wgcd_full_factorization(t)
+        expected = weighted_gcd(t.values, t.weights, "full-factor")
         monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
         assert self.shares(t.values, t.weights) == (expected, 0)
         assert expected == a
@@ -618,7 +614,7 @@ class TestPieceShares:
         c = a * b
         assert c > 10**12
         t = wt((7**2 * c, 7**3 * c**3), (2, 3))
-        expected = wgcd_full_factorization(t)
+        expected = weighted_gcd(t.values, t.weights, "full-factor")
         monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
         assert self.shares(t.values, t.weights) == (expected, 0)
         assert expected == 7
@@ -642,7 +638,7 @@ class TestPieceShares:
                 c ** rng.randint(1, 6) * rng.choice(primes) ** rng.randint(0, 6) for _ in weights
             ]
             d, factor_calls = self.shares(values, weights)
-            assert d == wgcd_full_factorization(wt(values, weights)), (values, weights)
+            assert d == weighted_gcd(values, weights, "full-factor"), (values, weights)
             if c < 2**48:
                 assert factor_calls == 0, (values, weights)
         assert set(second_tier) == {2**14, 2**15, 2**16, 10**5}
@@ -708,14 +704,14 @@ class TestPieceShares:
 class TestLcmPower:
     def test_worked_pair(self):
         # G = gcd(5760**3, 13824**2) = 2**18 * 3**6, m = 6
-        assert wgcd_lcm_power(wt((5760, 13824), (2, 3))) == 24
+        assert weighted_gcd((5760, 13824), (2, 3), "lcm-power") == 24
 
     def test_no_exact_power_solution(self):
         # G = 16 and no d > 1 satisfies d**6 | 16
-        assert wgcd_lcm_power(wt((8, 4), (2, 3))) == 1
+        assert weighted_gcd((8, 4), (2, 3), "lcm-power") == 1
 
     def test_singleton(self):
-        assert wgcd_lcm_power(wt((13824,), (3,))) == wgcd_fold(wt((13824,), (3,))) == 24
+        assert weighted_gcd((13824,), (3,), "lcm-power") == weighted_gcd((13824,), (3,), "fold") == 24
 
     def test_power_over_budget_rejected_before_building(self):
         # lcm(1009, 1013, 1019) / 1009 is about 10**6: 20-bit values would
@@ -731,9 +727,9 @@ class TestLcmPower:
         # weights (1, 2): m = 2, so a coordinate of LCM_POWER_BITS / 2 bits
         # is at the budget and one bit more is over it
         bits = core.LCM_POWER_BITS // 2
-        assert wgcd_lcm_power(wt((2 ** (bits - 1), 8), (1, 2))) == 2
+        assert weighted_gcd((2 ** (bits - 1), 8), (1, 2), "lcm-power") == 2
         with pytest.raises(ValueError, match="lcm-power"):
-            wgcd_lcm_power(wt((2**bits, 8), (1, 2)))
+            weighted_gcd((2**bits, 8), (1, 2), "lcm-power")
 
 
 class TestSingleAndFold:
@@ -748,7 +744,7 @@ class TestSingleAndFold:
             ((-7,), (1,), 7, 0),  # weight 1: |x| itself, nothing factored
         ):
             with counting() as c:
-                assert wgcd_fold(wt(values, weights)) == d
+                assert core._STRATEGIES["fold"](values, weights) == d
             assert counts(c)[0::2] == (factored, 0), values
 
     def test_fold_merge_examples(self):
@@ -762,14 +758,14 @@ class TestSingleAndFold:
             ((13824, 5**20, 2**40 * 3**30), (3, 2, 3), 1, (2, 0)),
         ):
             with counting() as c:
-                assert wgcd_fold(wt(values, weights)) == d
+                assert core._STRATEGIES["fold"](values, weights) == d
             assert counts(c)[0::2] == expected, values
 
     def test_fold_strategy(self):
-        assert wgcd_fold(WORKED_TRIPLE) == 4
-        assert wgcd_fold(wt((5760, 13824), (2, 3))) == 24
-        assert wgcd_fold(wt((-13824,), (3,))) == 24
-        assert wgcd_fold(wt((0, 5760, 13824), (1, 2, 3))) == 24
+        assert weighted_gcd(WORKED_TRIPLE.values, WORKED_TRIPLE.weights, "fold") == 4
+        assert weighted_gcd((5760, 13824), (2, 3), "fold") == 24
+        assert weighted_gcd((-13824,), (3,), "fold") == 24
+        assert weighted_gcd((0, 5760, 13824), (1, 2, 3), "fold") == 24
 
 
 class TestReductions:
@@ -918,7 +914,7 @@ class TestAuto:
             post_init(obj)
 
         monkeypatch.setattr(WeightedTuple, "__post_init__", counted)
-        assert STRATEGIES["auto"](t) == naive_wgcd(values, weights)
+        assert core._STRATEGIES["auto"](t.values, t.weights) == naive_wgcd(values, weights)
         assert built == []
         assert weighted_gcd(values, weights) == naive_wgcd(values, weights)
         assert built == []
@@ -1042,9 +1038,10 @@ class TestAuto:
             "lcm-power",
             "oracle",
         ]
-        # every strategy is fn(t): nothing else can be passed
-        for fn in STRATEGIES.values():
-            assert len(inspect.signature(fn).parameters) == 1, fn
+        assert STRATEGIES == tuple(core._STRATEGIES)
+        # every table entry is fn(values, weights): nothing else can be passed
+        for fn in core._STRATEGIES.values():
+            assert list(inspect.signature(fn).parameters) == ["values", "weights"], fn
 
     def test_weighted_gcd_convenience(self):
         assert weighted_gcd((70352, 5760, 13824), (2, 2, 3)) == 4
@@ -1072,16 +1069,16 @@ class TestCounting:
     @pytest.mark.parametrize("strategy", sorted(WORKED_COUNTS))
     def test_exact_counts_on_worked_triple(self, strategy):
         with counting() as c:
-            assert STRATEGIES[strategy](WORKED_TRIPLE) == 4
+            assert core._STRATEGIES[strategy](WORKED_TRIPLE.values, WORKED_TRIPLE.weights) == 4
         assert counts(c) == WORKED_COUNTS[strategy]
 
     def test_nested_block_joins_the_outer(self):
         with counting() as outer:
-            wgcd_gcd_factorization(WORKED_TRIPLE)
+            core._STRATEGIES["auto"](WORKED_TRIPLE.values, WORKED_TRIPLE.weights)
             with counting() as inner:
                 assert inner is outer
                 result = wgcd_auto(WORKED_TRIPLE)
-            wgcd_lcm_power(WORKED_TRIPLE)
+            core._STRATEGIES["lcm-power"](WORKED_TRIPLE.values, WORKED_TRIPLE.weights)
         assert result.counters is outer
         assert counts(outer) == (1, 13, 3)
 
@@ -1096,8 +1093,8 @@ class TestCounting:
             gcd_many([])
 
     def test_strategies_run_outside_any_block(self):
-        for fn in STRATEGIES.values():
-            assert fn(WORKED_TRIPLE) == 4
+        for name in STRATEGIES:
+            assert weighted_gcd(WORKED_TRIPLE.values, WORKED_TRIPLE.weights, name) == 4
         with counting() as c:
             pass
         assert counts(c) == (0, 0, 0)
@@ -1122,7 +1119,7 @@ class TestCounting:
             # the split tuple: the error is the outcome to compare
             recorded.clear()
             try:
-                return STRATEGIES[strategy](t), list(recorded)
+                return core._STRATEGIES[strategy](t.values, t.weights), list(recorded)
             except ValueError as exc:
                 return str(exc), list(recorded)
 
@@ -1154,7 +1151,7 @@ class TestCounting:
             with counting() as c:
                 all_inside.wait()
                 for _ in range(reps):
-                    STRATEGIES[name](WORKED_TRIPLE)
+                    core._STRATEGIES[name](WORKED_TRIPLE.values, WORKED_TRIPLE.weights)
                 all_inside.wait()
             seen[name] = (c, reps)
 
@@ -1342,7 +1339,7 @@ class TestWideKnownAnswer:
     def test_known_d(self, d_bits, strategy):
         t, d = generate(GenSpec(1, (2, 3, 5), d_bits, 256, "known-answer"))
         with time_limit(10), counting() as counters:
-            assert STRATEGIES[strategy](t) == d
+            assert core._STRATEGIES[strategy](t.values, t.weights) == d
         if strategy == "auto":
             # the gcd is d**2, and its root candidate d is the answer
             assert counters.factor_calls == 0
@@ -1358,7 +1355,10 @@ class TestWideKnownAnswer:
 
 # Every call that can reach Pollard rho, on a tuple whose gcd needs it.
 BOUNDED_CALLS = {
-    **{name: STRATEGIES[name] for name in ("auto", "full-factor", "lcm-power", "fold")},
+    **{
+        name: lambda t, name=name: weighted_gcd(t.values, t.weights, name)
+        for name in ("auto", "full-factor", "lcm-power", "fold")
+    },
     "normalize": normalize,
     "verify_wgcd": lambda t: verify_wgcd(t, 1),
 }
@@ -1403,6 +1403,7 @@ def test_all_lists_every_public_name():
 def test_no_public_callable_takes_a_seed():
     # factoring always draws from seed 0; GenSpec's seed picks an input
     checked = [getattr(wgcd, name) for name in wgcd.__all__]
+    checked += core._STRATEGIES.values()
     for module in (bench, selftest):
         checked += [
             obj for name, obj in vars(module).items()
@@ -1644,15 +1645,15 @@ class TestColdImport:
         loaded = loaded_cold(
             "import sys\n"
             "import wgcd\n"
-            "from wgcd.core import STRATEGIES, counting\n"
+            "from wgcd.core import STRATEGIES, _STRATEGIES, counting\n"
             "t = wgcd.WeightedTuple((70352, 5760, 13824), (2, 2, 3))\n"
-            "for fn in STRATEGIES.values():\n"
-            "    assert fn(t) == 4\n"
+            "for name in STRATEGIES:\n"
+            "    assert wgcd.weighted_gcd(t.values, t.weights, name) == 4\n"
             "assert 'contextvars' not in sys.modules\n"
             f"for name, expected in {WORKED_COUNTS!r}.items():\n"
             "    with counting() as c:\n"
             "        assert 'contextvars' in sys.modules\n"
-            "        assert STRATEGIES[name](t) == 4\n"
+            "        assert _STRATEGIES[name](t.values, t.weights) == 4\n"
             "    assert (c.factor_calls, c.max_factored_bits, c.gcd_calls) == expected, name",
             site=False,
         )
@@ -1665,7 +1666,7 @@ class TestColdImport:
         # exactly what the same calls count serially.
         loaded_cold(
             "import contextvars, sys, threading\n"
-            "from wgcd.core import STRATEGIES, WeightedTuple, counting\n"
+            "from wgcd.core import _STRATEGIES, WeightedTuple, counting\n"
             "t = WeightedTuple((70352, 5760, 13824), (2, 2, 3))\n"
             "make = contextvars.ContextVar\n"
             "both_making = threading.Barrier(2, timeout=2)\n"
@@ -1683,7 +1684,7 @@ class TestColdImport:
             "    start.wait()\n"
             "    with counting() as c:\n"
             "        for _ in range(reps):\n"
-            "            STRATEGIES[name](t)\n"
+            "            _STRATEGIES[name](t.values, t.weights)\n"
             "    seen[name] = (c.factor_calls, c.max_factored_bits, c.gcd_calls)\n"
             "threads = [threading.Thread(target=run, args=job) for job in jobs]\n"
             "sys.setswitchinterval(1e-6)\n"
@@ -1695,7 +1696,7 @@ class TestColdImport:
             "for name, reps in jobs:\n"
             "    with counting() as c:\n"
             "        for _ in range(reps):\n"
-            "            STRATEGIES[name](t)\n"
+            "            _STRATEGIES[name](t.values, t.weights)\n"
             "    assert seen[name] == (c.factor_calls, c.max_factored_bits, c.gcd_calls), name\n"
             "    assert c.factor_calls == reps * (1 if name == 'lcm-power' else 3)"
         )

@@ -10,8 +10,6 @@ from wgcd.core import (
     WeightedTuple,
     weighted_gcd,
     wgcd_auto,
-    wgcd_bruteforce,
-    wgcd_full_factorization,
 )
 
 
@@ -93,7 +91,7 @@ class TestKnownAnswer:
         for seed in range(30):
             s = spec("known-answer", (2, 2, 3), seed=seed, d_bits=9, cofactor_bits=8)
             t, d = generate(s)
-            cofactors = [x // d**q for x, q in t.pairs()]
+            cofactors = [x // d**q for x, q in zip(t.values, t.weights)]
             assert 1 in cofactors
             assert all(gcd(c, d) == 1 for c in cofactors)
             assert all(c.bit_length() == 8 or c == 1 for c in cofactors)
@@ -102,17 +100,17 @@ class TestKnownAnswer:
         for seed in range(60):
             s = spec("known-answer", (1, 2), seed=seed, d_bits=7, cofactor_bits=6)
             t, d = generate(s)
-            assert wgcd_bruteforce(t) == d
+            assert weighted_gcd(t.values, t.weights, "oracle") == d
 
     def test_unit_d(self):
         t, d = generate(spec("known-answer", (2, 3), d_bits=1, cofactor_bits=5))
         assert d == 1
-        assert wgcd_bruteforce(t) == 1
+        assert weighted_gcd(t.values, t.weights, "oracle") == 1
 
     def test_wide_cofactors_exact_bits(self):
         s = spec("known-answer", (2, 3), seed=5, d_bits=16, cofactor_bits=128)
         t, d = generate(s)
-        cofactors = [x // dd**q for x, dd, q in ((x, d, q) for x, q in t.pairs())]
+        cofactors = [x // d**q for x, q in zip(t.values, t.weights)]
         assert sorted(c.bit_length() for c in cofactors) == [1, 128]
         assert wgcd_auto(t).d == d
 
@@ -130,9 +128,9 @@ class TestAdversarial:
                 "adversarial-deficient", (2, 3), seed=seed, d_bits=6, cofactor_bits=24
             )
             t, d = generate(s)
-            assert wgcd_auto(t).d == wgcd_full_factorization(t) == d
+            assert wgcd_auto(t).d == weighted_gcd(t.values, t.weights, "full-factor") == d
             # the answer is the base prime itself: noise stays deficient
-            assert d > 1 and all(x % d**q == 0 for x, q in t.pairs())
+            assert d > 1 and all(x % d**q == 0 for x, q in zip(t.values, t.weights))
             assert gcd_many(t.values) > d**2  # the plain gcd got inflated
 
     def test_spec_example_shape(self):
@@ -160,7 +158,8 @@ class TestAdversarial:
                 cofactor_bits=rng.randint(1, 24),
             )
             t, p = generate(s)
-            assert weighted_gcd(t.values, t.weights) == wgcd_full_factorization(t) == p
+            assert weighted_gcd(t.values, t.weights) == p
+            assert weighted_gcd(t.values, t.weights, "full-factor") == p
 
 
 class TestRandomMode:

@@ -245,6 +245,18 @@ class TestIsPrime:
         with time_limit(5):
             assert not numtheory._strong_lucas(p * p)
 
+    def test_lucas_rejects_a_shared_selfridge_d(self):
+        # 539191 = 41 * 13151 gives (D / n) = 1 for every D from 5 to -39,
+        # so Selfridge's search reaches D = 41, which shares the prime 41
+        # with n: the symbol is 0 and the test answers composite there
+        n = 539191
+        assert n == 41 * 13151
+        ds = [(-1) ** k * (5 + 2 * k) for k in range(18)]
+        assert ds[-1] == -39 and all(numtheory._jacobi(D, n) == 1 for D in ds)
+        assert numtheory._jacobi(41, n) == 0
+        assert not numtheory._strong_lucas(n)
+        assert not is_prime(n)
+
     def test_big_mersenne_prime_is_fast(self):
         # one base-2 round and one Lucas test, not 40 Miller-Rabin rounds
         with time_limit(5):

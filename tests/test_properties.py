@@ -19,7 +19,6 @@ from wgcd.core import (
     verify_wgcd,
     weighted_gcd,
     wgcd_auto,
-    wgcd_bruteforce,
 )
 
 
@@ -155,7 +154,7 @@ def head_candidate_cases(draw):
 
 def verdict_by_definition(t, claim, d):
     # a claim whose powers divide every coordinate divides d
-    if any(x % claim**q for x, q in t.pairs()):
+    if any(x % claim**q for x, q in zip(t.values, t.weights)):
         return (False, "divisibility")
     return (True, None) if claim == d else (False, "maximality")
 
@@ -165,9 +164,9 @@ def fast_path_by_definition(t):
     g = gcd_many(t.values)
     if g == 1:
         return "fastpath-one"
-    q_min = min(q for x, q in t.pairs() if x)
+    q_min = min(q for x, q in zip(t.values, t.weights) if x)
     r = naive_root(g, q_min)
-    return "fastpath-root" if all(x % r**q == 0 for x, q in t.pairs()) else None
+    return "fastpath-root" if all(x % r**q == 0 for x, q in zip(t.values, t.weights)) else None
 
 
 def signed_head_case(head, head_weight, rest, rest_weight, n=32):
@@ -193,7 +192,7 @@ def test_head_candidate_matches_the_definition(t):
     assert weighted_gcd(t.values, t.weights) == d
     assert normalize(t)[1] == d
     assert_normalized_like_validated(t)
-    q_min = min(q for x, q in t.pairs() if x)
+    q_min = min(q for x, q in zip(t.values, t.weights) if x)
     head = [x for q, x in sorted(zip(t.weights, t.values), key=lambda qx: qx[0]) if x]
     claims = {d, d + 1, d * 2, naive_root(gcd_many(head[: core._HEAD]), q_min)}
     claims.update(d // p for p in range(2, d + 1) if d % p == 0)
@@ -208,15 +207,15 @@ def test_head_candidate_matches_the_definition(t):
 @given(tuples())
 def test_strategies_agree_with_definition(t):
     expected = naive_wgcd(t.values, t.weights)
-    for name, fn in STRATEGIES.items():
-        assert fn(t) == expected, name
+    for name in STRATEGIES:
+        assert weighted_gcd(t.values, t.weights, name) == expected, name
 
 
 @settings(max_examples=150, deadline=None)
 @given(tuples(max_abs=60), st.integers(1, 6))
 def test_scalar_action(t, lam):
     scaled = WeightedTuple(
-        tuple(lam**q * x for x, q in t.pairs()), t.weights
+        tuple(lam**q * x for x, q in zip(t.values, t.weights)), t.weights
     )
     assert wgcd_auto(scaled).d == lam * wgcd_auto(t).d
 
@@ -238,7 +237,7 @@ def test_permutation_invariance(t, rnd):
 def test_normalize_idempotent_and_verified(t):
     normalized, d = normalize(t)
     # verify_wgcd runs the auto route too, so full-factor is the oracle here
-    assert d == STRATEGIES["full-factor"](t)
+    assert d == weighted_gcd(t.values, t.weights, "full-factor")
     assert wgcd_auto(normalized).d == 1
     assert normalize(normalized) == (normalized, 1)
     assert verify_wgcd(t, d).ok
@@ -247,7 +246,7 @@ def test_normalize_idempotent_and_verified(t):
 def assert_normalized_like_validated(t):
     # normalize builds its output unchecked; it must equal the checked build
     normalized, d = normalize(t)
-    expected = tuple(x // d**q if x else 0 for x, q in t.pairs())
+    expected = tuple(x // d**q if x else 0 for x, q in zip(t.values, t.weights))
     validated = WeightedTuple(expected, t.weights)
     assert normalized == validated
     assert hash(normalized) == hash(validated)
@@ -320,7 +319,6 @@ def test_agreement_on_larger_seeded_sample():
         values = tuple(rng.randint(-3000, 3000) for _ in range(n))
         if not any(values):
             continue
-        t = WeightedTuple(values, weights)
-        expected = wgcd_bruteforce(t)
-        for name, fn in STRATEGIES.items():
-            assert fn(t) == expected, (name, values, weights)
+        expected = weighted_gcd(values, weights, "oracle")
+        for name in STRATEGIES:
+            assert weighted_gcd(values, weights, name) == expected, (name, values, weights)
