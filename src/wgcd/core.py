@@ -645,12 +645,6 @@ def weighted_gcd(values, weights, strategy: str = "auto") -> int:
     checked plain tuples, with no `WeightedTuple` built.
     """
     values, weights = _checked(values, weights)
-    if strategy == "auto":
-        # _auto's body, one call frame short: through the table, small-tuples
-        # compute_p50_us read 6.11-6.31 us against 6.05-6.11 without it, worse
-        # in 3 of 3 alternating 30-s perfbench pairs (2 shared vCPUs, Python
-        # 3.11.7)
-        return _wgcd_route(values, weights, _visit_order(weights))[0]
     try:
         fn = _STRATEGIES[strategy]
     except KeyError:
