@@ -17,10 +17,12 @@ divisor, so it is at most d; so it is d.  Only a failed test completes
 h to g.
 `weighted_gcd` runs every strategy on its checked arguments, with no
 `WeightedTuple` built.  `verify_wgcd` uses that every common weighted
-divisor divides d: on a long tuple whose root test answers d, a claim
-is right when it is d, fails on maximality when it divides d, and on
-divisibility otherwise.  A short tuple, or a long one whose test
-misses, runs the route on the residues x_i / claim**q_i instead.  The
+divisor divides d: on a long tuple, a claim fails on divisibility at
+once when its power does not divide the least-weight nonzero
+coordinate; when the root test then answers d, the claim is right when
+it is d, fails on maximality when it divides d, and on divisibility
+otherwise.  A short tuple, or a long one whose test misses, runs the
+route on the residues x_i / claim**q_i instead.  The
 paper's wgcd-preserving tuple rewrites only explain the default route:
 `wgcd_auto` replays them as a trace.  The route borrows their weight
 order on long tuples, which each entry point decides once, to pick the
@@ -337,13 +339,16 @@ def _wgcd_route(values, weights, order) -> tuple[int, list[int] | None]:
     c with k >= 2 copies leaves a cofactor above L, so L**(k+1) < c;
     when f(k) = k f(1) for each such k, c contributes c**f(1), and 1
     when f(1) = 0.  An undecided c below 10**20 takes one gcd with the
-    product of the primes in (10**4, B), B = min(2**ceil(bitlen(c) / 3),
-    10**5): a gcd h > 1 splits c into square-free divisors of h and pieces
-    whose primes exceed B, and a gcd of 1 gives the size test L = B.
-    Below 2**48, B**3 > c, so that test decides c and each piece of the
-    split with no factoring.  Only a piece still undecided is factored,
-    where a square could matter, by the second half of `factor` alone:
-    trial division and the perfect-power test have already run on it.
+    product of the primes in (10**4, B), B = min(r rounded up to its three
+    leading bits, 10**5) for r = iroot(c, 3) + 1, so r <= B < 1.25 r and
+    B is one of 15 bounds from 10240 to 10**5 (Bernstein 2004 sizes a
+    smoothness gcd the same way): a gcd h > 1 splits c into square-free
+    divisors of h and pieces whose primes exceed B, and a gcd of 1 gives
+    the size test L = B.  Below 10**15, B**3 > c, so that test decides c
+    and each piece of the split with no factoring.  Only a piece still
+    undecided is factored, where a square could matter, by the second
+    half of `factor` alone: trial division and the perfect-power test
+    have already run on it.
 
     The exponent in d of each prime p that trial division takes is min
     over nonzero x_i of floor(valuation(p, x_i) / q_i), found with a
@@ -429,9 +434,13 @@ def _split_share(rest: int, values, weights) -> int:
             continue
         share = _size_share(c, es, qs, low)
         if share is None and low == TRIAL_DIVISION_LIMIT and c < _SECOND_TIER_BELOW:
-            # primes of c all above bound, with bound**3 >= c, leave no
-            # room for a square: the gcd needs only the primes below bound
-            bound = min(1 << -(-c.bit_length() // 3), SECOND_TIER_LIMIT)
+            # primes of c all above bound, with bound**3 > c, leave no room
+            # for a square: the gcd needs only the primes below bound.  r
+            # rounded up to its three leading bits overshoots it by under
+            # a quarter; c > 10**12 here, so r > 10**4 has 14 bits or more
+            r = iroot(c, 3) + 1
+            step = 1 << (r.bit_length() - 3)
+            bound = min(-(-r // step) * step, SECOND_TIER_LIMIT)
             h = gcd_many((c, _second_tier_product(bound)))
             if h > 1:
                 for b, bes in _exact_pieces([c, h], xs):
@@ -734,9 +743,12 @@ def verify_wgcd(t: WeightedTuple, d: int) -> VerifyResult:
     e**q_i | x_i gives v_p(e) <= min over i of floor(v_p(x_i) / q_i) =
     v_p(D).  So once D is known, d is right exactly when d = D, fails on
     maximality when d | D, and on divisibility otherwise.  A tuple of
-    _WEIGHT_ORDER_FROM or more coordinates first runs the `auto` route's
-    root test on itself, and its verdict comes from D when the test
-    answers, with one pass over the tuple whatever the claim.  Otherwise,
+    _WEIGHT_ORDER_FROM or more coordinates first divides d**q into its
+    least-weight nonzero coordinate alone, the least power to build, and
+    fails d on divisibility, with no gcd taken, when that does not go.
+    Then it runs the `auto` route's root test on itself, and its verdict
+    comes from D when the test answers, with one pass over the tuple
+    whatever the claim.  Otherwise,
     and on every shorter tuple, d is divided out; once that holds, wgcd(x)
     = d * wgcd(x_i / d**q_i), so d is the weighted gcd exactly when the
     `auto` route returns 1 on the residues x_i / d**q_i.  Short tuples
@@ -750,6 +762,9 @@ def verify_wgcd(t: WeightedTuple, d: int) -> VerifyResult:
         raise ValueError("claimed weighted gcd must be >= 1")
     order = _visit_order(t.weights)
     if order is not None:
+        i = next(filter(t.values.__getitem__, order))
+        if _divide_out((t.values[i],), (t.weights[i],), d, None) is None:
+            return VerifyResult(False, "divisibility")
         answer, ys, _ = _root_test(t.values, t.weights, order)
         if ys is not None or answer == 1:
             if d == answer:

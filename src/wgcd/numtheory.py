@@ -6,14 +6,16 @@ exact exponents, Baillie-PSW primality, and integer factorization.
 It holds functions on ints only, no record classes: `factor` returns
 plain (prime, exponent) pairs, and `factor`, `is_prime`, `iroot` and
 `valuation` refuse a non-integer with TypeError.
-Factorization runs trial division below 10**4, as one gcd per decade of
-primes against the product of that decade; then `_factor_rough`, which
+Factorization runs trial division below 10**4: a number of at least
+10**8 first takes one gcd with the product of all those primes, and
+stops there when it is 1; otherwise one gcd per decade of primes against
+the product of that decade.  Then `_factor_rough`, which
 also serves alone a number whose primes all exceed 10**4, runs
 perfect-power detection, a primality test and Pollard rho capped at
 RHO_BUDGET iterations.
-The primes below 10**4, and the products of their decades, are built on
-first use, never at import: `import wgcd` and a call that the root test
-answers compute no prime table.
+The primes below 10**4, their product and the products of their
+decades are built on first use, never at import: `import wgcd` and a
+call that the root test answers compute no prime table.
 A second tier, the product of the primes in (10**4, B) for a bound B of
 at most 10**5, is likewise built per bound on first use; the `auto`
 route takes one gcd with it, B sized to the piece's cube root, to
@@ -54,24 +56,26 @@ def _small_primes() -> tuple[int, ...]:
 
 
 @functools.cache
-def _trial_ranges() -> tuple[tuple[tuple[int, ...], int], ...]:
-    # Trial division takes one gcd per decade of primes, against the product
-    # of that decade.  A small cofactor stops after the first decade or two,
-    # so a 16-bit number never pays for a gcd with the whole 14,277-bit
-    # primorial.
+def _trial_ranges() -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    # The 14,277-bit product of the primes below 10**4, and each decade of
+    # those primes with its product.  Trial division takes one gcd per
+    # decade, so a small cofactor stops after the first decade or two and a
+    # 16-bit number never pays for a gcd with the whole product; a cofactor
+    # of 10**8 or more runs every decade, so it takes the whole product first.
     primes = _small_primes()
     bounds = (2, 10, 100, 1000, TRIAL_DIVISION_LIMIT)
     decades = (
         primes[bisect_left(primes, lo) : bisect_left(primes, hi)]
         for lo, hi in zip(bounds, bounds[1:])
     )
-    return tuple((decade, math.prod(decade)) for decade in decades)
+    ranges = tuple((decade, math.prod(decade)) for decade in decades)
+    return math.prod(product for _, product in ranges), ranges
 
 
 # The second tier: the primes in (10**4, 10**5).  The `auto` route takes a
 # gcd with the product of those below a bound sized to the piece, from the
-# 9,175 bits below 2**14 to all 129,539; each product is built on the first
-# call that needs it, in up to about 14 ms.
+# 333 bits below 10240 to all 129,539; each of the 15 products is built on
+# the first call that needs it, in up to about 14 ms.
 SECOND_TIER_LIMIT = 10**5
 
 
@@ -417,10 +421,16 @@ def _trial_division(m: int, counts: dict[int, int]) -> int:
 
     Takes one gcd per decade of the primes against the decade's product
     and divides out only the primes of that gcd; it stops at the first
-    decade whose smallest prime squared exceeds the cofactor.  The primes
-    and the products are built by the first call, not at import.
+    decade whose smallest prime squared exceeds the cofactor.  An m of
+    10**8 or more passes every decade, whose last starts at 1009, so it
+    first takes one gcd with the product of all the primes below 10**4
+    and is returned at once when that gcd is 1.  The primes and the
+    products are built by the first call, not at import.
     """
-    for primes, product in _trial_ranges():
+    primorial, ranges = _trial_ranges()
+    if m >= _PRIME_BELOW and math.gcd(m, primorial) == 1:
+        return m
+    for primes, product in ranges:
         if primes[0] * primes[0] > m:
             break
         # g is the product of the primes of this decade that divide m; once

@@ -130,3 +130,12 @@ def trial_division_scan(n: int) -> tuple[dict[int, int], int]:
             m //= p
             counts[p] = counts.get(p, 0) + 1
     return counts, m
+
+
+def second_tier_bound(c: int) -> int:
+    """The bound B of the second tier's gcd for a piece c above 10**12:
+    r = floor(c ** (1/3)) + 1 rounded up to its three leading bits,
+    that is to a multiple of 2**(bitlen(r) - 3), and capped at 10**5."""
+    r = sympy.integer_nthroot(c, 3)[0] + 1
+    step = 2 ** (r.bit_length() - 3)
+    return min(-(-r // step) * step, 10**5)

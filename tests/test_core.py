@@ -15,7 +15,14 @@ from pathlib import Path
 import pytest
 import sympy
 
-from helpers import SPLIT_PRIMES, SPLIT_VALUES, SPLIT_WEIGHTS, naive_wgcd, time_limit
+from helpers import (
+    SPLIT_PRIMES,
+    SPLIT_VALUES,
+    SPLIT_WEIGHTS,
+    naive_wgcd,
+    second_tier_bound,
+    time_limit,
+)
 import wgcd
 from wgcd import bench, core, numtheory, selftest
 from wgcd.bench import MODES, GenSpec, generate
@@ -496,9 +503,10 @@ class TestPieceShares:
     """On a miss, each coprime piece of what trial division leaves of g is
     refined until its exponents in the coordinates are exact, and its
     share of d comes from those exponents: by size, after one gcd with the
-    second tier's primes in (10**4, B), B = min(2**ceil(bitlen(c) / 3),
-    10**5) for the piece c, or, only where a square factor could still
-    matter, by factoring the piece."""
+    second tier's primes in (10**4, B) for the piece c, B = min(r rounded
+    up to its three leading bits, 10**5) with r = iroot(c, 3) + 1, or,
+    only where a square factor could still matter, by factoring the
+    piece."""
 
     @pytest.fixture
     def second_tier(self, monkeypatch):
@@ -514,7 +522,7 @@ class TestPieceShares:
             # _split_share builds the product just before its gcd
             if len(calls) > len(checked):
                 c = xs[0]
-                assert calls[-1] == min(2 ** math.ceil(c.bit_length() / 3), 10**5), c
+                assert calls[-1] == second_tier_bound(c), c
                 checked.append(c)
             return gcd(xs)
 
@@ -591,12 +599,12 @@ class TestPieceShares:
 
     @pytest.mark.parametrize(
         "a, b, bound",
-        [(10007, 10009, 2**14), (10007, 50021, 2**15), (20011, 90001, 2**16)],
+        [(10007, 10009, 10240), (10007, 50021, 20480), (20011, 90001, 40960)],
     )
     def test_second_tier_bound_follows_the_cube_root(self, monkeypatch, second_tier, a, b, bound):
         # c = a**2 * b in [10**12, 10**15) with a, b in (10**4, 10**5): the
-        # primes below the least power of two at or above the cube root of
-        # c find a, and the size test with that bound decides b
+        # primes below r = iroot(c, 3) + 1 rounded up to its three leading
+        # bits find a, and the size test with that bound decides b
         c = a**2 * b
         assert 10**12 <= c < 10**15
         t = wt((c, c), (1, 2))
@@ -607,8 +615,8 @@ class TestPieceShares:
         assert second_tier == [bound]
 
     def test_square_free_piece_above_its_bound(self, monkeypatch, second_tier):
-        # c = a * b, 42 bits, both primes above its bound 2**14: the gcd is
-        # 1 and the size test with 2**14 proves c square-free, where 10**4
+        # c = a * b, 42 bits, both primes above its bound 14336: the gcd is
+        # 1 and the size test with 14336 proves c square-free, where 10**4
         # could not; under weights (2, 3) and exponents (1, 3) c gives 1
         a, b = sympy.nextprime(2**20), sympy.nextprime(2**21)
         c = a * b
@@ -618,7 +626,7 @@ class TestPieceShares:
         monkeypatch.setattr(numtheory, "RHO_BUDGET", 0)
         assert self.shares(t.values, t.weights) == (expected, 0)
         assert expected == 7
-        assert second_tier == [2**14]
+        assert second_tier == [14336]
 
     def test_second_tier_fuzz(self, second_tier):
         # pieces c in (10**12, 10**20), the sizes that reach the second
@@ -641,7 +649,44 @@ class TestPieceShares:
             assert d == weighted_gcd(values, weights, "full-factor"), (values, weights)
             if c < 2**48:
                 assert factor_calls == 0, (values, weights)
-        assert set(second_tier) == {2**14, 2**15, 2**16, 10**5}
+        assert sorted(set(second_tier)) == [
+            2**14, 20480, 24576, 28672, 2**15, 40960, 49152, 57344, 2**16, 81920, 98304, 10**5,
+        ]
+
+    @staticmethod
+    def tier_pieces(n: int) -> list[int]:
+        # n pieces c = a * b * e in (10**12, 10**20), no perfect power, with
+        # primes above 10**4: the first is 10007**2 * 10009, whose bound is
+        # the least, 10240, the rest near a cube root drawn log-uniformly
+        # from (10**4, 10**(20/3)), one in three a**2 * b.  Under weights
+        # (1, 2), (c, c) leaves c undecided by size, so c reaches the tier
+        rng = random.Random(35)
+        pieces = [10007**2 * 10009]
+        while len(pieces) < n:
+            t = 10 ** rng.uniform(4, 20 / 3)
+            a, b = (sympy.nextprime(max(10**4, int(t * rng.uniform(0.3, 1.5)))) for _ in "ab")
+            e = a if rng.random() < 1 / 3 else sympy.nextprime(max(10**4, int(t**3 / (a * b))))
+            c = a * b * e
+            if 10**12 < c < 10**20 and len({a, b, e}) > 1:
+                pieces.append(c)
+        return pieces
+
+    def test_second_tier_bound_is_tight(self, second_tier):
+        # B**3 > c below the cap, so the size test still decides what it
+        # did with a power of two; B overshoots r = iroot(c, 3) + 1 by
+        # under a quarter; B >= 10240, above the first prime past 10**4,
+        # 10007, so no product is empty; and the pieces call for all 15
+        # bounds, the most products the route ever builds
+        for c in self.tier_pieces(300):
+            d, _ = self.shares((c, c), (1, 2))
+            assert d == weighted_gcd((c, c), (1, 2), "full-factor")
+            bound = second_tier[-1]
+            r = sympy.integer_nthroot(c, 3)[0] + 1
+            assert bound >= 10240
+            if bound < 10**5:
+                assert bound**3 > c and r <= bound < 1.25 * r, c
+        assert len(second_tier) == 300
+        assert len(set(second_tier)) == 15
 
     def test_undecided_piece_is_factored(self, second_tier):
         # a, b in (10**5, 10**6) and c = a**2 * b in [10**15, 10**16): no
@@ -1249,12 +1294,26 @@ class TestNormalizeVerify:
     def test_long_root_hit_verifies_in_one_division(self, divisions):
         # a long tuple's verdict comes from its root test's answer d, so
         # the true claim and d / p each take that test's one pass and no
-        # pass of their own
+        # pass of their own, only the division of the least-weight
+        # coordinate that precedes it
         t, d = long_tuple(random.Random(23))
         p = min(sympy.primefactors(d))
         assert verify_wgcd(t, d) == (True, None)
         assert verify_wgcd(t, d // p) == (False, "maximality")
-        assert divisions == [d, d]
+        assert divisions == [d, d, d // p, d]
+
+    def test_long_claim_failing_its_least_weight_coordinate_takes_no_gcd(self):
+        # a claim whose power does not divide the least-weight nonzero
+        # coordinate is rejected before the root test and its gcd
+        t, d = generate(GenSpec(35, tuple(range(64, 0, -1)), 16, 64, "known-answer"))
+        p = min(sympy.primefactors(d))
+        with counting() as c:
+            assert verify_wgcd(t, d + 1) == (False, "divisibility")
+        assert c.gcd_calls == 0
+        with counting() as c:
+            assert verify_wgcd(t, d) == (True, None)
+            assert verify_wgcd(t, d // p) == (False, "maximality")
+        assert c.gcd_calls > 0
 
     def test_long_root_miss_rejects_a_non_divisor_unfactored(self, monkeypatch):
         # where the root test misses, a claim that fails divisibility is
@@ -1600,6 +1659,19 @@ class TestColdImport:
             "assert c.bit_length() == 54\n"
             "assert wgcd.weighted_gcd((c, c), (1, 2)) == 10007\n"
             "assert product.cache_info().currsize == 2 and built(10**5)"
+        )
+
+    def test_second_tier_builds_at_most_15_products(self):
+        # pieces across (10**12, 10**20), whose bounds cover every one the
+        # route can take, build 15 products between them
+        pieces = TestPieceShares.tier_pieces(300)
+        answers = [weighted_gcd((c, c), (1, 2), "full-factor") for c in pieces]
+        loaded_cold(
+            "import wgcd\n"
+            "from wgcd import numtheory\n"
+            f"for c, d in zip({pieces!r}, {answers!r}):\n"
+            "    assert wgcd.weighted_gcd((c, c), (1, 2)) == d\n"
+            "assert numtheory._second_tier_product.cache_info().currsize == 15"
         )
 
     def test_cli_compute_loads_no_harness(self):

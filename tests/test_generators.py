@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from helpers import naive_wgcd
-from wgcd import gcd_many
+from wgcd import bench, gcd_many, valuation
 from wgcd.bench import MODES, GenSpec, generate, known_answer_tuple
 from wgcd.core import (
     WeightedTuple,
@@ -160,6 +160,24 @@ class TestAdversarial:
             t, p = generate(s)
             assert weighted_gcd(t.values, t.weights) == p
             assert weighted_gcd(t.values, t.weights, "full-factor") == p
+
+    def test_repeated_noise_prime_is_drawn_again(self, monkeypatch):
+        # the second noise draw repeats the first: it is skipped, so that
+        # prime enters every coordinate once, below its weight in one
+        draws, random_prime = [], bench._random_prime
+
+        def repeat_second_noise(rng, bits):
+            r = random_prime(rng, bits)
+            draws.append(r)
+            return draws[1] if len(draws) == 3 else r
+
+        monkeypatch.setattr(bench, "_random_prime", repeat_second_noise)
+        t, p = generate(spec("adversarial-deficient", (2, 3), seed=3, cofactor_bits=60))
+        assert len(draws) > 3 and draws[0] == p
+        assert weighted_gcd(t.values, t.weights, "full-factor") == p
+        r = draws[1]
+        exponents = [valuation(r, x) for x in t.values]
+        assert exponents in ([1, 3], [2, 1], [2, 2]), exponents
 
 
 class TestRandomMode:

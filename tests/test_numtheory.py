@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import pytest
 import sympy
@@ -351,8 +352,16 @@ class TestExactPieces:
             self.check(xs, ys, _exact_pieces(xs, ys))
 
 
+# every bound the second tier takes, and the bits of its product
+SECOND_TIER_BITS = {
+    10240: 333, 12288: 3_226, 14336: 6_130, 2**14: 9_175, 20480: 15_012,
+    24576: 20_983, 28672: 26_849, 2**15: 32_633, 40960: 44_400, 49152: 56_193,
+    57344: 68_172, 2**16: 79_750, 81920: 103_466, 98304: 127_000, 10**5: 129_539,
+}
+
+
 def test_second_tier_product():
-    for bound, bits in ((2**14, 9_175), (2**15, 32_633), (2**16, 79_750), (10**5, 129_539)):
+    for bound, bits in SECOND_TIER_BITS.items():
         product = numtheory._second_tier_product(bound)
         assert product == math.prod(sympy.primerange(10**4, bound))
         assert product.bit_length() == bits
@@ -488,6 +497,59 @@ class TestTrialDivision:
             assert n == rest * math.prod(p**e for p, e in counts.items())
             assert all(sympy.isprime(p) for p in counts)
             assert rest == 1 or rest >= 10**8 and math.gcd(rest, small) == 1
+
+    def test_one_gcd_from_10_to_8(self, monkeypatch):
+        # a cofactor of 10**8 or more first takes one gcd with the product
+        # of all the primes below 10**4; a rough one stops at it, and the
+        # rest and the counts are the per-prime scan's on either side of
+        # the threshold, with a rest below 10**8, a prime, in the counts
+        rng = random.Random(35)
+
+        def prime(bits):
+            return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+        def smooth(bits):
+            n = 1
+            while n.bit_length() < bits:
+                n *= sympy.prevprime(rng.randrange(3, 10**4))
+            return n
+
+        def rough(bits):
+            if bits < 30:
+                return prime(bits)
+            k = rng.randint(15, bits - 15)
+            return prime(k) * prime(bits - k)
+
+        corpus = [10**8 - 1, 10**8, 9973 * 10007, 10007 * 10009, 2 * prime(40), 3**20 * rough(60)]
+        for i in range(300):
+            bits = rng.randint(27, 200)
+            if i % 3 == 0:
+                corpus.append(rough(bits))
+            elif i % 3 == 1:
+                corpus.append(smooth(bits))
+            else:
+                k = rng.randint(1, bits - 15)
+                corpus.append(smooth(k) * rough(bits - k))
+
+        numtheory._trial_ranges()  # built before math is swapped out
+        gcds = []
+
+        def counted_gcd(*xs):
+            gcds.append(xs)
+            return math.gcd(*xs)
+
+        monkeypatch.setattr(numtheory, "math", types.SimpleNamespace(gcd=counted_gcd))
+        rough_seen = 0
+        for n in corpus:
+            expected, rest = trial_division_scan(n)
+            if 1 < rest < 10**8:
+                expected[rest], rest = 1, 1
+            counts, gcds[:] = {}, []
+            assert (counts, _trial_division(n, counts)) == (expected, rest), n
+            if rest == n >= 10**8:
+                assert len(gcds) == 1, n
+                rough_seen += 1
+        assert rough_seen > 100
 
     def test_same_result_as_the_per_prime_scan(self, monkeypatch):
         # the scan's exponents below 10**4 plus the factorization of the
