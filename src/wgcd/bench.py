@@ -31,10 +31,17 @@ DEFAULT_STRATEGIES = ("auto", "full-factor", "lcm-power", "fold")
 
 _COFACTOR_PRIME_BITS = (18, 28)  # keeps the slow strategies desk-scale
 
+# Largest coordinate, in bits, that a spec's mode may build.  lcm-power, a
+# default strategy, refuses any coordinate over core.LCM_POWER_BITS = 2**16
+# bits, so a bigger spec could not be benchmarked anyway.
+SPEC_BITS = 1 << 16
+
 
 class GenSpec(_Frozen):
     """Parameters of one generated trial, checked at every construction,
-    a copy or an unpickling included."""
+    a copy or an unpickling included.  Before anything is drawn, it bounds
+    the bits of the largest coordinate its mode can build and raises
+    ValueError past SPEC_BITS, read at each construction."""
 
     __slots__ = ("seed", "weights", "d_bits", "cofactor_bits", "mode")
 
@@ -45,6 +52,23 @@ class GenSpec(_Frozen):
             raise ValueError("bit parameters must be >= 1")
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+        q = max(weights)
+        if mode == "known-answer":  # d**q * c
+            bits = q * d_bits + cofactor_bits
+        elif mode == "random":
+            bits = cofactor_bits
+        else:
+            # p**q times noise: each round multiplies every coordinate by
+            # r**e, r a prime of 16 to 24 bits and 1 <= e <= q, so it adds
+            # at least 15 bits to the least noise, which stops the rounds
+            # once it passes cofactor_bits; all weights 1 add no noise
+            rounds = -(-cofactor_bits // 15) if q > 1 else 0
+            bits = q * (max(d_bits, 2) + 24 * rounds)
+        if bits > SPEC_BITS:
+            raise ValueError(
+                f"{mode} spec could build a {bits}-bit coordinate, over"
+                f" bench.SPEC_BITS = {SPEC_BITS}"
+            )
         fields = (seed, weights, d_bits, cofactor_bits, mode)
         for name, value in zip(self.__slots__, fields):
             _set_field(self, name, value)

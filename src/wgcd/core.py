@@ -41,7 +41,6 @@ from .numtheory import (
     SECOND_TIER_LIMIT,
     TRIAL_DIVISION_LIMIT,
     _exact_pieces,
-    _factor_rough,
     _perfect_power,
     _second_tier_product,
     _trial_division,
@@ -239,10 +238,9 @@ def gcd_many(xs) -> int:
     return math.gcd(*xs)
 
 
-def _factor(n: int, rough: bool = False):
-    # factor(n) as (prime, exponent) pairs, counted.  rough: every prime of
-    # n exceeds 10**4 and n is no perfect power, so trial division and the
-    # perfect-power test are skipped
+def _factor(n: int):
+    # factor(n), counted in an open `counting` block: every strategy, the
+    # `auto` route's undecided pieces included, factors through here
     if _COUNTERS:
         c = _COUNTERS[0].get()
         if c is not None:
@@ -250,7 +248,7 @@ def _factor(n: int, rough: bool = False):
             bits = n.bit_length()
             if bits > c.max_factored_bits:
                 c.max_factored_bits = bits
-    return _factor_rough(n, power_free=True).items() if rough else factor(n)
+    return factor(n)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +280,8 @@ def _oracle(values, weights) -> int:
 def _full_factor(values, weights) -> int:
     """Product formula over the factorization of every nonzero coordinate:
     each prime contributes min over coordinates of floor(valuation/weight)."""
-    factored = [(_factor(abs(x)), q) for x, q in zip(values, weights) if x]
-    first, first_q = factored[0]
-    exps = {p: e // first_q for p, e in first if e >= first_q}
-    for f, q in factored[1:]:
-        if not exps:
-            break
-        f = dict(f)
-        exps = {
-            p: min(e_min, f.get(p, 0) // q)
-            for p, e_min in exps.items()
-            if f.get(p, 0) >= q
-        }
-    d = 1
-    for p, e in exps.items():
-        d *= p**e
-    return d
+    factored = [(dict(_factor(abs(x))), q) for x, q in zip(values, weights) if x]
+    return math.prod(p ** min(f.get(p, 0) // q for f, q in factored) for p in factored[0][0])
 
 
 def _auto(values, weights) -> int:
@@ -346,9 +330,8 @@ def _wgcd_route(values, weights, order) -> tuple[int, list[int] | None]:
     divisors of h and pieces whose primes exceed B, and a gcd of 1 gives
     the size test L = B.  Below 10**15, B**3 > c, so that test decides c
     and each piece of the split with no factoring.  Only a piece still
-    undecided is factored, where a square could matter, by the second
-    half of `factor` alone: trial division and the perfect-power test
-    have already run on it.
+    undecided is factored, where a square could matter, by one counted
+    `factor` call, the package's one way into factoring.
 
     The exponent in d of each prime p that trial division takes is min
     over nonzero x_i of floor(valuation(p, x_i) / q_i), found with a
@@ -452,7 +435,7 @@ def _split_share(rest: int, values, weights) -> int:
             share = _size_share(c, es, qs, bound)
         if share is None:
             share = 1
-            for p, k in _factor(c, rough=True):
+            for p, k in _factor(c):
                 share *= p ** _share_exponent(k, es, qs)
         d *= share
     return d

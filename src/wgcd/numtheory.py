@@ -6,13 +6,12 @@ exact exponents, Baillie-PSW primality, and integer factorization.
 It holds functions on ints only, no record classes: `factor` returns
 plain (prime, exponent) pairs, and `factor`, `is_prime`, `iroot` and
 `valuation` refuse a non-integer with TypeError.
-Factorization runs trial division below 10**4: a number of at least
-10**8 first takes one gcd with the product of all those primes, and
-stops there when it is 1; otherwise one gcd per decade of primes against
-the product of that decade.  Then `_factor_rough`, which
-also serves alone a number whose primes all exceed 10**4, runs
-perfect-power detection, a primality test and Pollard rho capped at
-RHO_BUDGET iterations.
+Factorization runs trial division below 10**4, one gcd per decade of
+primes against the product of that decade; a number of at least 10**8
+first takes one gcd s with the product of all those primes, stops there
+when s is 1, and otherwise takes each decade's gcd with s.  Then
+`_factor_rough` runs perfect-power detection, a primality test and
+Pollard rho capped at RHO_BUDGET iterations on the cofactor left.
 The primes below 10**4, their product and the products of their
 decades are built on first use, never at import: `import wgcd` and a
 call that the root test answers compute no prime table.
@@ -61,7 +60,8 @@ def _trial_ranges() -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
     # those primes with its product.  Trial division takes one gcd per
     # decade, so a small cofactor stops after the first decade or two and a
     # 16-bit number never pays for a gcd with the whole product; a cofactor
-    # of 10**8 or more runs every decade, so it takes the whole product first.
+    # of 10**8 or more runs every decade, so it takes the whole product first
+    # and each decade's gcd with that gcd, not with the cofactor.
     primes = _small_primes()
     bounds = (2, 10, 100, 1000, TRIAL_DIVISION_LIMIT)
     decades = (
@@ -423,19 +423,23 @@ def _trial_division(m: int, counts: dict[int, int]) -> int:
     and divides out only the primes of that gcd; it stops at the first
     decade whose smallest prime squared exceeds the cofactor.  An m of
     10**8 or more passes every decade, whose last starts at 1009, so it
-    first takes one gcd with the product of all the primes below 10**4
-    and is returned at once when that gcd is 1.  The primes and the
-    products are built by the first call, not at import.
+    first takes one gcd s with the product of all the primes below 10**4:
+    it is returned at once when s is 1, and otherwise each decade's gcd
+    is taken with s, the product of m's distinct primes below 10**4,
+    rather than with m.  The primes and the products are built by the first
+    call, not at import.
     """
     primorial, ranges = _trial_ranges()
-    if m >= _PRIME_BELOW and math.gcd(m, primorial) == 1:
+    s = math.gcd(m, primorial) if m >= _PRIME_BELOW else m
+    if s == 1:
         return m
     for primes, product in ranges:
         if primes[0] * primes[0] > m:
             break
-        # g is the product of the primes of this decade that divide m; once
-        # those below p are divided out of it, g < p*p makes g itself prime
-        g = math.gcd(m, product)
+        # g is the product of the primes of this decade that divide m, as
+        # the products are square-free; once those below p are divided out
+        # of it, g < p*p makes g itself prime
+        g = math.gcd(s, product)
         if g == 1:
             continue
         for p in primes:
@@ -480,26 +484,24 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def _factor_rough(m: int, power_free: bool = False) -> dict[int, int]:
+def _factor_rough(m: int) -> dict[int, int]:
     """Prime factorization of m > 1 whose primes all exceed 10**4, as
-    prime: exponent.  Each piece takes perfect-power detection, a
-    primality test, then Pollard rho, capped at RHO_BUDGET iterations in
-    all.  power_free: m is already known to be no perfect power, so its
-    own test is skipped; the pieces rho splits off still take theirs."""
+    prime: exponent; the second half of `factor`.  Each piece takes
+    perfect-power detection, a primality test, then Pollard rho, capped
+    at RHO_BUDGET iterations in all."""
     counts: dict[int, int] = {}
     rng = None
     spent = 0
-    pending = [(m, 1, power_free)]
+    pending = [(m, 1)]
     while pending:
-        v, mult, power_free = pending.pop()
+        v, mult = pending.pop()
         if v < _PRIME_BELOW:
             counts[v] = counts.get(v, 0) + mult
             continue
-        if not power_free:
-            root, k = _perfect_power(v)
-            if k > 1:
-                pending.append((root, k * mult, False))
-                continue
+        root, k = _perfect_power(v)
+        if k > 1:
+            pending.append((root, k * mult))
+            continue
         if is_prime(v):
             counts[v] = counts.get(v, 0) + mult
             continue
@@ -509,7 +511,7 @@ def _factor_rough(m: int, power_free: bool = False) -> dict[int, int]:
             rng = random.Random(0)
         a, spent = _pollard_rho_brent(v, rng, RHO_BUDGET, spent)
         rest, e = _strip(v // a, a)
-        pending.append((a, (e + 1) * mult, False))
+        pending.append((a, (e + 1) * mult))
         if rest > 1:
-            pending.append((rest, mult, False))
+            pending.append((rest, mult))
     return counts

@@ -415,6 +415,11 @@ class TestBench:
                "cofactor_bits": 5, "mode": "random"}], "'weights'"),
             ([{"seed": 1.9, "n": 2, "weights": [2, 3], "d_bits": 6,
                "cofactor_bits": 5, "mode": "random"}], "'seed'"),
+            # over the generators' size budget, refused before any draw
+            ([{"seed": 1, "n": 1, "weights": [10**9], "d_bits": 64,
+               "cofactor_bits": 8, "mode": "known-answer"}], "bench.SPEC_BITS"),
+            ([{"seed": 1, "n": 2, "weights": [1, 2], "d_bits": 10**10,
+               "cofactor_bits": 8, "mode": "known-answer"}], "bench.SPEC_BITS"),
         ],
     )
     def test_malformed_spec_entry_is_invalid_input(self, capsys, tmp_path, specs, message):

@@ -703,23 +703,23 @@ class TestPieceShares:
         assert self.shares((c, c), (1, 2)) == (a, 1)
         assert second_tier == [10**5, 10**5]
 
-    def test_undecided_piece_repeats_no_step(self, monkeypatch):
-        # the route takes trial division once, of g = c, and the split
-        # tests the piece c = a**2 * b for a perfect power once; factoring
-        # c then runs only the primality test and rho
+    def test_undecided_piece_takes_one_factor_call(self, monkeypatch):
+        # the piece c = a**2 * b goes through the same counted `factor` as
+        # every strategy, called once on c itself
         a, b = sympy.nextprime(10**5), sympy.nextprime(2 * 10**5)
         c = a**2 * b
-        calls = {"_perfect_power": [], "_trial_division": []}
-        for name, seen in calls.items():
+        calls = []
 
-            def spy(n, *rest, fn=getattr(numtheory, name), seen=seen):
-                seen.append(n)
-                return fn(n, *rest)
+        def spy(n):
+            calls.append(n)
+            return factor(n)
 
-            monkeypatch.setattr(numtheory, name, spy)
-            monkeypatch.setattr(core, name, spy)
-        assert self.shares((c, c), (1, 2)) == (a, 1)
-        assert calls == {"_perfect_power": [c], "_trial_division": [c]}
+        monkeypatch.setattr(core, "factor", spy)
+        with counting() as counters:
+            assert self.shares((c, c), (1, 2)) == (a, 1)
+        assert calls == [c]
+        assert counters.factor_calls == 1
+        assert counters.max_factored_bits == c.bit_length()
 
     def test_prime_powers_deficient_shape_needs_no_rho(self, monkeypatch):
         # the benchmark's adversarial-deficient shape: noise primes enter

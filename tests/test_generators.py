@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from helpers import naive_wgcd
+from helpers import naive_wgcd, time_limit
 from wgcd import bench, gcd_many, valuation
 from wgcd.bench import MODES, GenSpec, generate, known_answer_tuple
 from wgcd.core import (
@@ -55,6 +55,29 @@ class TestGenSpec:
     def test_json_round_trip(self):
         s = spec("random", (2, 3, 5), seed=99)
         assert GenSpec.from_json_dict(s.to_json_dict()) == s
+
+    # d**(10**9) for a 64-bit d, about 64 Gbit, ran past 120 s; a
+    # 10**10-bit d raised a bare MemoryError
+    OVERSIZED = [(1, (10**9,), 64, 8, "known-answer"), (1, (1, 2), 10**10, 8, "known-answer")]
+
+    @pytest.mark.parametrize("args", OVERSIZED)
+    def test_oversized_spec_refused_before_any_draw(self, args):
+        with time_limit(1), pytest.raises(ValueError, match="bench.SPEC_BITS"):
+            GenSpec(*args)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_size_bound_covers_every_coordinate(self, mode, monkeypatch):
+        # the bound is sound: with SPEC_BITS one bit below the largest
+        # coordinate the spec built, the same spec is refused
+        rng = random.Random(36)
+        for _ in range(60):
+            weights = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+            args = (rng.getrandbits(32), weights, rng.randint(1, 24), rng.randint(1, 64), mode)
+            t, _ = generate(GenSpec(*args))
+            with monkeypatch.context() as m:
+                m.setattr(bench, "SPEC_BITS", max(abs(x).bit_length() for x in t.values) - 1)
+                with pytest.raises(ValueError, match="SPEC_BITS"):
+                    GenSpec(*args)
 
 
 class TestKnownAnswer:

@@ -499,8 +499,9 @@ class TestTrialDivision:
             assert rest == 1 or rest >= 10**8 and math.gcd(rest, small) == 1
 
     def test_one_gcd_from_10_to_8(self, monkeypatch):
-        # a cofactor of 10**8 or more first takes one gcd with the product
-        # of all the primes below 10**4; a rough one stops at it, and the
+        # a cofactor of 10**8 or more first takes one gcd s with the product
+        # of all the primes below 10**4; a rough one stops at it, and any
+        # other takes each decade's gcd with s, not with the cofactor.  The
         # rest and the counts are the per-prime scan's on either side of
         # the threshold, with a rest below 10**8, a prime, in the counts
         rng = random.Random(35)
@@ -520,7 +521,8 @@ class TestTrialDivision:
             k = rng.randint(15, bits - 15)
             return prime(k) * prime(bits - k)
 
-        corpus = [10**8 - 1, 10**8, 9973 * 10007, 10007 * 10009, 2 * prime(40), 3**20 * rough(60)]
+        pinned = [2 * prime(40), 3**20 * rough(60)]
+        corpus = [10**8 - 1, 10**8, 9973 * 10007, 10007 * 10009, *pinned]
         for i in range(300):
             bits = rng.randint(27, 200)
             if i % 3 == 0:
@@ -539,7 +541,7 @@ class TestTrialDivision:
             return math.gcd(*xs)
 
         monkeypatch.setattr(numtheory, "math", types.SimpleNamespace(gcd=counted_gcd))
-        rough_seen = 0
+        rough_seen, shared = 0, []
         for n in corpus:
             expected, rest = trial_division_scan(n)
             if 1 < rest < 10**8:
@@ -549,7 +551,12 @@ class TestTrialDivision:
             if rest == n >= 10**8:
                 assert len(gcds) == 1, n
                 rough_seen += 1
+            elif n >= 10**8:
+                s = math.gcd(*gcds[0])
+                assert s > 1 and all(s in xs for xs in gcds[1:]), n
+                shared.append(n)
         assert rough_seen > 100
+        assert set(pinned) <= set(shared)
 
     def test_same_result_as_the_per_prime_scan(self, monkeypatch):
         # the scan's exponents below 10**4 plus the factorization of the
