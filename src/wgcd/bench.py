@@ -19,11 +19,18 @@ import operator
 import random
 import statistics
 import time
-from collections import namedtuple
 from collections.abc import Sequence
 
 from . import core, numtheory
-from .core import Counters, WeightedTuple, _Frozen, _positive_weights, _set_field, counting
+from .core import (
+    Counters,
+    WeightedTuple,
+    _Frozen,
+    _positive_weights,
+    _Result,
+    _set_field,
+    counting,
+)
 
 # The oracle is excluded by default: its scan bound is astronomical on
 # benchmark-scale inputs; pass it explicitly for small specs.
@@ -249,12 +256,19 @@ def generate(spec: GenSpec) -> tuple[WeightedTuple, int | None]:
 # ---------------------------------------------------------------------------
 # harness
 
-# one strategy's median time over the repetitions, the Counters of its
-# counted run, and its answer
-StrategyRun = namedtuple("StrategyRun", ("strategy", "ns_median", "counters", "d"))
+class StrategyRun(_Result):
+    """One strategy's median time over the repetitions, the Counters of its
+    counted run, and its answer."""
 
-# a spec's StrategyRuns, and whether their answers agree
-BenchRecord = namedtuple("BenchRecord", ("spec", "results", "agreement"))
+    __slots__ = ()
+    _fields = ("strategy", "ns_median", "counters", "d")
+
+
+class BenchRecord(_Result):
+    """A spec's StrategyRuns, and whether their answers agree."""
+
+    __slots__ = ()
+    _fields = ("spec", "results", "agreement")
 
 
 class StrategyDisagreement(RuntimeError):

@@ -33,7 +33,6 @@ inside it, and how many bits the largest factored number had.
 
 import math
 import operator
-from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress, islice
 
@@ -76,9 +75,9 @@ def _checked(values, weights) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 class _Record:
     """Base of the package's validated or mutable records: `WeightedTuple`,
-    `Counters` and `bench.GenSpec`; a plain result is a namedtuple.  The
-    `__slots__` of a subclass are its fields, in declaration order; two
-    records of the same class are equal when their fields are."""
+    `Counters` and `bench.GenSpec`.  The `__slots__` of a subclass are its
+    fields, in declaration order; two records of the same class are equal
+    when their fields are."""
 
     __slots__ = ()
 
@@ -175,18 +174,75 @@ class Counters(_Record):
         self.gcd_calls = gcd_calls
 
 
-# one rewrite: its rule ("abs", "permute", "suffix-gcd", "fastpath-one" or
-# "fastpath-root"), and the tuple of ints and the weights it leaves
-TraceStep = namedtuple("TraceStep", ("rule", "values", "weights"))
+class _Result(tuple):
+    """Base of the package's plain results, tuples with named fields.  A
+    subclass names its fields in `_fields` and declares empty `__slots__`;
+    it is built from them by position or by keyword, reads each by name,
+    matches them by position, equals, hashes and unpacks as their plain
+    tuple, and copies and pickles as itself.  Unlike
+    `collections.namedtuple`, a declaration compiles no code, which
+    `import wgcd` would pay for."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(operator.itemgetter(i)))
+        cls.__match_args__ = cls._fields
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            if len(args) > len(fields) or kwargs.keys() != set(rest):
+                raise TypeError(
+                    f"{cls.__name__} takes the fields {', '.join(fields)}; got"
+                    f" {len(args)} by position and the keywords {sorted(kwargs)}"
+                )
+            args += tuple(map(kwargs.__getitem__, rest))
+        return tuple.__new__(cls, args)
+
+    def __getnewargs__(self) -> tuple:
+        # what copy and pickle pass back to __new__
+        return tuple(self)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    __repr__ = _Record.__repr__
 
 
-# `wgcd_auto`'s answer d, its trace, the ordered TraceSteps whose replay
-# from the input reproduces each intermediate tuple, and its Counters
-WgcdResult = namedtuple("WgcdResult", ("d", "trace", "counters"))
+class TraceStep(_Result):
+    """One rewrite: its rule ("abs", "permute", "suffix-gcd", "fastpath-one"
+    or "fastpath-root"), and the tuple of ints and the weights it leaves."""
+
+    __slots__ = ()
+    _fields = ("rule", "values", "weights")
 
 
-# ok, a bool, and reason: None when ok, else "divisibility" or "maximality"
-VerifyResult = namedtuple("VerifyResult", ("ok", "reason"))
+class WgcdResult(_Result):
+    """`wgcd_auto`'s answer d, its trace, the ordered TraceSteps whose
+    replay from the input reproduces each intermediate tuple, and its
+    Counters."""
+
+    __slots__ = ()
+    _fields = ("d", "trace", "counters")
+
+
+class VerifyResult(_Result):
+    """`verify_wgcd`'s verdict: ok, a bool, and reason, None when ok, else
+    "divisibility" or "maximality"."""
+
+    __slots__ = ()
+    _fields = ("ok", "reason")
+
+
+# verify_wgcd's three verdicts, built once
+_VERIFIED = VerifyResult(True, None)
+_NOT_DIVISIBLE = VerifyResult(False, "divisibility")
+_NOT_MAXIMAL = VerifyResult(False, "maximality")
 
 
 # ---------------------------------------------------------------------------
@@ -747,15 +803,15 @@ def verify_wgcd(t: WeightedTuple, d: int) -> VerifyResult:
     if order is not None:
         i = next(filter(t.values.__getitem__, order))
         if _divide_out((t.values[i],), (t.weights[i],), d, None) is None:
-            return VerifyResult(False, "divisibility")
+            return _NOT_DIVISIBLE
         answer, ys, _ = _root_test(t.values, t.weights, order)
         if ys is not None or answer == 1:
             if d == answer:
-                return VerifyResult(True, None)
-            return VerifyResult(False, "divisibility" if answer % d else "maximality")
+                return _VERIFIED
+            return _NOT_DIVISIBLE if answer % d else _NOT_MAXIMAL
     residues = t.values if d == 1 else _divide_out(t.values, t.weights, d, order)
     if residues is None:
-        return VerifyResult(False, "divisibility")
+        return _NOT_DIVISIBLE
     if _wgcd_route(residues, t.weights, order)[0] > 1:
-        return VerifyResult(False, "maximality")
-    return VerifyResult(True, None)
+        return _NOT_MAXIMAL
+    return _VERIFIED

@@ -5,18 +5,21 @@ selftest and as the exactness gate of the test suite.  It also pins two
 reduction intermediates and one weight-sort permutation.
 """
 
-from collections import namedtuple
-
 from .core import (
     STRATEGIES,
     WeightedTuple,
+    _Result,
     reduce_suffix_gcd,
     sort_by_weight,
     weighted_gcd,
 )
 
 
-CorpusCase = namedtuple("CorpusCase", ("weights", "values", "expected"))
+class CorpusCase(_Result):
+    """A worked example: its weights, its values and their weighted gcd."""
+
+    __slots__ = ()
+    _fields = ("weights", "values", "expected")
 
 
 CORPUS: tuple[CorpusCase, ...] = (
@@ -63,8 +66,12 @@ SORT_CASE = (
 )
 
 
-# detail: None when passed, else what went wrong
-SelftestResult = namedtuple("SelftestResult", ("label", "passed", "detail"))
+class SelftestResult(_Result):
+    """One selftest check: its label, whether it passed, and detail, None
+    when it passed, else what went wrong."""
+
+    __slots__ = ()
+    _fields = ("label", "passed", "detail")
 
 
 def _case_label(case: CorpusCase) -> str:

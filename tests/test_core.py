@@ -1477,7 +1477,8 @@ def test_no_public_callable_takes_a_seed():
 class TestRecords:
     """Two kinds of record: a class where construction checks the input or
     the fields change, frozen ones keeping the behaviour of the dataclasses
-    they were, and a named tuple for every plain result."""
+    they were, and a tuple with named fields, a `core._Result`, for every
+    plain result."""
 
     SPEC = GenSpec(7, (2, 3), 8, 12, "known-answer")
 
@@ -1504,27 +1505,54 @@ class TestRecords:
         assert factor(1) == ()
 
     def test_results_are_named_tuples(self):
-        # as VerifyResult and TraceStep below: they equal, unpack, pickle
-        # and print as tuples with named fields
+        # every plain result is a tuple with named fields, as namedtuple
+        # made them: it equals, hashes, unpacks, copies, pickles, prints
+        # and matches as one, and is built by position or by keyword
         from wgcd.bench import bench_run
         from wgcd.selftest import CORPUS, run_selftest
 
         [record] = bench_run([self.SPEC], strategies=("auto",), repetitions=1)
         for r, fields in (
             (wgcd_auto(WORKED_TRIPLE), ("d", "trace", "counters")),
+            (wgcd_auto(WORKED_TRIPLE).trace[0], ("rule", "values", "weights")),
+            (verify_wgcd(WORKED_TRIPLE, 2), ("ok", "reason")),
             (record, ("spec", "results", "agreement")),
             (record.results[0], ("strategy", "ns_median", "counters", "d")),
             (CORPUS[0], ("weights", "values", "expected")),
             (run_selftest()[0], ("label", "passed", "detail")),
         ):
-            values = tuple(getattr(r, name) for name in fields)
-            assert isinstance(r, tuple) and type(r)._fields == fields
+            cls, values = type(r), tuple(getattr(r, name) for name in fields)
+            assert isinstance(r, tuple) and cls._fields == cls.__match_args__ == fields
             assert r == values and tuple(r) == values
+            assert not hasattr(r, "__dict__")
             assert r._asdict() == dict(zip(fields, values))
             shown = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values))
-            assert repr(r) == f"{type(r).__name__}({shown})"
-            twin = pickle.loads(pickle.dumps(r))
-            assert twin == r and type(twin) is type(r)
+            assert repr(r) == f"{cls.__name__}({shown})"
+            for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+                assert twin == r and type(twin) is cls
+            assert cls(**r._asdict()) == r == cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+            for args, kwargs in (
+                (values[:-1], {}),  # a field missing
+                ((*values, None), {}),  # an extra one
+                (values[:-1], {"unknown": values[-1]}),
+                (values, {fields[0]: values[0]}),  # one field twice
+            ):
+                with pytest.raises(TypeError, match=cls.__name__):
+                    cls(*args, **kwargs)
+        match verify_wgcd(WORKED_TRIPLE, 2):
+            case wgcd.VerifyResult(ok, reason):
+                assert (ok, reason) == (False, "maximality")
+            case _:
+                pytest.fail("a VerifyResult matched no VerifyResult pattern")
+        # verify_wgcd's three verdicts are built once, not per call, and
+        # each still equals and hashes as its plain tuple
+        for claim, verdict in (
+            (4, (True, None)), (2, (False, "maximality")), (3, (False, "divisibility")),
+        ):
+            r = verify_wgcd(WORKED_TRIPLE, claim)
+            assert verify_wgcd(WORKED_TRIPLE, claim) is r
+            assert r == verdict and hash(r) == hash(verdict)
+        assert verify_wgcd(wt((12, 18), (1, 1)), 6) is verify_wgcd(WORKED_TRIPLE, 4)
         d, trace, counters = wgcd_auto(WORKED_TRIPLE)
         assert d == 4 and [step.rule for step in trace] == ["suffix-gcd", "fastpath-root"]
         assert CORPUS[0] == ((2, 2, 3), (70352, 5760, 13824), 4)
@@ -1713,6 +1741,34 @@ class TestColdImport:
         )
         assert not loaded & {"__future__", "contextvars", "_contextvars"}
 
+    def test_import_generates_no_code(self):
+        # no package code calls eval or exec, itself or through a library
+        # function such as collections.namedtuple, which compiles each
+        # __new__ from source.  The import system runs every module through
+        # builtins.exec, and stdlib modules the package imports (functools,
+        # statistics) build namedtuples of their own, so a call counts when
+        # a package frame comes before the first import-system frame on the
+        # caller's stack.
+        loaded_cold(
+            "import builtins\n"
+            "seen, generated = [], []\n"
+            "def spy(real):\n"
+            "    def call(*args, **kwargs):\n"
+            "        seen.append(real.__name__)\n"
+            "        f = sys._getframe(1)\n"
+            "        while f and not f.f_code.co_filename.startswith('<frozen importlib'):\n"
+            "            if f.f_globals.get('__name__', '').startswith('wgcd'):\n"
+            "                generated.append((real.__name__, f.f_globals['__name__']))\n"
+            "                break\n"
+            "            f = f.f_back\n"
+            "        return real(*args, **kwargs)\n"
+            "    return call\n"
+            "builtins.eval, builtins.exec = spy(eval), spy(exec)\n"
+            "import wgcd, wgcd.bench, wgcd.selftest\n"
+            "assert 'exec' in seen and not generated, generated",
+            site=False,
+        )
+
     def test_contextvars_loads_with_the_first_block(self):
         loaded = loaded_cold(
             "import sys\n"
@@ -1782,7 +1838,7 @@ class TestColdImport:
 
     def test_bench_loads_no_dataclasses_inspect_nor_typing(self):
         # GenSpec is a frozen record class, and the harness's results are
-        # named tuples
+        # tuples with named fields
         loaded = loaded_cold("import wgcd.bench", site=False)
         assert "wgcd.bench" in loaded
         assert not loaded & {"dataclasses", "inspect", "typing"}
