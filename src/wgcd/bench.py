@@ -38,9 +38,11 @@ DEFAULT_STRATEGIES = ("auto", "full-factor", "lcm-power", "fold")
 
 _COFACTOR_PRIME_BITS = (18, 28)  # keeps the slow strategies desk-scale
 
-# Largest coordinate, in bits, that a spec's mode may build.  lcm-power, a
-# default strategy, refuses any coordinate over core.LCM_POWER_BITS = 2**16
-# bits, so a bigger spec could not be benchmarked anyway.
+# Largest coordinate, in bits, that a spec's mode may build.  It bounds what
+# a spec builds, not what the strategies then run: lcm-power bounds its own
+# power bitlen(x_i)*lcm(q)/q_i by core.LCM_POWER_BITS = 2**16, so it can
+# still refuse a spec GenSpec accepts, and full-factor can run for minutes
+# on a spec inside this bound.
 SPEC_BITS = 1 << 16
 
 
@@ -176,11 +178,10 @@ def known_answer_tuple(d: int, weights, cofactors) -> WeightedTuple:
     return WeightedTuple(values, w)
 
 
-def _gen_known(spec: GenSpec) -> tuple[WeightedTuple, int]:
+def _gen_known(spec: GenSpec, rng: random.Random) -> tuple[WeightedTuple, int]:
     """A unit cofactor forces the cofactor part of the tuple to carry no
     weighted gcd, and the cofactors share no prime with d, so the answer
     is d by construction."""
-    rng = random.Random(spec.seed)
     for _ in range(10_000):
         d = _random_bits(rng, spec.d_bits)
         try:
@@ -197,7 +198,7 @@ def _gen_known(spec: GenSpec) -> tuple[WeightedTuple, int]:
     raise ValueError(f"no cofactors of {spec.cofactor_bits} bits fit any d for {spec}")
 
 
-def _gen_adversarial(spec: GenSpec) -> tuple[WeightedTuple, int]:
+def _gen_adversarial(spec: GenSpec, rng: random.Random) -> tuple[WeightedTuple, int]:
     """Prime-power-heavy tuple plus deficient-exponent noise.
 
     The base is p**q_i for a fresh prime p, so the weighted gcd is p.
@@ -205,7 +206,6 @@ def _gen_adversarial(spec: GenSpec) -> tuple[WeightedTuple, int]:
     the weight in one coordinate, so they inflate the plain gcd while
     contributing nothing to the weighted gcd.
     """
-    rng = random.Random(spec.seed)
     weights = spec.weights
     p = _random_prime(rng, max(spec.d_bits, 2))
     values = [p**q for q in weights]
@@ -226,9 +226,8 @@ def _gen_adversarial(spec: GenSpec) -> tuple[WeightedTuple, int]:
     return WeightedTuple(tuple(values), spec.weights), p
 
 
-def _gen_random(spec: GenSpec) -> tuple[WeightedTuple, None]:
+def _gen_random(spec: GenSpec, rng: random.Random) -> tuple[WeightedTuple, None]:
     """Unstructured signed tuple; magnitudes bounded by cofactor_bits."""
-    rng = random.Random(spec.seed)
     while True:
         values = tuple(
             (1 - 2 * rng.randint(0, 1)) * rng.getrandbits(spec.cofactor_bits)
@@ -249,8 +248,9 @@ MODES = tuple(_GENERATORS)
 def generate(spec: GenSpec) -> tuple[WeightedTuple, int | None]:
     """The spec's tuple and the weighted gcd its mode constructs: d for
     known-answer, the base prime p for adversarial-deficient, and None
-    for random, whose answer nothing fixes."""
-    return _GENERATORS[spec.mode](spec)
+    for random, whose answer nothing fixes.  Every mode draws from one
+    `random.Random(spec.seed)`, so the tuple depends on the spec alone."""
+    return _GENERATORS[spec.mode](spec, random.Random(spec.seed))
 
 
 # ---------------------------------------------------------------------------

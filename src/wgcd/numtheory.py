@@ -10,8 +10,9 @@ Factorization runs trial division below 10**4, one gcd per decade of
 primes against the product of that decade; a number of at least 10**8
 first takes one gcd s with the product of all those primes, stops there
 when s is 1, and otherwise takes each decade's gcd with s.  Then
-`_factor_rough` runs perfect-power detection, a primality test and
-Pollard rho capped at RHO_BUDGET iterations on the cofactor left.
+`factor`'s loop runs perfect-power detection, a primality test and
+Pollard rho, capped at RHO_BUDGET iterations in all, on the pieces of
+the cofactor left.
 The primes below 10**4, their product and the products of their
 decades are built on first use, never at import: `import wgcd` and a
 call that the root test answers compute no prime table.
@@ -354,10 +355,10 @@ class FactorBudgetExceeded(ArithmeticError):
 RHO_BUDGET = 1 << 22
 
 
-def _pollard_rho_brent(n: int, rng, budget: int, spent: int = 0) -> tuple[int, int]:
+def _pollard_rho_brent(n: int, rng, budget: int, spent: int) -> tuple[int, int]:
     """Nontrivial factor of an odd composite n via Brent's cycle variant,
     and the running iteration count: `spent` plus the iterations run here.
-    Its one caller, `_factor_rough`, passes only n whose primes exceed 10**4,
+    Its one caller, `factor`, passes only n whose primes exceed 10**4,
     and rng, the `random.Random` the walks are drawn from.
 
     The budget is checked once per batch of m iterations, before the batch
@@ -464,12 +465,14 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     fixed-seed generator, so the rho iterations a call runs depend on n
     alone.
 
-    First `_trial_division` by the primes below 10**4, then
-    `_factor_rough` on the cofactor it leaves.  Every copy of a prime
-    found by trial division, and of a divisor rho splits off, is stripped
-    at once by `_strip`, which divides by repeated squares past the first
-    few copies, so `factor(3**(10**5))` takes milliseconds rather than
-    seconds.
+    First `_trial_division` by the primes below 10**4; then each pending
+    (value, multiplicity) piece of the cofactor it leaves, whose primes
+    all exceed 10**4, is recorded when below 10**8 or prime, replaced by
+    its root when it is a perfect power, and otherwise split by Pollard
+    rho.  Every copy of a prime found by trial division, and of a divisor
+    rho splits off, is stripped at once by `_strip`, which divides by
+    repeated squares past the first few copies, so `factor(3**(10**5))`
+    takes milliseconds rather than seconds.
 
     The rho iterations of the whole call are capped at RHO_BUDGET, and
     FactorBudgetExceeded is raised past the cap.
@@ -479,20 +482,9 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("factor expects n >= 1")
     counts: dict[int, int] = {}
     m = _trial_division(n, counts)
-    if m > 1:
-        counts.update(_factor_rough(m))
-    return tuple(sorted(counts.items()))
-
-
-def _factor_rough(m: int) -> dict[int, int]:
-    """Prime factorization of m > 1 whose primes all exceed 10**4, as
-    prime: exponent; the second half of `factor`.  Each piece takes
-    perfect-power detection, a primality test, then Pollard rho, capped
-    at RHO_BUDGET iterations in all."""
-    counts: dict[int, int] = {}
+    pending = [(m, 1)] if m > 1 else []
     rng = None
     spent = 0
-    pending = [(m, 1)]
     while pending:
         v, mult = pending.pop()
         if v < _PRIME_BELOW:
@@ -514,4 +506,4 @@ def _factor_rough(m: int) -> dict[int, int]:
         pending.append((a, (e + 1) * mult))
         if rest > 1:
             pending.append((rest, mult))
-    return counts
+    return tuple(sorted(counts.items()))

@@ -74,10 +74,17 @@ class SelftestResult(_Result):
     _fields = ("label", "passed", "detail")
 
 
+def _joined(xs) -> str:
+    return ",".join(map(str, xs))
+
+
 def _case_label(case: CorpusCase) -> str:
-    w = ",".join(str(q) for q in case.weights)
-    x = ",".join(str(v) for v in case.values)
-    return f"wgcd[{w}]({x}) = {case.expected}"
+    return f"wgcd[{_joined(case.weights)}]({_joined(case.values)}) = {case.expected}"
+
+
+def _pinned(label: str, got, expected) -> SelftestResult:
+    ok = got == expected
+    return SelftestResult(label, ok, None if ok else f"got {got}")
 
 
 def run_selftest() -> list[SelftestResult]:
@@ -99,23 +106,11 @@ def run_selftest() -> list[SelftestResult]:
 
     for weights, values, expected in SUFFIX_REDUCTIONS:
         got = reduce_suffix_gcd(WeightedTuple(values, weights)).values
-        label = f"suffix-gcd[{','.join(map(str, weights))}]({','.join(map(str, values))})"
-        results.append(
-            SelftestResult(
-                f"{label} = ({','.join(map(str, expected))})",
-                got == expected,
-                None if got == expected else f"got {got}",
-            )
-        )
+        label = f"suffix-gcd[{_joined(weights)}]({_joined(values)}) = ({_joined(expected)})"
+        results.append(_pinned(label, got, expected))
 
     in_w, in_x, out_w, out_x = SORT_CASE
     sorted_t, _ = sort_by_weight(WeightedTuple(in_x, in_w))
-    ok = sorted_t.weights == out_w and sorted_t.values == out_x
-    results.append(
-        SelftestResult(
-            f"sort-by-weight[{','.join(map(str, in_w))}]",
-            ok,
-            None if ok else f"got {sorted_t.weights} / {sorted_t.values}",
-        )
-    )
+    got = sorted_t.weights, sorted_t.values
+    results.append(_pinned(f"sort-by-weight[{_joined(in_w)}]", got, (out_w, out_x)))
     return results

@@ -317,6 +317,27 @@ class TestSelftest:
         ]
         assert all(line.startswith("PASS") for line in lines[len(CORPUS) :])
 
+    def test_wrong_pinned_intermediates_fail_their_rows(self, capsys, monkeypatch):
+        # a suffix gcd and a weight sort that return their input unchanged
+        # fail the three pinned rows, each with what it got, and leave the
+        # corpus rows passing
+        monkeypatch.setattr(selftest, "reduce_suffix_gcd", lambda t: t)
+        monkeypatch.setattr(
+            selftest, "sort_by_weight", lambda t: (t, tuple(range(len(t.weights))))
+        )
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert all(line.startswith("PASS") for line in lines[: len(CORPUS)])
+        assert lines[len(CORPUS) :] == [
+            "FAIL suffix-gcd[2,2,3](70352,5760,13824) = (16,1152,13824):"
+            " got (70352, 5760, 13824)",
+            "FAIL suffix-gcd[2,3,5,7,9](234566,5789534,243226,123456,4322166)"
+            " = (2,2,2,6,4322166): got (234566, 5789534, 243226, 123456, 4322166)",
+            "FAIL sort-by-weight[7,5,3,2,9]:"
+            " got ((7, 5, 3, 2, 9), (123456, 243226, 5789534, 234566, 4322166))",
+        ]
+
     def test_runs_as_a_module(self):
         # python -m wgcd is the wgcd command
         src = str(Path(wgcd.__file__).resolve().parents[1])
@@ -427,6 +448,21 @@ class TestBench:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert "entry 0 of" in err and message in err
+
+    def test_spec_over_lcm_powers_budget_exits_two(self, capsys, tmp_path):
+        # GenSpec accepts the spec, whose largest coordinate has 64*8 + 1100
+        # bits, but lcm-power bounds its power bitlen(x_i)*lcm(q)/q_i and
+        # refuses it; no report is written
+        specs = [{"seed": 1, "weights": [1, 64], "d_bits": 8,
+                  "cofactor_bits": 1100, "mode": "known-answer"}]
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "bench", "--spec", self.spec_file(tmp_path, specs),
+            "--reps", "1", "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert "lcm-power would build a 70848-bit power, over its 65536-bit budget" in err
+        assert not out_path.exists()
 
     def test_disagreement_exits_one(self, capsys, tmp_path, monkeypatch):
         from wgcd import bench as bench_mod
