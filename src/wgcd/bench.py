@@ -37,6 +37,7 @@ from .core import (
 DEFAULT_STRATEGIES = ("auto", "full-factor", "lcm-power", "fold")
 
 _COFACTOR_PRIME_BITS = (18, 28)  # keeps the slow strategies desk-scale
+_NOISE_PRIME_BITS = (16, 24)  # adversarial-deficient's noise primes
 
 # Largest coordinate, in bits, that a spec's mode may build.  It bounds what
 # a spec builds, not what the strategies then run: lcm-power bounds its own
@@ -68,11 +69,12 @@ class GenSpec(_Frozen):
             bits = cofactor_bits
         else:
             # p**q times noise: each round multiplies every coordinate by
-            # r**e, r a prime of 16 to 24 bits and 1 <= e <= q, so it adds
-            # at least 15 bits to the least noise, which stops the rounds
-            # once it passes cofactor_bits; all weights 1 add no noise
-            rounds = -(-cofactor_bits // 15) if q > 1 else 0
-            bits = q * (max(d_bits, 2) + 24 * rounds)
+            # r**e, r a prime of lo to hi bits and 1 <= e <= q, so it adds
+            # at least lo - 1 bits to the least noise, which stops the
+            # rounds once it passes cofactor_bits; all weights 1 add no noise
+            lo, hi = _NOISE_PRIME_BITS
+            rounds = -(-cofactor_bits // (lo - 1)) if q > 1 else 0
+            bits = q * (max(d_bits, 2) + hi * rounds)
         if bits > SPEC_BITS:
             raise ValueError(
                 f"{mode} spec could build a {bits}-bit coordinate, over"
@@ -214,7 +216,7 @@ def _gen_adversarial(spec: GenSpec, rng: random.Random) -> tuple[WeightedTuple, 
         noise = [1] * len(weights)
         used = {p}
         while min(n.bit_length() for n in noise) - 1 < spec.cofactor_bits:
-            r = _random_prime(rng, rng.randint(16, 24))
+            r = _random_prime(rng, rng.randint(*_NOISE_PRIME_BITS))
             if r in used:
                 continue
             used.add(r)

@@ -96,24 +96,21 @@ def _run_verify(args) -> int:
 def _run_explain(args) -> int:
     t = WeightedTuple(*_parse_tuple(args))
     result = wgcd_auto(t)
+    steps = [
+        {"rule": s.rule, "values": [str(v) for v in s.values], "weights": list(s.weights)}
+        for s in result.trace
+    ]
     obj = {
         "d": str(result.d),
         "strategy": "auto",
-        "steps": [
-            {
-                "rule": step.rule,
-                "values": [str(v) for v in step.values],
-                "weights": list(step.weights),
-            }
-            for step in result.trace
-        ],
+        "steps": steps,
         "counters": result.counters._asdict(),
     }
-    lines = [f"d={result.d} strategy=auto"]
-    for step in result.trace:
-        values = ",".join(str(v) for v in step.values)
-        weights = ",".join(str(q) for q in step.weights)
-        lines.append(f"  {step.rule}: values={values} weights={weights}")
+    # the plain lines render the JSON steps, so the two modes agree
+    lines = [f"d={obj['d']} strategy=auto"]
+    for s in steps:
+        values, weights = ",".join(s["values"]), ",".join(map(str, s["weights"]))
+        lines.append(f"  {s['rule']}: values={values} weights={weights}")
     _print(args, obj, "\n".join(lines))
     return 0
 
@@ -246,12 +243,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FactorBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FactorBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, FactorBudgetExceeded) else 2
 
 
 if __name__ == "__main__":

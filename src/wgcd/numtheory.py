@@ -34,10 +34,11 @@ from itertools import compress
 
 TRIAL_DIVISION_LIMIT = 10_000
 # Once trial division is done every remaining prime factor exceeds 10**4,
-# so a cofactor below this square is prime and a k-th power has at least
-# 13*k bits.
+# so a cofactor below this square is prime and a k-th power has more than
+# 13*k bits: each of its primes exceeds 2**13, the largest power of two
+# below 10**4.
 _PRIME_BELOW = TRIAL_DIVISION_LIMIT**2
-_MIN_BITS_PER_POWER = 13
+_MIN_BITS_PER_POWER = TRIAL_DIVISION_LIMIT.bit_length() - 1
 
 
 def _primes_below(limit: int) -> tuple[int, ...]:
@@ -402,8 +403,10 @@ def _pollard_rho_brent(n: int, rng, budget: int, spent: int) -> tuple[int, int]:
 
 
 def _perfect_power(v: int) -> tuple[int, int]:
-    """(r, k) with r**k == v for the smallest prime k that has one, else
-    (v, 1).  Only for v whose prime factors all exceed 10**4."""
+    """(r, k) with r**k == v for the smallest prime k below 10**4 that has
+    one, else (v, 1).  Only for v whose prime factors all exceed 10**4.
+    It tries no prime k above 9973, so a v that is a k-th power only for
+    such k, which takes at least about 133,000 bits, comes back as (v, 1)."""
     bits = v.bit_length()
     for k in _small_primes():
         if k * _MIN_BITS_PER_POWER > bits:

@@ -78,10 +78,6 @@ def _joined(xs) -> str:
     return ",".join(map(str, xs))
 
 
-def _case_label(case: CorpusCase) -> str:
-    return f"wgcd[{_joined(case.weights)}]({_joined(case.values)}) = {case.expected}"
-
-
 def _pinned(label: str, got, expected) -> SelftestResult:
     ok = got == expected
     return SelftestResult(label, ok, None if ok else f"got {got}")
@@ -96,13 +92,8 @@ def run_selftest() -> list[SelftestResult]:
             d = weighted_gcd(case.values, case.weights, name)
             if d != case.expected:
                 mismatches.append(f"{name} -> {d}")
-        results.append(
-            SelftestResult(
-                _case_label(case),
-                not mismatches,
-                "; ".join(mismatches) or None,
-            )
-        )
+        label = f"wgcd[{_joined(case.weights)}]({_joined(case.values)}) = {case.expected}"
+        results.append(SelftestResult(label, not mismatches, "; ".join(mismatches) or None))
 
     for weights, values, expected in SUFFIX_REDUCTIONS:
         got = reduce_suffix_gcd(WeightedTuple(values, weights)).values

@@ -1,4 +1,4 @@
-"""Independent oracles and inputs shared by the test suite.
+"""Independent oracles, inputs and helpers shared by the test suite.
 
 Everything here is written from the definitions, without touching the
 package internals, so agreement is a real cross-check.
@@ -54,6 +54,11 @@ def time_limit(seconds: float, grace: float = 30):
         faulthandler.cancel_dump_traceback_later()
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def counts(c) -> tuple[int, int, int]:
+    """The (factor_calls, max_factored_bits, gcd_calls) of a Counters."""
+    return (c.factor_calls, c.max_factored_bits, c.gcd_calls)
 
 
 def brute_force_gcd(a: int, b: int) -> int:

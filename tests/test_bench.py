@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import counts
 from wgcd import bench as bench_mod
 from wgcd import gcd_many
 from wgcd.bench import (
@@ -17,10 +18,6 @@ from wgcd.cli import main
 from wgcd.core import Counters, WeightedTuple, counting, wgcd_auto
 
 COUNTER_NAMES = list(Counters.__slots__)
-
-
-def counts(c: Counters) -> tuple[int, int, int]:
-    return (c.factor_calls, c.max_factored_bits, c.gcd_calls)
 
 
 def small_specs():

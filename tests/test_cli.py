@@ -289,6 +289,25 @@ class TestExplain:
         rules = [s["rule"] for s in payload["steps"]]
         assert "suffix-gcd" in rules
 
+    def test_plain_lines_render_the_json_steps(self, capsys):
+        # between them these traces take every rule; each plain step line
+        # is its JSON step, comma-joined in order
+        rules = set()
+        for weights, values in [("1,1", "-12,18"), ("3,2", "13824,5760"),
+                                ("2,3", "7,11"), ("2,2,3", "70352,5760,13824"),
+                                ("2,1,3", "-6,0,10")]:
+            base = ["explain", "--weights", weights, "--values", values]
+            code, plain, _ = run(capsys, *base)
+            assert code == 0
+            payload = json.loads(run(capsys, *base, "--json")[1])
+            assert plain.splitlines() == [f"d={payload['d']} strategy=auto"] + [
+                f"  {s['rule']}: values={','.join(s['values'])}"
+                f" weights={','.join(map(str, s['weights']))}"
+                for s in payload["steps"]
+            ]
+            rules.update(s["rule"] for s in payload["steps"])
+        assert rules == {"abs", "permute", "suffix-gcd", "fastpath-one", "fastpath-root"}
+
 
 class TestSelftest:
     def test_all_pass(self, capsys):
@@ -313,7 +332,9 @@ class TestSelftest:
         assert code == 1
         lines = out.strip().splitlines()
         assert lines[: len(CORPUS)] == [
-            f"FAIL {selftest._case_label(case)}: fold -> 7" for case in CORPUS
+            f"FAIL wgcd[{','.join(map(str, case.weights))}]"
+            f"({','.join(map(str, case.values))}) = {case.expected}: fold -> 7"
+            for case in CORPUS
         ]
         assert all(line.startswith("PASS") for line in lines[len(CORPUS) :])
 
@@ -462,6 +483,30 @@ class TestBench:
         )
         assert code == 2 and out == ""
         assert "lcm-power would build a 70848-bit power, over its 65536-bit budget" in err
+        assert not out_path.exists()
+
+    def test_exhausted_cofactors_exit_two(self, capsys, tmp_path, monkeypatch):
+        # a known-answer spec whose cofactors fit no d: generate gives up
+        # naming their bits, and the bench exits 2 with that message and
+        # writes no report
+        from wgcd import bench as bench_mod
+
+        def exhausted(rng, bits, d):
+            raise ValueError(f"no {bits}-bit cofactor coprime to {d} found")
+
+        monkeypatch.setattr(bench_mod, "_random_cofactor", exhausted)
+        specs = [{"seed": 1, "weights": [2, 3], "d_bits": 6,
+                  "cofactor_bits": 5, "mode": "known-answer"}]
+        message = "no cofactors of 5 bits fit any d for "
+        with pytest.raises(ValueError, match=f"^{message}"):
+            bench_mod.generate(bench_mod.GenSpec.from_json_dict(specs[0]))
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "bench", "--spec", self.spec_file(tmp_path, specs),
+            "--reps", "1", "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
         assert not out_path.exists()
 
     def test_disagreement_exits_one(self, capsys, tmp_path, monkeypatch):

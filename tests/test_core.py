@@ -19,6 +19,7 @@ from helpers import (
     SPLIT_PRIMES,
     SPLIT_VALUES,
     SPLIT_WEIGHTS,
+    counts,
     naive_wgcd,
     second_tier_bound,
     time_limit,
@@ -1104,10 +1105,6 @@ WORKED_COUNTS = {
     "lcm-power": (1, 13, 1),
     "fold": (3, 14, 0),
 }
-
-
-def counts(c: Counters) -> tuple[int, int, int]:
-    return (c.factor_calls, c.max_factored_bits, c.gcd_calls)
 
 
 class TestCounting:
